@@ -22,6 +22,7 @@ from regcal import (
     toy_experiment_config,
     train,
     uce,
+    uncertainty_records,
 )
 from regcal.calibrate import apply_calibration
 from regcal.io import diagram_to_csv, trace_to_csv
@@ -48,24 +49,32 @@ print("running stochastic forward passes...")
 val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
 test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
 
+# Each dump is decomposed into its columnar uncertainties once; fits,
+# recalibration and metrics all work on those.
+val_unc = uncertainty_records(val)
+test_unc = uncertainty_records(test)
+
 print("fitting recalibration on the validation dump...")
-sigma_art = fit_sigma(val, likelihood="gaussian", target="predictive")
-aux_art = aux_fit(val, AuxConfig(seed=seed), target="predictive")
+sigma_art = fit_sigma(val_unc, likelihood="gaussian", target="predictive")
+aux_art = aux_fit(val_unc, AuxConfig(seed=seed), target="predictive")
 print(f"  sigma scaling: s = {sigma_art.s:.3f}")
 
 print("\ntest-set comparison (uncalibrated vs recalibrated):")
 print(f"{'method':<10} {'MSE':>10} {'NLL':>10} {'UCE':>8}")
 for name, art in (("none", None), ("sigma", sigma_art), ("aux", aux_art)):
-    records = apply_calibration(test, art)
-    row_mse = mse(records)
-    row_nll = batch_nll(test, art)
-    row_uce = uce(test, k=10, mode="predictive", calib=art).uce
+    unc = apply_calibration(test_unc, art)
+    row_mse = mse(unc)
+    row_nll = batch_nll(unc)
+    row_uce = uce(unc, k=10, mode="predictive").uce
     print(f"{name:<10} {row_mse:>10.6f} {row_nll:>10.4f} {row_uce:>8.4f}")
 print("(MSE never moves: recalibration leaves the predictions untouched)")
 
 # Calibration diagrams: points below the diagonal mean overconfidence.
-diagram_to_csv(calibration_diagram(test, k=10), out_dir / "diagram_uncalibrated.csv")
-diagram_to_csv(calibration_diagram(test, k=10, calib=sigma_art), out_dir / "diagram_sigma.csv")
+diagram_to_csv(calibration_diagram(uce(test_unc, k=10)), out_dir / "diagram_uncalibrated.csv")
+diagram_to_csv(
+    calibration_diagram(uce(apply_calibration(test_unc, sigma_art), k=10)),
+    out_dir / "diagram_sigma.csv",
+)
 print(f"\nwrote {out_dir}/trace.csv and calibration-diagram CSVs")
 print("columns: bin_lower,bin_upper,count,uncert_mean,var_obs "
       "(plot var_obs against uncert_mean; the diagonal is perfect calibration)")

@@ -18,6 +18,7 @@ from regcal import (
     rejection_curve,
     toy_experiment_config,
     train,
+    uncertainty_records,
 )
 from regcal.calibrate import apply_calibration
 from regcal.toymodel import LabeledData, true_mean
@@ -27,22 +28,26 @@ data = generate(SyntheticSpec(seed=seed))
 cfg = toy_experiment_config(seed)
 print("training (reusing the toy experiment setup)...")
 model, _ = train(data, cfg)
-val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
-test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
+val = uncertainty_records(
+    mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
+)
+test = uncertainty_records(
+    mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
+)
 sigma_art = fit_sigma(val)
+test_calibrated = apply_calibration(test, sigma_art)
 
 # --- prediction intervals ---------------------------------------------------
 print("\nprediction-interval coverage on the test set:")
 print(f"{'level':>6} {'uncalibrated':>14} {'sigma-scaled':>14}")
-before = coverage(apply_calibration(test, None))
-after = coverage(apply_calibration(test, sigma_art))
+before = coverage(test)
+after = coverage(test_calibrated)
 for lvl, obs_b, obs_a in zip(before.levels, before.observed, after.observed):
     print(f"{lvl:>6} {obs_b:>14.3f} {obs_a:>14.3f}")
 print("(uncalibrated intervals are too narrow; scaling moves coverage toward nominal)")
 
 # --- rejection --------------------------------------------------------------
-records = apply_calibration(test, sigma_art)
-curve = rejection_curve(records, steps=10)
+curve = rejection_curve(test_calibrated, steps=10)
 print("\nrejecting the most uncertain predictions lowers the kept-set MSE:")
 print(f"{'frac rejected':>14} {'kept MSE':>10}")
 for frac, kept in zip(curve.frac_rejected[::-1], curve.mse_kept[::-1]):
@@ -56,13 +61,11 @@ x_shift = rng.uniform(1.1, 1.6, size=len(data.test.x))
 sd_shift = 0.05 + 0.10 * x_shift
 y_shift = true_mean(x_shift) + rng.normal(0.0, 1.0, size=len(x_shift)) * sd_shift
 shifted_data = LabeledData(x=x_shift, y=y_shift, noise_sd=sd_shift)
-shifted = mc_predict(model, shifted_data, cfg.mc_passes, seed=seed + 7, id_prefix="shift")
-
-cmp = ood_compare(
-    apply_calibration(test, sigma_art),
-    apply_calibration(shifted, sigma_art),
-    k=20,
+shifted = uncertainty_records(
+    mc_predict(model, shifted_data, cfg.mc_passes, seed=seed + 7, id_prefix="shift")
 )
+
+cmp = ood_compare(test_calibrated, apply_calibration(shifted, sigma_art), k=20)
 print("\nout-of-distribution comparison (inputs outside the training range):")
 print(f"  mean uncertainty in-dist:  {cmp.in_dist.summary.mean:.4f}")
 print(f"  mean uncertainty shifted:  {cmp.shifted.summary.mean:.4f}")

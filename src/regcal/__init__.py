@@ -25,16 +25,14 @@ from .core import (
     BinStats,
     CalibrationArtifact,
     McPredictionSet,
-    McRecord,
-    McSample,
-    UncertaintyRecord,
+    Uncertainties,
     identity_artifact,
     validate,
 )
 from .intervals import CoverageTable, coverage, probit
 from .io import DumpFormatError, load_artifact, load_dump, save_artifact, save_dump
 from .likelihood import batch_nll, gaussian_nll, laplace_nll
-from .metrics import UceReport, calibration_diagram, mse, predictive_variance, uce, uncertainty_records
+from .metrics import UceReport, calibration_diagram, mse, uce, uncertainty_records
 from .toymodel import (
     SyntheticSpec,
     ToyModel,
@@ -58,8 +56,6 @@ __all__ = [
     "CoverageTable",
     "DumpFormatError",
     "McPredictionSet",
-    "McRecord",
-    "McSample",
     "OodComparison",
     "RejectionCurve",
     "SigmaFitOptions",
@@ -69,7 +65,7 @@ __all__ = [
     "TrainingTrace",
     "UceReport",
     "UncertaintyHistogram",
-    "UncertaintyRecord",
+    "Uncertainties",
     "apply_calibration",
     "aux_fit",
     "batch_nll",
@@ -86,7 +82,6 @@ __all__ = [
     "mc_predict",
     "mse",
     "ood_compare",
-    "predictive_variance",
     "probit",
     "rejection_curve",
     "save_artifact",

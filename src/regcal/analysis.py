@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UncertaintyRecord
+from .core import Uncertainties
 
 
 @dataclass
@@ -57,7 +57,7 @@ class OodComparison:
 
 
 def rejection_curve(
-    records: list[UncertaintyRecord],
+    unc: Uncertainties,
     steps: int = 50,
     thresholds=None,
 ) -> RejectionCurve:
@@ -68,11 +68,11 @@ def rejection_curve(
     entry keeps everything and reproduces the plain MSE exactly. Passing
     explicit ``thresholds`` switches to absolute mode.
     """
-    if not records:
+    m = unc.m
+    if m < 1:
         raise ValueError("rejection curve of an empty record sequence")
-    totals = np.array([r.total for r in records])
-    err_sq = np.array([float(np.mean((r.y - r.y_mean) ** 2)) for r in records])
-    m = len(records)
+    totals = unc.total
+    err_sq = unc.err_sq
 
     if thresholds is None:
         if steps < 2:
@@ -114,19 +114,10 @@ def _auroc(negatives: np.ndarray, positives: np.ndarray) -> float:
     count but usable at realistic sizes.
     """
     combined = np.concatenate([negatives, positives])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(len(combined))
-    ranks[order] = np.arange(1, len(combined) + 1)
-    # average ranks over ties
-    sorted_vals = combined[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    _, group, counts = np.unique(combined, return_inverse=True, return_counts=True)
+    # Tied values share the mean of the ranks they span; ranks are 1-based.
+    last_rank = np.cumsum(counts)
+    ranks = (last_rank - 0.5 * (counts - 1))[group]
     n_neg = len(negatives)
     n_pos = len(positives)
     rank_sum_pos = float(ranks[n_neg:].sum())
@@ -135,8 +126,8 @@ def _auroc(negatives: np.ndarray, positives: np.ndarray) -> float:
 
 
 def ood_compare(
-    in_dist: list[UncertaintyRecord],
-    shifted: list[UncertaintyRecord],
+    in_dist: Uncertainties,
+    shifted: Uncertainties,
     k: int = 20,
 ) -> OodComparison:
     """Compare uncertainty histograms of an in-distribution and a shifted set.
@@ -145,12 +136,12 @@ def ood_compare(
     Separation statistics: difference of means and the AUROC of thresholding
     uncertainty to tell the sets apart (0.5 = indistinguishable).
     """
-    if not in_dist or not shifted:
+    if in_dist.m < 1 or shifted.m < 1:
         raise ValueError("ood comparison requires two non-empty record sequences")
     if k < 1:
         raise ValueError(f"bin count must be >= 1 (got {k})")
-    u_in = np.array([r.total for r in in_dist])
-    u_sh = np.array([r.total for r in shifted])
+    u_in = in_dist.total
+    u_sh = shifted.total
     lo = float(min(u_in.min(), u_sh.min()))
     hi = float(max(u_in.max(), u_sh.max()))
     if hi == lo:

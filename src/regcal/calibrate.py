@@ -9,6 +9,7 @@ Two families are supported:
   log(recalibrated uncertainty), fitted by gradient descent on the Gaussian
   NLL with the predictions held fixed at the MC mean.
 
+Both fit on, and apply to, the columnar :class:`Uncertainties` of a set.
 Neither method touches predicted means, so accuracy (MSE) is conserved
 bit-for-bit by construction.
 """
@@ -16,12 +17,11 @@ bit-for-bit by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CalibrationArtifact, McPredictionSet, UncertaintyRecord
-from .metrics import uncertainty_records
+from .core import CalibrationArtifact, Uncertainties
 
 
 class CalibrationError(ValueError):
@@ -156,27 +156,23 @@ def sigma_fit_gd(
     return s, fit_meta
 
 
-def _errors_and_scales(pset: McPredictionSet, likelihood: str, target: str):
-    """Per-record observed error and predicted scale used by the sigma fit.
+def _errors_and_scales(unc: Uncertainties, likelihood: str, target: str):
+    """Per-record observed error and predicted scale used by the fits.
 
     Errors are those of the MC-mean prediction (mean across output
-    dimensions, matching the scalar uncertainty). Predictive targets plug in
-    the total uncertainty, aleatoric-only targets only the aleatoric part.
+    dimensions, matching the scalar uncertainty): squared errors against
+    variances for the Gaussian, absolute errors against sigmas for the
+    Laplacian. Predictive targets plug in the total uncertainty,
+    aleatoric-only targets only the aleatoric part.
     """
-    records = uncertainty_records(pset)
-    u = np.array([r.total if target == "predictive" else r.aleatoric for r in records])
-    resid = np.stack([r.y - r.y_mean for r in records])
+    u = unc.total if target == "predictive" else unc.aleatoric
     if likelihood == "gaussian":
-        errors = np.mean(resid**2, axis=1)
-        scales = u
-    else:
-        errors = np.mean(np.abs(resid), axis=1)
-        scales = np.sqrt(u)
-    return errors, scales
+        return unc.err_sq, u
+    return unc.abs_err, np.sqrt(u)
 
 
 def fit_sigma(
-    pset: McPredictionSet,
+    unc: Uncertainties,
     likelihood: str = "gaussian",
     target: str = "predictive",
     opts: SigmaFitOptions | None = None,
@@ -187,7 +183,7 @@ def fit_sigma(
     Uses the exact closed form by default; ``use_gd`` switches to the
     gradient-descent route (the two agree to the fit tolerance).
     """
-    errors, scales = _errors_and_scales(pset, likelihood, target)
+    errors, scales = _errors_and_scales(unc, likelihood, target)
     if use_gd:
         s, fit_meta = sigma_fit_gd(errors, scales, kind=likelihood, opts=opts)
         fit_meta = {"fit": "gd", **fit_meta}
@@ -249,7 +245,7 @@ def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def aux_fit(
-    cal_set: McPredictionSet,
+    unc: Uncertainties,
     cfg: AuxConfig | None = None,
     target: str = "predictive",
 ) -> CalibrationArtifact:
@@ -262,10 +258,7 @@ def aux_fit(
     at the artifact is never above the NLL of the near-identity init.
     """
     cfg = cfg or AuxConfig()
-    records = uncertainty_records(cal_set)
-    u = np.array([r.total if target == "predictive" else r.aleatoric for r in records])
-    resid = np.stack([r.y - r.y_mean for r in records])
-    err_sq = np.mean(resid**2, axis=1)
+    err_sq, u = _errors_and_scales(unc, "gaussian", target)
     x = np.log(u)
     m = len(x)
 
@@ -331,77 +324,31 @@ def aux_fit(
 # -- applying artifacts -----------------------------------------------------
 
 
-def apply_calibration(
-    data: McPredictionSet | list[UncertaintyRecord],
-    calib: CalibrationArtifact | None,
-    expect_target: str | None = None,
-) -> list[UncertaintyRecord]:
-    """Recalibrate per-sample uncertainties; predictions stay untouched.
+def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact | None) -> Uncertainties:
+    """Recalibrate per-record uncertainties; predictions stay untouched.
 
-    Accepts either a prediction set (decomposed first) or already-derived
-    uncertainty records. sigma scaling multiplies variances by s^2
-    (both summands proportionally in predictive mode, only the aleatoric
-    part in aleatoric-only mode); aux scaling maps the targeted variance
-    through exp(R(log u)). ``y_mean`` arrays are passed through unchanged,
-    so means are bit-identical to the input.
-
-    ``expect_target`` guards pipelines that require a particular
-    calibration target; a mismatch raises :class:`CalibrationError`.
+    sigma scaling multiplies variances by s^2 (both summands proportionally
+    in predictive mode, only the aleatoric part in aleatoric-only mode); aux
+    scaling maps the targeted variance through exp(R(log u)), splitting a
+    recalibrated total between the parts in their old proportion. Every
+    other field is passed through unchanged, so means are bit-identical to
+    the input.
     """
-    if isinstance(data, McPredictionSet):
-        records = uncertainty_records(data)
-    else:
-        records = list(data)
     if calib is None or calib.method == "identity":
-        return records
-    if expect_target is not None and calib.target != expect_target:
-        raise CalibrationError(
-            f"artifact target {calib.target!r} does not match requested {expect_target!r}"
-        )
-
+        return unc
+    epi, alea = unc.epistemic, unc.aleatoric
     if calib.method == "sigma":
         factor = calib.s * calib.s
-        out = []
-        for r in records:
-            if calib.target == "predictive":
-                epi = factor * r.epistemic
-                alea = factor * r.aleatoric
-            else:
-                epi = r.epistemic
-                alea = factor * r.aleatoric
-            out.append(
-                UncertaintyRecord(
-                    id=r.id, y=r.y, y_mean=r.y_mean,
-                    epistemic=epi, aleatoric=alea, total=epi + alea,
-                )
-            )
-        return out
-
-    # aux
-    params = _unflatten(calib.aux_weights, calib.aux_shapes)
-    out = []
-    if calib.target == "predictive":
-        totals = np.array([r.total for r in records])
-        new_totals = np.exp(aux_forward(np.log(totals), params))
-        for r, t_new in zip(records, new_totals):
-            ratio = t_new / r.total
-            epi = ratio * r.epistemic
-            alea = t_new - epi  # keeps total == epistemic + aleatoric exact
-            out.append(
-                UncertaintyRecord(
-                    id=r.id, y=r.y, y_mean=r.y_mean,
-                    epistemic=float(epi), aleatoric=float(alea), total=float(epi + alea),
-                )
-            )
+        if calib.target == "predictive":
+            epi = factor * epi
+        alea = factor * alea
     else:
-        aleas = np.array([r.aleatoric for r in records])
-        new_aleas = np.exp(aux_forward(np.log(aleas), params))
-        for r, a_new in zip(records, new_aleas):
-            out.append(
-                UncertaintyRecord(
-                    id=r.id, y=r.y, y_mean=r.y_mean,
-                    epistemic=r.epistemic, aleatoric=float(a_new),
-                    total=float(r.epistemic + a_new),
-                )
-            )
-    return out
+        params = _unflatten(calib.aux_weights, calib.aux_shapes)
+        if calib.target == "predictive":
+            total = unc.total
+            new_total = np.exp(aux_forward(np.log(total), params))
+            epi = new_total / total * epi
+            alea = new_total - epi
+        else:
+            alea = np.exp(aux_forward(np.log(alea), params))
+    return replace(unc, epistemic=epi, aleatoric=alea)

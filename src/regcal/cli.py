@@ -23,10 +23,10 @@ from .calibrate import (
     aux_fit,
     fit_sigma,
 )
-from .core import identity_artifact, validate
+from .core import identity_artifact
 from .intervals import DEFAULT_LEVELS, coverage
 from .likelihood import batch_nll
-from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce
+from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
 from .toymodel import (
     SyntheticSpec,
     generate,
@@ -48,14 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("usage", message)
 
 
-def _load_set(path):
-    pset = rio.load_dump(path)
-    problems = validate(pset)
-    if problems:
-        raise CliError("dump-format", "; ".join(problems))
-    return pset
-
-
 def _load_calib(path):
     if path is None:
         return identity_artifact()
@@ -67,14 +59,14 @@ def _target(flag: str) -> str:
 
 
 def cmd_calibrate(args) -> int:
-    pset = _load_set(args.input)
+    unc = uncertainty_records(rio.load_dump(args.input))
     target = _target(args.target)
     if args.method == "sigma":
         opts = SigmaFitOptions(
             max_iters=args.iters if args.iters is not None else 1000,
             step_size=args.lr if args.lr is not None else 0.01,
         )
-        calib = fit_sigma(pset, likelihood=args.likelihood, target=target,
+        calib = fit_sigma(unc, likelihood=args.likelihood, target=target,
                           opts=opts, use_gd=args.gd)
     else:
         if args.likelihood != "gaussian":
@@ -85,30 +77,9 @@ def cmd_calibrate(args) -> int:
             epochs=args.iters if args.iters is not None else 500,
             step_size=args.lr if args.lr is not None else 3e-4,
         )
-        calib = aux_fit(pset, cfg, target=target)
+        calib = aux_fit(unc, cfg, target=target)
     rio.save_artifact(calib, args.out)
     return 0
-
-
-def _evaluate_report(pset, calib, bins: int, input_path: str) -> dict:
-    records = apply_calibration(pset, calib)
-    rep_pred = uce(pset, k=bins, mode="predictive", calib=calib)
-    rep_alea = uce(pset, k=bins, mode="aleatoric_only", calib=calib)
-    return {
-        "m": pset.m,
-        "d": pset.d,
-        "n_samples": pset.n_samples,
-        "mse": mse(records),
-        "nll": batch_nll(pset, calib, kind="gaussian"),
-        "uce_predictive": rep_pred.to_dict(),
-        "uce_aleatoric_only": rep_alea.to_dict(),
-        "provenance": {
-            "input": input_path,
-            "bins": bins,
-            "calibration": rio.artifact_to_json(calib),
-            "bin_range": "equal-width bins over [min, max] of evaluated uncertainties",
-        },
-    }
 
 
 def _write_json(doc: dict, path) -> None:
@@ -118,54 +89,65 @@ def _write_json(doc: dict, path) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    pset = _load_set(args.input)
+    pset = rio.load_dump(args.input)
     calib = _load_calib(args.calib)
-    report = _evaluate_report(pset, calib, args.bins, args.input)
+    unc = apply_calibration(uncertainty_records(pset), calib)
+    rep_pred = uce(unc, k=args.bins, mode="predictive")
+    report = {
+        "m": pset.m,
+        "d": pset.d,
+        "n_samples": pset.n_samples,
+        "mse": mse(unc),
+        "nll": batch_nll(unc, kind="gaussian"),
+        "uce_predictive": rep_pred.to_dict(),
+        "uce_aleatoric_only": uce(unc, k=args.bins, mode="aleatoric_only").to_dict(),
+        "provenance": {
+            "input": args.input,
+            "bins": args.bins,
+            "calibration": rio.artifact_to_json(calib),
+            "bin_range": "equal-width bins over [min, max] of evaluated uncertainties",
+        },
+    }
     _write_json(report, args.out)
     if args.diagram:
-        bins = calibration_diagram(pset, k=args.bins, mode="predictive", calib=calib)
-        rio.diagram_to_csv(bins, args.diagram)
+        rio.diagram_to_csv(calibration_diagram(rep_pred), args.diagram)
     if args.svg:
-        bins = calibration_diagram(pset, k=args.bins, mode="predictive", calib=calib)
-        rio.diagram_to_svg(bins, args.svg)
+        rio.diagram_to_svg(calibration_diagram(rep_pred), args.svg)
     return 0
 
 
 def cmd_intervals(args) -> int:
-    pset = _load_set(args.input)
+    unc = uncertainty_records(rio.load_dump(args.input))
     calib = _load_calib(args.calib)
     try:
         levels = [float(tok) for tok in args.levels.split(",") if tok]
     except ValueError:
         raise CliError("invalid-flag", f"could not parse levels {args.levels!r}")
-    records = apply_calibration(pset, calib)
-    table = coverage(records, levels)
-    rio.coverage_to_csv(table, args.out)
+    rio.coverage_to_csv(coverage(apply_calibration(unc, calib), levels), args.out)
     return 0
 
 
 def cmd_reject(args) -> int:
-    pset = _load_set(args.input)
+    unc = uncertainty_records(rio.load_dump(args.input))
     calib = _load_calib(args.calib)
-    records = apply_calibration(pset, calib)
     thresholds = None
     if args.thresholds:
         try:
             thresholds = [float(tok) for tok in args.thresholds.split(",") if tok]
         except ValueError:
             raise CliError("invalid-flag", f"could not parse thresholds {args.thresholds!r}")
-    curve = rejection_curve(records, steps=args.steps, thresholds=thresholds)
+    curve = rejection_curve(apply_calibration(unc, calib), steps=args.steps, thresholds=thresholds)
     rio.rejection_to_csv(curve, args.out)
     return 0
 
 
 def cmd_ood(args) -> int:
-    pset_in = _load_set(args.in_dist)
-    pset_sh = _load_set(args.shifted)
+    unc_in = uncertainty_records(rio.load_dump(args.in_dist))
+    unc_sh = uncertainty_records(rio.load_dump(args.shifted))
     calib = _load_calib(args.calib)
-    rec_in = apply_calibration(pset_in, calib)
-    rec_sh = apply_calibration(pset_sh, calib)
-    comparison = ood_compare(rec_in, rec_sh, k=args.bins)
+    comparison = ood_compare(
+        apply_calibration(unc_in, calib), apply_calibration(unc_sh, calib), k=args.bins
+    )
     rio.ood_to_csv(comparison, args.out)
     return 0
 
@@ -193,12 +175,13 @@ def cmd_toy(args) -> int:
         dumps[name] = pset
     rio.trace_to_csv(trace, out_dir / "trace.csv")
 
-    sigma_calib = fit_sigma(dumps["val"], likelihood="gaussian", target="predictive")
-    aux_calib = aux_fit(dumps["val"], AuxConfig(seed=seed), target="predictive")
+    val = uncertainty_records(dumps["val"])
+    sigma_calib = fit_sigma(val, likelihood="gaussian", target="predictive")
+    aux_calib = aux_fit(val, AuxConfig(seed=seed), target="predictive")
     rio.save_artifact(sigma_calib, out_dir / "calib_sigma.json")
     rio.save_artifact(aux_calib, out_dir / "calib_aux.json")
 
-    test = dumps["test"]
+    test = uncertainty_records(dumps["test"])
     summary = {
         "seed": seed,
         "epochs": cfg.epochs,
@@ -207,15 +190,13 @@ def cmd_toy(args) -> int:
         "test": {},
     }
     for name, calib in (("none", None), ("sigma", sigma_calib), ("aux", aux_calib)):
-        records = apply_calibration(test, calib)
-        table = coverage(records, DEFAULT_LEVELS)
+        unc = apply_calibration(test, calib)
+        table = coverage(unc, DEFAULT_LEVELS)
         entry = {
-            "mse": mse(records),
-            "nll": batch_nll(test, calib, kind="gaussian"),
-            "uce_predictive": uce(test, k=DEFAULT_BINS, mode="predictive", calib=calib).uce,
-            "uce_aleatoric_only": uce(
-                test, k=DEFAULT_BINS, mode="aleatoric_only", calib=calib
-            ).uce,
+            "mse": mse(unc),
+            "nll": batch_nll(unc, kind="gaussian"),
+            "uce_predictive": uce(unc, k=DEFAULT_BINS, mode="predictive").uce,
+            "uce_aleatoric_only": uce(unc, k=DEFAULT_BINS, mode="aleatoric_only").uce,
             "coverage": {repr(g): obs for g, _, obs in table.rows()},
         }
         if name == "sigma":
@@ -298,7 +279,7 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"error: calibration: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

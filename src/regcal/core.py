@@ -1,11 +1,10 @@
 """Domain types shared across the toolkit, plus prediction-dump validation.
 
-The universal input is an :class:`McPredictionSet`: for every test sample it
-holds the ground truth and N stochastic forward-pass outputs (a mean vector
-and the log of the predicted aleatoric variance). Everything downstream
-(recalibration, calibration error, intervals, rejection) consumes this one
-structure or the per-sample :class:`UncertaintyRecord` summaries derived
-from it.
+The universal input is an :class:`McPredictionSet`: dense arrays holding, for
+m test samples, the ground truth and N stochastic forward-pass outputs (a
+mean vector and the log of the predicted aleatoric variance). Decomposing it
+gives one columnar :class:`Uncertainties`, and everything downstream
+(recalibration, calibration error, intervals, rejection) consumes that.
 
 All types are treated as immutable after construction; validation is a pure
 function that reports violations instead of raising.
@@ -13,7 +12,6 @@ function that reports violations instead of raising.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,74 +22,86 @@ CALIBRATION_TARGETS = ("predictive", "aleatoric_only")
 
 
 @dataclass
-class McSample:
-    """One stochastic forward pass: predicted mean and log aleatoric variance."""
-
-    mean: np.ndarray  # shape (d,)
-    log_var: float
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.log_var = float(self.log_var)
-
-
-@dataclass
-class McRecord:
-    """Ground truth plus the N stochastic outputs for one input."""
-
-    id: str
-    y: np.ndarray  # shape (d,)
-    samples: list[McSample]
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-
-
-@dataclass
 class McPredictionSet:
-    """Monte-Carlo prediction dump: m records, each with N samples of dimension d."""
+    """Monte-Carlo prediction dump: m records, each with N samples of dimension d.
 
-    d: int
-    records: list[McRecord]
+    ``y`` is (m, d), ``means`` is (m, N, d) and ``log_vars`` is (m, N); m, N
+    and d are read off these shapes, and inconsistent shapes raise
+    ``ValueError``.
+    """
+
+    ids: list[str]
+    y: np.ndarray
+    means: np.ndarray
+    log_vars: np.ndarray
+
+    def __post_init__(self):
+        self.ids = list(self.ids)
+        self.y = np.ascontiguousarray(self.y, dtype=float)
+        self.means = np.ascontiguousarray(self.means, dtype=float)
+        self.log_vars = np.ascontiguousarray(self.log_vars, dtype=float)
+        m = len(self.ids)
+        if (
+            self.y.ndim != 2
+            or self.means.ndim != 3
+            or self.y.shape[0] != m
+            or self.means.shape[0] != m
+            or self.means.shape[2] != self.y.shape[1]
+            or self.log_vars.shape != self.means.shape[:2]
+        ):
+            raise ValueError(
+                f"inconsistent shapes: {m} ids, y {self.y.shape}, "
+                f"means {self.means.shape}, log_vars {self.log_vars.shape}"
+            )
 
     @property
     def m(self) -> int:
-        return len(self.records)
+        return self.means.shape[0]
 
     @property
     def n_samples(self) -> int:
-        return len(self.records[0].samples) if self.records else 0
+        return self.means.shape[1]
 
-    def to_arrays(self):
-        """Stack the set into dense arrays.
-
-        Returns:
-            ids: list of m record ids.
-            y: float array (m, d) of ground-truth targets.
-            means: float array (m, N, d) of per-pass predicted means.
-            log_vars: float array (m, N) of per-pass log aleatoric variances.
-        """
-        ids = [r.id for r in self.records]
-        y = np.stack([r.y for r in self.records])
-        means = np.stack([np.stack([s.mean for s in r.samples]) for r in self.records])
-        log_vars = np.array([[s.log_var for s in r.samples] for r in self.records])
-        return ids, y, means, log_vars
+    @property
+    def d(self) -> int:
+        return self.means.shape[2]
 
 
 @dataclass
-class UncertaintyRecord:
-    """Per-sample predictive summary: MC mean and decomposed variance.
+class Uncertainties:
+    """Per-record predictive summaries of a set: MC mean and decomposed variance.
 
-    Invariant: total == epistemic + aleatoric exactly (total is always
-    computed as the sum, never stored independently).
+    ``y`` and ``y_mean`` are (m, d); ``epistemic``, ``aleatoric`` and
+    ``pass_err_sq`` are (m,). ``pass_err_sq`` is the mean over passes and
+    outputs of the squared deviation of each pass's mean from ``y``, the
+    observed variance of predictive-mode UCE. ``total`` is always derived as
+    epistemic + aleatoric, never stored.
     """
 
-    id: str
+    ids: list[str]
     y: np.ndarray
     y_mean: np.ndarray
-    epistemic: float
-    aleatoric: float
-    total: float
+    epistemic: np.ndarray
+    aleatoric: np.ndarray
+    pass_err_sq: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.epistemic)
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.epistemic + self.aleatoric
+
+    @property
+    def err_sq(self) -> np.ndarray:
+        """Squared error of the MC mean, averaged across output dimensions."""
+        return np.mean((self.y - self.y_mean) ** 2, axis=1)
+
+    @property
+    def abs_err(self) -> np.ndarray:
+        """Absolute error of the MC mean, averaged across output dimensions."""
+        return np.mean(np.abs(self.y - self.y_mean), axis=1)
 
 
 @dataclass
@@ -154,12 +164,8 @@ class BinStats:
     uncert_mean: float  # mean predicted uncertainty in the bin
 
 
-def _is_finite_vector(x: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(x)))
-
-
 def validate(pset: McPredictionSet) -> list[str]:
-    """Check all set/record/sample invariants; return a list of violations.
+    """Check the set's invariants; return a list of violations.
 
     An empty list means the set is well formed. Each violation names the
     offending record id and field. Never raises.
@@ -170,32 +176,19 @@ def validate(pset: McPredictionSet) -> list[str]:
     if pset.m < 1:
         violations.append("set: no records (m must be >= 1)")
         return violations
+    if pset.n_samples < 1:
+        return [f"record '{rid}': no samples (N must be >= 1)" for rid in pset.ids]
 
-    n_expected = len(pset.records[0].samples)
-    for rec in pset.records:
-        rid = rec.id
-        if len(rec.samples) < 1:
-            violations.append(f"record '{rid}': no samples (N must be >= 1)")
-            continue
-        if len(rec.samples) != n_expected:
-            violations.append(
-                f"record '{rid}': inconsistent N "
-                f"(expected {n_expected}, got {len(rec.samples)})"
-            )
-        if rec.y.shape != (pset.d,):
-            violations.append(
-                f"record '{rid}': y has length {rec.y.shape}, expected ({pset.d},)"
-            )
-        elif not _is_finite_vector(rec.y):
+    bad_y = ~np.all(np.isfinite(pset.y), axis=1)
+    bad_mean = ~np.all(np.isfinite(pset.means), axis=2)
+    bad_log_var = ~np.isfinite(pset.log_vars)
+    for i in np.flatnonzero(bad_y | bad_mean.any(axis=1) | bad_log_var.any(axis=1)):
+        rid = pset.ids[i]
+        if bad_y[i]:
             violations.append(f"record '{rid}': non-finite y")
-        for j, s in enumerate(rec.samples):
-            if s.mean.shape != (pset.d,):
-                violations.append(
-                    f"record '{rid}': sample {j} mean has length "
-                    f"{s.mean.shape}, expected ({pset.d},)"
-                )
-            elif not _is_finite_vector(s.mean):
+        for j in range(pset.n_samples):
+            if bad_mean[i, j]:
                 violations.append(f"record '{rid}': non-finite mean in sample {j}")
-            if not math.isfinite(s.log_var):
+            if bad_log_var[i, j]:
                 violations.append(f"record '{rid}': non-finite log_var in sample {j}")
     return violations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UncertaintyRecord
+from .core import Uncertainties
 
 DEFAULT_LEVELS = (0.5, 0.9, 0.95, 0.99)
 
@@ -86,21 +86,21 @@ class CoverageTable:
         return list(zip(self.levels, self.z_values, self.observed))
 
 
-def coverage(records: list[UncertaintyRecord], levels=DEFAULT_LEVELS) -> CoverageTable:
+def coverage(unc: Uncertainties, levels=DEFAULT_LEVELS) -> CoverageTable:
     """Fraction of ground truths inside y_mean +/- z*sqrt(total) per level.
 
     Boundary points count as covered. Coverage is non-decreasing in the
     level for fixed data because z is monotone in gamma.
     """
-    if not records:
+    if unc.m < 1:
         raise ValueError("coverage of an empty record sequence")
     levels = [float(g) for g in levels]
     for g in levels:
         if not (0.0 < g < 1.0):
             raise ValueError(f"interval level must lie in (0, 1): got {g}")
     z_values = [probit(g) for g in levels]
-    abs_resid = np.stack([np.abs(r.y - r.y_mean) for r in records])  # (m, d)
-    sigma = np.sqrt(np.array([r.total for r in records]))  # (m,)
+    abs_resid = np.abs(unc.y - unc.y_mean)  # (m, d)
+    sigma = np.sqrt(unc.total)  # (m,)
     observed = []
     for z in z_values:
         half_width = z * sigma

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import CalibrationArtifact, McPredictionSet, McRecord, McSample, validate
+from .core import CalibrationArtifact, McPredictionSet, validate
 
 
 class DumpFormatError(ValueError):
@@ -46,7 +46,10 @@ def load_dump(path) -> McPredictionSet:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     errors: list[str] = []
-    records: list[McRecord] = []
+    ids: list[str] = []
+    ys: list[list[float]] = []
+    means: list[list[list[float]]] = []
+    log_vars: list[list[float]] = []
     d = None
     n_samples = None
     any_content = False
@@ -84,11 +87,11 @@ def load_dump(path) -> McPredictionSet:
         if not isinstance(raw_samples, list) or not raw_samples:
             errors.append(f"line {lineno}: field samples must be a non-empty array")
             continue
-        samples = []
+        line_means, line_log_vars = [], []
         for j, s in enumerate(raw_samples):
             if not isinstance(s, dict) or "mean" not in s or "log_var" not in s:
                 errors.append(f"line {lineno}: sample {j} must have mean and log_var")
-                samples = None
+                line_means = None
                 break
             mean = _check_vector(s["mean"], f"samples[{j}].mean", lineno, errors)
             if mean is None or len(mean) != d:
@@ -96,51 +99,56 @@ def load_dump(path) -> McPredictionSet:
                     errors.append(
                         f"line {lineno}: samples[{j}].mean has length {len(mean)}, expected {d}"
                     )
-                samples = None
+                line_means = None
                 break
             lv = s["log_var"]
             if not _is_number(lv) or not math.isfinite(lv):
                 errors.append(f"line {lineno}: non-finite log_var in sample {j}")
-                samples = None
+                line_means = None
                 break
-            samples.append(McSample(mean=np.array(mean), log_var=float(lv)))
-        if samples is None:
+            line_means.append(mean)
+            line_log_vars.append(float(lv))
+        if line_means is None:
             continue
         if n_samples is None:
-            n_samples = len(samples)
-        elif len(samples) != n_samples:
+            n_samples = len(line_means)
+        elif len(line_means) != n_samples:
             errors.append(
-                f"line {lineno}: inconsistent N (expected {n_samples}, got {len(samples)})"
+                f"line {lineno}: inconsistent N (expected {n_samples}, got {len(line_means)})"
             )
             continue
-        records.append(McRecord(id=obj["id"], y=np.array(y), samples=samples))
+        ids.append(obj["id"])
+        ys.append(y)
+        means.append(line_means)
+        log_vars.append(line_log_vars)
     if not any_content:
         raise DumpFormatError("empty dump file")
     if errors:
         raise DumpFormatError("; ".join(errors))
-    pset = McPredictionSet(d=d, records=records)
+    pset = McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
     leftover = validate(pset)
     if leftover:
         raise DumpFormatError("; ".join(leftover))
     return pset
 
 
-def dump_line(record: McRecord) -> str:
-    obj = {
-        "id": record.id,
-        "y": [float(v) for v in record.y],
-        "samples": [
-            {"mean": [float(v) for v in s.mean], "log_var": float(s.log_var)}
-            for s in record.samples
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"))
+def dump_lines(pset: McPredictionSet):
+    """Yield the JSONL lines (without newline) of a set, one per record."""
+    for rid, y, means, log_vars in zip(
+        pset.ids, pset.y.tolist(), pset.means.tolist(), pset.log_vars.tolist()
+    ):
+        obj = {
+            "id": rid,
+            "y": y,
+            "samples": [{"mean": mean, "log_var": lv} for mean, lv in zip(means, log_vars)],
+        }
+        yield json.dumps(obj, separators=(",", ":"))
 
 
 def save_dump(pset: McPredictionSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in pset.records:
-            fh.write(dump_line(rec) + "\n")
+        for line in dump_lines(pset):
+            fh.write(line + "\n")
 
 
 # -- calibration artifacts ---------------------------------------------------

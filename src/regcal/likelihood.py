@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import LIKELIHOOD_KINDS, CalibrationArtifact, McPredictionSet
+from .core import LIKELIHOOD_KINDS, Uncertainties
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -54,43 +54,33 @@ def laplace_nll(y, y_hat, log_sigma: float) -> float:
     return math.exp(-log_sigma) * err_l1 + log_sigma
 
 
-def batch_nll(
-    pset: McPredictionSet,
-    calib: CalibrationArtifact | None = None,
-    kind: str = "gaussian",
-) -> float:
-    """Full test-set NLL at the MC mean under calibrated total uncertainty.
+def batch_nll(unc: Uncertainties, kind: str = "gaussian") -> float:
+    """Full test-set NLL at the MC mean under the (calibrated) total uncertainty.
 
     For the Gaussian this is the mean over records of
 
         1/2 log(2 pi) + 1/2 log(S2) + e2 / (2 S2)
 
-    where ``S2`` is the calibrated total uncertainty and ``e2`` the squared
-    error of the MC-aggregated mean (mean across output dimensions for
-    d > 1, consistent with the scalar uncertainty). Lower values indicate
-    better calibration.
+    where ``S2`` is the total uncertainty and ``e2`` the squared error of
+    the MC-aggregated mean (mean across output dimensions for d > 1,
+    consistent with the scalar uncertainty). Lower values indicate better
+    calibration.
 
     Raises:
-        ValueError: if any record ends up with zero total uncertainty, or
-            the likelihood kind is unknown.
+        ValueError: if any record has zero total uncertainty, or the
+            likelihood kind is unknown.
     """
     if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"unknown likelihood kind {kind!r}")
-    from .calibrate import apply_calibration  # local import avoids a cycle
-
-    records = apply_calibration(pset, calib)
-    total = 0.0
-    for rec in records:
-        s2 = rec.total
-        if s2 <= 0.0:
-            raise ValueError(f"degenerate uncertainty: record '{rec.id}' has total {s2}")
-        resid = rec.y - rec.y_mean
-        if kind == "gaussian":
-            err_sq = float(np.mean(resid**2))
-            total += HALF_LOG_2PI + 0.5 * math.log(s2) + err_sq / (2.0 * s2)
-        else:
-            # Laplace scale b = sqrt(total); mean-across-d absolute error.
-            b = math.sqrt(s2)
-            err_l1 = float(np.mean(np.abs(resid)))
-            total += math.log(2.0 * b) + err_l1 / b
-    return total / len(records)
+    s2 = unc.total
+    degenerate = np.flatnonzero(s2 <= 0.0)
+    if degenerate.size:
+        i = degenerate[0]
+        raise ValueError(f"degenerate uncertainty: record '{unc.ids[i]}' has total {s2[i]}")
+    if kind == "gaussian":
+        terms = HALF_LOG_2PI + 0.5 * np.log(s2) + unc.err_sq / (2.0 * s2)
+    else:
+        # Laplace scale b = sqrt(total); mean-across-d absolute error.
+        b = np.sqrt(s2)
+        terms = np.log(2.0 * b) + unc.abs_err / b
+    return float(np.mean(terms))

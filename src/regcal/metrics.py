@@ -1,5 +1,9 @@
 """Predictive-variance decomposition, uncertainty calibration error, and MSE.
 
+:func:`uncertainty_records` is the one place a prediction set is decomposed;
+the other functions here take the resulting :class:`Uncertainties`, already
+recalibrated where wanted.
+
 The calibration error follows the binning recipe used for classification
 calibration: uncertainties are partitioned into K equal-width bins over
 their observed range and the bin-weighted absolute gap between observed
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinStats, CalibrationArtifact, McPredictionSet, McRecord, UncertaintyRecord
+from .core import BinStats, McPredictionSet, Uncertainties
 
 UCE_MODES = ("predictive", "aleatoric_only")
 
@@ -56,38 +60,29 @@ class UceReport:
         }
 
 
-def predictive_variance(record: McRecord) -> UncertaintyRecord:
-    """Decompose one record's MC samples into epistemic/aleatoric/total.
+def uncertainty_records(pset: McPredictionSet) -> Uncertainties:
+    """Decompose every record's MC samples into epistemic and aleatoric parts.
 
     Epistemic is the population (1/N) variance of the sample means, computed
     per output dimension and averaged across the d outputs; aleatoric is the
-    mean of exp(log_var) over passes; total is their sum.
+    mean of exp(log_var) over passes. The result is uncalibrated.
     """
-    means = np.stack([s.mean for s in record.samples])  # (N, d)
-    log_vars = np.array([s.log_var for s in record.samples])
-    y_mean = means.mean(axis=0)
-    epistemic = float(np.mean((means - y_mean) ** 2))
-    aleatoric = float(np.mean(np.exp(log_vars)))
-    return UncertaintyRecord(
-        id=record.id,
-        y=record.y,
+    y_mean = pset.means.mean(axis=1)
+    return Uncertainties(
+        ids=pset.ids,
+        y=pset.y,
         y_mean=y_mean,
-        epistemic=epistemic,
-        aleatoric=aleatoric,
-        total=epistemic + aleatoric,
+        epistemic=np.mean((pset.means - y_mean[:, None, :]) ** 2, axis=(1, 2)),
+        aleatoric=np.mean(np.exp(pset.log_vars), axis=1),
+        pass_err_sq=np.mean((pset.means - pset.y[:, None, :]) ** 2, axis=(1, 2)),
     )
 
 
-def uncertainty_records(pset: McPredictionSet) -> list[UncertaintyRecord]:
-    """Decompose every record of a set (uncalibrated)."""
-    return [predictive_variance(r) for r in pset.records]
-
-
-def mse(records: list[UncertaintyRecord]) -> float:
+def mse(unc: Uncertainties) -> float:
     """Mean over records of the mean-over-d squared error of the MC mean."""
-    if not records:
+    if unc.m < 1:
         raise ValueError("mse of an empty record sequence")
-    return float(np.mean([np.mean((r.y - r.y_mean) ** 2) for r in records]))
+    return float(np.mean(unc.err_sq))
 
 
 def _bin_assignment(u: np.ndarray, k: int):
@@ -107,37 +102,15 @@ def _bin_assignment(u: np.ndarray, k: int):
     return idx, edges
 
 
-def _observed_sq(pset: McPredictionSet, mode: str) -> np.ndarray:
-    """Per-record observed squared deviation used as the calibration target.
-
-    predictive mode keeps the per-MC-sample deviations about the ground
-    truth (second moment over passes); aleatoric_only uses the squared error
-    of the MC-mean prediction. Both are means across output dimensions.
-    """
-    out = np.empty(pset.m)
-    for i, rec in enumerate(pset.records):
-        if mode == "predictive":
-            means = np.stack([s.mean for s in rec.samples])  # (N, d)
-            out[i] = float(np.mean((means - rec.y) ** 2))
-        else:
-            y_mean = np.mean(np.stack([s.mean for s in rec.samples]), axis=0)
-            out[i] = float(np.mean((y_mean - rec.y) ** 2))
-    return out
-
-
-def uce(
-    pset: McPredictionSet,
-    k: int = DEFAULT_BINS,
-    mode: str = "predictive",
-    calib: CalibrationArtifact | None = None,
-) -> UceReport:
+def uce(unc: Uncertainties, k: int = DEFAULT_BINS, mode: str = "predictive") -> UceReport:
     """Expected uncertainty calibration error over k equal-width bins.
 
-    The operation takes the full prediction set (not just per-record
-    summaries) because the predictive-mode observed variance incorporates
-    the raw MC samples. ``calib`` recalibrates the uncertainties used for
-    binning and for the per-bin predicted mean; the observed deviations are
-    untouched (calibration never moves predictions).
+    predictive mode bins the total uncertainty against the per-MC-sample
+    squared deviations about the ground truth (``pass_err_sq``);
+    aleatoric_only bins the aleatoric part against the squared error of the
+    MC-mean prediction. Recalibrate ``unc`` beforehand to evaluate an
+    artifact: calibration moves only the uncertainties, never the observed
+    deviations.
 
     Returns a report whose ``uce`` field is in percent.
     """
@@ -145,19 +118,15 @@ def uce(
         raise ValueError(f"unknown uce mode {mode!r}")
     if k < 1:
         raise ValueError(f"bin count must be >= 1 (got {k})")
-    if pset.m < 1:
+    if unc.m < 1:
         raise ValueError("uce of an empty set")
-    from .calibrate import apply_calibration
-
-    records = apply_calibration(pset, calib)
     if mode == "predictive":
-        u = np.array([r.total for r in records])
+        u, obs = unc.total, unc.pass_err_sq
     else:
-        u = np.array([r.aleatoric for r in records])
-    obs = _observed_sq(pset, mode)
+        u, obs = unc.aleatoric, unc.err_sq
 
     idx, edges = _bin_assignment(u, k)
-    m = pset.m
+    m = unc.m
     if edges[0] == edges[-1]:
         bins = [
             BinStats(
@@ -197,16 +166,10 @@ def uce(
     return UceReport(uce=100.0 * total, bins=bins, num_bins=k, mode=mode, m=m)
 
 
-def calibration_diagram(
-    pset: McPredictionSet,
-    k: int = DEFAULT_BINS,
-    mode: str = "predictive",
-    calib: CalibrationArtifact | None = None,
-) -> list[BinStats]:
+def calibration_diagram(report: UceReport) -> list[BinStats]:
     """Per-bin (predicted uncertainty, observed variance) points for plotting.
 
-    Same binning as :func:`uce`; empty bins are omitted. Points on the
-    identity line correspond to perfect calibration.
+    The non-empty bins of a :func:`uce` report. Points on the identity line
+    correspond to perfect calibration.
     """
-    report = uce(pset, k=k, mode=mode, calib=calib)
     return [b for b in report.bins if b.count > 0]

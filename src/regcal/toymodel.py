@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import sigma_closed_form_gaussian
-from .core import McPredictionSet, McRecord, McSample
+from .core import McPredictionSet
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wm", "bm", "Wv", "bv")
 
@@ -357,14 +357,12 @@ def mc_predict(
         mu, lv, _ = forward(model.params, data.x, masks=masks, p=model.dropout_p)
         all_mu[n] = mu
         all_lv[n] = lv
-    records = []
-    for i in range(m):
-        samples = [
-            McSample(mean=np.array([all_mu[n, i]]), log_var=float(all_lv[n, i]))
-            for n in range(n_passes)
-        ]
-        records.append(McRecord(id=f"{id_prefix}-{i:05d}", y=np.array([data.y[i]]), samples=samples))
-    return McPredictionSet(d=1, records=records)
+    return McPredictionSet(
+        ids=[f"{id_prefix}-{i:05d}" for i in range(m)],
+        y=data.y[:, None],
+        means=all_mu.T[:, :, None],
+        log_vars=all_lv.T,
+    )
 
 
 @dataclass

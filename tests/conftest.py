@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
-from regcal.core import McPredictionSet, McRecord, McSample
+from regcal.calibrate import apply_calibration
+from regcal.core import McPredictionSet, Uncertainties
+from regcal.metrics import uncertainty_records
 
 
 def make_record(rid, y, means, log_vars):
-    """Build one record; y and each mean given as sequences of length d."""
-    samples = [
-        McSample(mean=np.asarray(m, dtype=float), log_var=float(lv))
-        for m, lv in zip(means, log_vars)
-    ]
-    return McRecord(id=rid, y=np.asarray(y, dtype=float), samples=samples)
+    """One record's arrays; y and each mean given as sequences of length d."""
+    return (
+        rid,
+        np.asarray(y, dtype=float),
+        np.asarray(means, dtype=float),
+        np.asarray(log_vars, dtype=float),
+    )
 
 
 def make_set(records, d=None):
-    if d is None:
-        d = len(records[0].y)
-    return McPredictionSet(d=d, records=records)
+    """Stack records from :func:`make_record` into one prediction set."""
+    if not records:
+        d = 1 if d is None else d
+        return McPredictionSet([], np.zeros((0, d)), np.zeros((0, 0, d)), np.zeros((0, 0)))
+    ids, ys, means, log_vars = zip(*records)
+    return McPredictionSet(list(ids), np.stack(ys), np.stack(means), np.stack(log_vars))
 
 
 def random_set(rng, m=50, n=5, d=1, scale=0.1):
@@ -28,6 +34,31 @@ def random_set(rng, m=50, n=5, d=1, scale=0.1):
         log_vars = rng.normal(np.log(scale**2), 0.5, size=n)
         records.append(make_record(f"r{i:04d}", y, means, log_vars))
     return make_set(records, d=d)
+
+
+def calibrated(pset, calib=None):
+    """Decompose a set and apply an artifact (None leaves it uncalibrated)."""
+    return apply_calibration(uncertainty_records(pset), calib)
+
+
+def make_uncertainties(rows):
+    """Uncertainties from (id, y, y_mean, total) rows, y and y_mean of equal
+    length. All variance is aleatoric, as an N=1 dump decomposes."""
+    if not rows:
+        empty = np.zeros(0)
+        return Uncertainties([], np.zeros((0, 1)), np.zeros((0, 1)), empty, empty, empty)
+    ids, y, y_mean, total = zip(*rows)
+    y = np.array([np.atleast_1d(v) for v in y], dtype=float)
+    y_mean = np.array([np.atleast_1d(v) for v in y_mean], dtype=float)
+    total = np.array(total, dtype=float)
+    return Uncertainties(
+        ids=list(ids),
+        y=y,
+        y_mean=y_mean,
+        epistemic=np.zeros(len(total)),
+        aleatoric=total,
+        pass_err_sq=np.mean((y - y_mean) ** 2, axis=1),
+    )
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from regcal.toymodel import (
     train,
 )
 
-from conftest import make_record, make_set, random_set
+from conftest import calibrated, make_record, make_set, make_uncertainties, random_set
 from test_metrics import brute_force_uce
 
 
@@ -72,9 +72,9 @@ def toy_runs():
         intra_training_calibrate(trace)
         val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
         test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
-        calib = fit_sigma(val, likelihood="gaussian", target="predictive")
-        rec_before = apply_calibration(test, None)
-        rec_after = apply_calibration(test, calib)
+        calib = fit_sigma(uncertainty_records(val), likelihood="gaussian", target="predictive")
+        rec_before = calibrated(test, None)
+        rec_after = calibrated(test, calib)
         best = int(np.argmin(trace.test_mse))
         runs.append(
             ToyRun(
@@ -85,8 +85,8 @@ def toy_runs():
                 best_epoch_test_sigma2=trace.test_sigma2[best],
                 best_epoch_test_mse=trace.test_mse[best],
                 intra_s_final=trace.s[-1],
-                uce_before=uce(test, k=10, mode="predictive").uce,
-                uce_after=uce(test, k=10, mode="predictive", calib=calib).uce,
+                uce_before=uce(rec_before, k=10, mode="predictive").uce,
+                uce_after=uce(rec_after, k=10, mode="predictive").uce,
                 cov99_before=coverage(rec_before, [0.99]).observed[0],
                 cov99_after=coverage(rec_after, [0.99]).observed[0],
                 mse_before=mse(rec_before),
@@ -164,7 +164,7 @@ def test_criterion_4_uce_oracle_equivalence():
                           d=int(gen.integers(1, 3)))
         for k in (1, 5, 10, 20):
             for mode in ("predictive", "aleatoric_only"):
-                got = uce(pset, k=k, mode=mode).uce
+                got = uce(uncertainty_records(pset), k=k, mode=mode).uce
                 want = brute_force_uce(pset, k, mode)
                 worst = max(worst, abs(got - want))
     ok = worst <= 1e-12
@@ -201,9 +201,9 @@ def test_criterion_6_underestimation_phenomenon(toy_runs):
 def test_criterion_7_nll_minimizer_property():
     failures = 0
     for trial in range(20):
-        pset = random_set(np.random.default_rng(100 + trial), m=60, n=4)
-        calib = fit_sigma(pset, likelihood="gaussian", target="predictive")
-        if batch_nll(pset, calib) > batch_nll(pset, identity_artifact()):
+        unc = uncertainty_records(random_set(np.random.default_rng(100 + trial), m=60, n=4))
+        calib = fit_sigma(unc, likelihood="gaussian", target="predictive")
+        if batch_nll(apply_calibration(unc, calib)) > batch_nll(apply_calibration(unc, identity_artifact())):
             failures += 1
     ok = failures == 0
     assert report(7, ok, f"fitted-sigma NLL <= identity NLL exactly in 20/20 sets "
@@ -264,17 +264,13 @@ def test_criterion_9_gradient_check():
 
 def test_criterion_10_rejection_monotone():
     from regcal.analysis import rejection_curve
-    from regcal.core import UncertaintyRecord
 
     gen = np.random.default_rng(3)
     records = []
     for i in range(101):
         err = float(gen.uniform(0.0, 2.0))
-        records.append(UncertaintyRecord(
-            id=f"r{i}", y=np.array([0.0]), y_mean=np.array([err]),
-            epistemic=0.0, aleatoric=err * err, total=err * err,
-        ))
-    curve = rejection_curve(records, steps=50)
+        records.append((f"r{i}", 0.0, err, err * err))
+    curve = rejection_curve(make_uncertainties(records), steps=50)
     kept = [v for v in curve.mse_kept if not math.isnan(v)]
     ok = all(a <= b for a, b in zip(kept, kept[1:]))
     assert report(10, ok, "kept-set MSE non-increasing (exactly) as the threshold tightens")
@@ -304,11 +300,14 @@ def test_criterion_12_aux_overfitting_direction(toy_runs):
     runs, _ = toy_runs
     aux_worse = 0
     for r in runs:
-        subset = make_set(r.val_dump.records[:50], d=r.val_dump.d)
+        val = r.val_dump
+        subset = uncertainty_records(
+            McPredictionSet(val.ids[:50], val.y[:50], val.means[:50], val.log_vars[:50])
+        )
         sigma_art = fit_sigma(subset, likelihood="gaussian", target="predictive")
         aux_art = aux_fit(subset, AuxConfig(hidden_width=16, seed=r.seed), target="predictive")
-        sigma_uce = uce(r.test_dump, k=10, mode="predictive", calib=sigma_art).uce
-        aux_uce = uce(r.test_dump, k=10, mode="predictive", calib=aux_art).uce
+        sigma_uce = uce(calibrated(r.test_dump, sigma_art), k=10, mode="predictive").uce
+        aux_uce = uce(calibrated(r.test_dump, aux_art), k=10, mode="predictive").uce
         if aux_uce >= sigma_uce:
             aux_worse += 1
     ok = aux_worse >= 3

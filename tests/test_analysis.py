@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from regcal.analysis import ood_compare, rejection_curve
-from regcal.calibrate import apply_calibration
-from regcal.core import CalibrationArtifact, UncertaintyRecord
+from regcal.core import CalibrationArtifact
 from regcal.metrics import mse
 
-from conftest import make_record, make_set
+from conftest import calibrated, make_record, make_set, make_uncertainties
 
 
 def _record(rid, err, total):
-    return UncertaintyRecord(
-        id=rid, y=np.array([0.0]), y_mean=np.array([err]),
-        epistemic=0.0, aleatoric=total, total=total,
-    )
+    return (rid, 0.0, err, total)
 
 
 def brute_force_auroc(neg, pos):
@@ -36,9 +32,10 @@ class TestRejectionCurve:
             _record(f"r{i}", float(rng.normal()), float(rng.uniform(0.01, 1.0)))
             for i in range(57)
         ]
-        curve = rejection_curve(records, steps=10)
+        unc = make_uncertainties(records)
+        curve = rejection_curve(unc, steps=10)
         assert curve.frac_rejected[-1] == 0.0
-        assert curve.mse_kept[-1] == mse(records)
+        assert curve.mse_kept[-1] == mse(unc)
         # rejected fraction shrinks as the threshold grows
         assert all(
             a >= b for a, b in zip(curve.frac_rejected, curve.frac_rejected[1:])
@@ -52,7 +49,7 @@ class TestRejectionCurve:
         for i in range(101):
             err = float(rng.uniform(0.0, 2.0))
             records.append(_record(f"r{i}", err, err * err))
-        curve = rejection_curve(records, steps=50)
+        curve = rejection_curve(make_uncertainties(records), steps=50)
         mse_by_threshold = curve.mse_kept  # thresholds ascending
         assert all(
             a <= b or math.isnan(a)
@@ -61,7 +58,7 @@ class TestRejectionCurve:
 
     def test_identical_uncertainties_degenerate(self):
         records = [_record(f"r{i}", 0.1 * i, 0.5) for i in range(8)]
-        curve = rejection_curve(records, steps=5)
+        curve = rejection_curve(make_uncertainties(records), steps=5)
         assert np.all(curve.thresholds == 0.5)
         assert np.all(curve.frac_rejected == 0.0)
         assert np.all(curve.mse_kept == curve.mse_kept[0])
@@ -72,15 +69,15 @@ class TestRejectionCurve:
             for i in range(100)
         ]
         pset = make_set(records)
-        base = rejection_curve(apply_calibration(pset, None), steps=20)
+        base = rejection_curve(calibrated(pset, None), steps=20)
         art = CalibrationArtifact(method="sigma", s=2.0)
-        scaled = rejection_curve(apply_calibration(pset, art), steps=20)
+        scaled = rejection_curve(calibrated(pset, art), steps=20)
         assert np.array_equal(base.frac_rejected, scaled.frac_rejected)
         assert np.allclose(base.mse_kept, scaled.mse_kept, rtol=0, atol=0)
 
     def test_absolute_thresholds_flag_undefined_entries(self):
         records = [_record("a", 0.5, 1.0)]
-        curve = rejection_curve(records, thresholds=[0.5, 2.0])
+        curve = rejection_curve(make_uncertainties(records), thresholds=[0.5, 2.0])
         assert curve.sweep == "absolute"
         assert math.isnan(curve.mse_kept[0])  # nothing kept below 0.5
         assert curve.frac_rejected[0] == 1.0
@@ -88,9 +85,9 @@ class TestRejectionCurve:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            rejection_curve([], steps=5)
+            rejection_curve(make_uncertainties([]), steps=5)
         with pytest.raises(ValueError, match=">= 2"):
-            rejection_curve([_record("a", 0.1, 1.0)], steps=1)
+            rejection_curve(make_uncertainties([_record("a", 0.1, 1.0)]), steps=1)
 
 
 class TestOodCompare:
@@ -98,7 +95,8 @@ class TestOodCompare:
         records = [
             _record(f"r{i}", 0.0, float(rng.uniform(0.1, 1.0))) for i in range(40)
         ]
-        cmp = ood_compare(records, records, k=10)
+        unc = make_uncertainties(records)
+        cmp = ood_compare(unc, unc, k=10)
         assert np.array_equal(cmp.in_dist.counts, cmp.shifted.counts)
         assert cmp.auroc == 0.5
         assert cmp.mean_diff == 0.0
@@ -106,32 +104,32 @@ class TestOodCompare:
     def test_disjoint_supports_give_auroc_one(self, rng):
         in_dist = [_record(f"i{i}", 0.0, float(rng.uniform(0.1, 1.0))) for i in range(30)]
         shifted = [
-            _record(f"s{i}", 0.0, r.total + 1.0) for i, r in enumerate(in_dist)
+            _record(f"s{i}", 0.0, total + 1.0) for i, (*_, total) in enumerate(in_dist)
         ]
-        cmp = ood_compare(in_dist, shifted, k=10)
+        cmp = ood_compare(make_uncertainties(in_dist), make_uncertainties(shifted), k=10)
         assert cmp.auroc == 1.0
         assert cmp.mean_diff == pytest.approx(1.0, rel=1e-12)
 
     def test_auroc_matches_pairwise_oracle(self, rng):
         in_dist = [_record(f"i{i}", 0.0, float(rng.uniform(0.1, 1.0))) for i in range(80)]
         shifted = [_record(f"s{i}", 0.0, float(rng.uniform(0.1, 2.0))) for i in range(60)]
-        cmp = ood_compare(in_dist, shifted, k=20)
+        cmp = ood_compare(make_uncertainties(in_dist), make_uncertainties(shifted), k=20)
         want = brute_force_auroc(
-            [r.total for r in in_dist], [r.total for r in shifted]
+            make_uncertainties(in_dist).total, make_uncertainties(shifted).total
         )
         assert cmp.auroc == pytest.approx(want, abs=1e-12)
 
     def test_ties_handled_like_pairwise_oracle(self):
         in_dist = [_record(f"i{i}", 0.0, t) for i, t in enumerate([0.1, 0.2, 0.2, 0.3])]
         shifted = [_record(f"s{i}", 0.0, t) for i, t in enumerate([0.2, 0.3, 0.4])]
-        cmp = ood_compare(in_dist, shifted, k=5)
+        cmp = ood_compare(make_uncertainties(in_dist), make_uncertainties(shifted), k=5)
         want = brute_force_auroc([0.1, 0.2, 0.2, 0.3], [0.2, 0.3, 0.4])
         assert cmp.auroc == pytest.approx(want, abs=1e-12)
 
     def test_counts_total_m_on_shared_edges(self, rng):
         in_dist = [_record(f"i{i}", 0.0, float(rng.uniform(0.1, 1.0))) for i in range(33)]
         shifted = [_record(f"s{i}", 0.0, float(rng.uniform(0.5, 3.0))) for i in range(21)]
-        cmp = ood_compare(in_dist, shifted, k=12)
+        cmp = ood_compare(make_uncertainties(in_dist), make_uncertainties(shifted), k=12)
         assert cmp.in_dist.counts.sum() == 33
         assert cmp.shifted.counts.sum() == 21
         assert np.array_equal(cmp.in_dist.edges, cmp.shifted.edges)
@@ -139,17 +137,17 @@ class TestOodCompare:
 
     def test_summary_stats(self, rng):
         totals = [0.1, 0.2, 0.3, 0.4]
-        records = [_record(f"r{i}", 0.0, t) for i, t in enumerate(totals)]
-        cmp = ood_compare(records, records, k=4)
+        unc = make_uncertainties([_record(f"r{i}", 0.0, t) for i, t in enumerate(totals)])
+        cmp = ood_compare(unc, unc, k=4)
         assert cmp.in_dist.summary.mean == pytest.approx(0.25)
         assert cmp.in_dist.summary.median == pytest.approx(0.25)
         assert cmp.in_dist.summary.q90 == pytest.approx(np.quantile(totals, 0.9))
 
     def test_degenerate_identical_values(self):
-        records = [_record(f"r{i}", 0.0, 0.7) for i in range(5)]
-        cmp = ood_compare(records, records, k=4)
+        unc = make_uncertainties([_record(f"r{i}", 0.0, 0.7) for i in range(5)])
+        cmp = ood_compare(unc, unc, k=4)
         assert cmp.in_dist.counts.sum() == 5
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
-            ood_compare([], [_record("a", 0.0, 1.0)], k=5)
+            ood_compare(make_uncertainties([]), make_uncertainties([_record("a", 0.0, 1.0)]), k=5)

@@ -21,7 +21,7 @@ from regcal.core import CalibrationArtifact, identity_artifact
 from regcal.likelihood import batch_nll
 from regcal.metrics import uce, uncertainty_records
 
-from conftest import make_record, make_set, random_set
+from conftest import calibrated, make_record, make_set, random_set
 
 
 class TestClosedForms:
@@ -123,16 +123,16 @@ class TestSigmaFitGd:
 
 class TestFitSigmaOnSets:
     def test_gd_route_agrees_with_closed_form_route(self, rng):
-        pset = random_set(rng, m=80, n=5)
-        closed = fit_sigma(pset)
-        gd = fit_sigma(pset, use_gd=True, opts=SigmaFitOptions(max_iters=5000))
+        unc = uncertainty_records(random_set(rng, m=80, n=5))
+        closed = fit_sigma(unc)
+        gd = fit_sigma(unc, use_gd=True, opts=SigmaFitOptions(max_iters=5000))
         assert gd.s == pytest.approx(closed.s, abs=1e-4)
         assert closed.fit_meta["fit"] == "closed_form"
         assert gd.fit_meta["fit"] == "gd"
 
     def test_laplace_target_aleatoric(self, rng):
-        pset = random_set(rng, m=40, n=5)
-        art = fit_sigma(pset, likelihood="laplace", target="aleatoric_only")
+        unc = uncertainty_records(random_set(rng, m=40, n=5))
+        art = fit_sigma(unc, likelihood="laplace", target="aleatoric_only")
         assert art.s > 0
         assert art.likelihood == "laplace"
         assert art.target == "aleatoric_only"
@@ -154,14 +154,14 @@ def _constant_uncertainty_set(rng, m, err_scale, total_factor):
 class TestAuxFit:
     def test_already_calibrated_set_stays_near_identity(self, rng):
         pset = _constant_uncertainty_set(rng, 60, 0.1, 1.0)
-        art = aux_fit(pset, AuxConfig(seed=0))
-        nll_aux = batch_nll(pset, art)
-        nll_id = batch_nll(pset, identity_artifact())
+        art = aux_fit(uncertainty_records(pset), AuxConfig(seed=0))
+        nll_aux = batch_nll(calibrated(pset, art))
+        nll_id = batch_nll(calibrated(pset, identity_artifact()))
         assert nll_aux == pytest.approx(nll_id, abs=1e-3)
 
     def test_h2_shapes(self, rng):
         pset = random_set(rng, m=30, n=3)
-        art = aux_fit(pset, AuxConfig(hidden_width=2, seed=1))
+        art = aux_fit(uncertainty_records(pset), AuxConfig(hidden_width=2, seed=1))
         assert art.hidden_width == 2
         assert art.aux_shapes == aux_shapes(2)
         assert len(art.aux_weights) == 2 + 2 + 2 + 1
@@ -169,15 +169,15 @@ class TestAuxFit:
     def test_underestimated_set_improves(self, rng):
         # Uncertainties uniformly 4x too small.
         pset = _constant_uncertainty_set(rng, 80, 0.1, 0.25)
-        art = aux_fit(pset, AuxConfig(seed=0))
-        assert batch_nll(pset, art) < batch_nll(pset, None)
+        art = aux_fit(uncertainty_records(pset), AuxConfig(seed=0))
+        assert batch_nll(calibrated(pset, art)) < batch_nll(calibrated(pset, None))
         assert art.fit_meta["final_objective"] <= art.fit_meta["initial_objective"]
 
     def test_aux_reduces_uce_on_its_calibration_set(self, rng):
         pset = _constant_uncertainty_set(rng, 80, 0.1, 0.25)
-        art = aux_fit(pset, AuxConfig(seed=0))
-        before = uce(pset, k=10, mode="predictive").uce
-        after = uce(pset, k=10, mode="predictive", calib=art).uce
+        art = aux_fit(uncertainty_records(pset), AuxConfig(seed=0))
+        before = uce(calibrated(pset), k=10, mode="predictive").uce
+        after = uce(calibrated(pset, art), k=10, mode="predictive").uce
         assert after < before
 
     def test_non_finite_loss_reports_epoch(self, rng):
@@ -185,7 +185,7 @@ class TestAuxFit:
         pset = _constant_uncertainty_set(rng, 20, 0.1, 0.25)
         with np.errstate(over="ignore"):
             with pytest.raises(CalibrationError, match="epoch"):
-                aux_fit(pset, AuxConfig(seed=0, step_size=1e12, epochs=50))
+                aux_fit(uncertainty_records(pset), AuxConfig(seed=0, step_size=1e12, epochs=50))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -194,64 +194,54 @@ class TestAuxFit:
 
 class TestApply:
     def test_identity_is_noop(self, rng):
-        pset = random_set(rng, m=20, n=4)
-        base = uncertainty_records(pset)
-        out = apply_calibration(pset, identity_artifact())
-        for a, b in zip(base, out):
-            assert a.total == b.total and a.epistemic == b.epistemic
+        base = uncertainty_records(random_set(rng, m=20, n=4))
+        out = apply_calibration(base, identity_artifact())
+        for i in range(base.m):
+            assert base.total[i] == out.total[i] and base.epistemic[i] == out.epistemic[i]
 
     def test_sigma_squares_the_scale(self):
         rec = make_record("a", [0.0], [[0.1]], [math.log(0.01)])
         art = CalibrationArtifact(method="sigma", s=2.0)
-        (out,) = apply_calibration(make_set([rec]), art)
-        assert out.total == pytest.approx(0.04, rel=1e-12)
-        assert out.total == out.epistemic + out.aleatoric
+        out = calibrated(make_set([rec]), art)
+        assert out.total[0] == pytest.approx(0.04, rel=1e-12)
+        assert out.total[0] == out.epistemic[0] + out.aleatoric[0]
 
     def test_sigma_aleatoric_only_leaves_epistemic(self, rng):
-        pset = random_set(rng, m=10, n=4)
-        base = uncertainty_records(pset)
+        base = uncertainty_records(random_set(rng, m=10, n=4))
         art = CalibrationArtifact(method="sigma", s=3.0, target="aleatoric_only")
-        out = apply_calibration(pset, art)
-        for a, b in zip(base, out):
-            assert b.epistemic == a.epistemic
-            assert b.aleatoric == pytest.approx(9.0 * a.aleatoric, rel=1e-12)
+        out = apply_calibration(base, art)
+        for i in range(base.m):
+            assert out.epistemic[i] == base.epistemic[i]
+            assert out.aleatoric[i] == pytest.approx(9.0 * base.aleatoric[i], rel=1e-12)
 
     def test_means_bit_identical(self, rng):
-        pset = random_set(rng, m=15, n=4)
-        base = uncertainty_records(pset)
+        base = uncertainty_records(random_set(rng, m=15, n=4))
         art = CalibrationArtifact(method="sigma", s=1.7)
-        out = apply_calibration(pset, art)
-        for a, b in zip(base, out):
-            assert np.array_equal(a.y_mean, b.y_mean)
-            assert np.array_equal(a.y, b.y)
+        out = apply_calibration(base, art)
+        for i in range(base.m):
+            assert np.array_equal(base.y_mean[i], out.y_mean[i])
+            assert np.array_equal(base.y[i], out.y[i])
 
     def test_sigma_preserves_uncertainty_ordering(self, rng):
         pset = random_set(rng, m=50, n=4)
-        base = np.array([r.total for r in uncertainty_records(pset)])
+        base = uncertainty_records(pset).total
         art = CalibrationArtifact(method="sigma", s=0.3)
-        out = np.array([r.total for r in apply_calibration(pset, art)])
+        out = calibrated(pset, art).total
         assert np.array_equal(np.argsort(base), np.argsort(out))
 
     def test_aux_total_matches_network_output(self, rng):
-        pset = random_set(rng, m=25, n=4)
-        art = aux_fit(pset, AuxConfig(seed=3, epochs=50))
+        base = uncertainty_records(random_set(rng, m=25, n=4))
+        art = aux_fit(base, AuxConfig(seed=3, epochs=50))
         from regcal.calibrate import _unflatten
 
         params = _unflatten(art.aux_weights, art.aux_shapes)
-        base = uncertainty_records(pset)
-        out = apply_calibration(pset, art)
-        expect = np.exp(aux_forward(np.log(np.array([r.total for r in base])), params))
-        for b, e in zip(out, expect):
-            assert b.total == pytest.approx(e, rel=1e-12)
-            assert b.total == b.epistemic + b.aleatoric
-
-    def test_target_mismatch_raises(self, rng):
-        pset = random_set(rng, m=5, n=2)
-        art = CalibrationArtifact(method="sigma", s=2.0, target="aleatoric_only")
-        with pytest.raises(CalibrationError, match="target"):
-            apply_calibration(pset, art, expect_target="predictive")
+        out = apply_calibration(base, art)
+        expect = np.exp(aux_forward(np.log(base.total), params))
+        for i, e in enumerate(expect):
+            assert out.total[i] == pytest.approx(e, rel=1e-12)
+            assert out.total[i] == out.epistemic[i] + out.aleatoric[i]
 
     def test_set_level_s_is_one_when_calibrated(self, rng):
         pset = _constant_uncertainty_set(rng, 60, 0.1, 1.0)
-        art = fit_sigma(pset)
+        art = fit_sigma(uncertainty_records(pset))
         assert art.s == pytest.approx(1.0, abs=1e-8)

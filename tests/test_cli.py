@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import regcal
 from regcal.cli import main
 
 QUICK_TOY = ["--epochs", "40", "--mc-passes", "5"]
@@ -108,6 +110,43 @@ class TestCalibrateEvaluate:
         assert svg.read_text().startswith("<svg")
 
 
+class TestDecomposeOnce:
+    """Each command validates and decomposes each dump it reads exactly once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Count calls to a public function through every module that holds it."""
+        fn = getattr(regcal, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key == "regcal" or key.startswith("regcal."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, dumps", [
+        ("calibrate --input {toy}/val.jsonl --method sigma --out {out}/c.json", 1),
+        ("evaluate --input {toy}/test.jsonl --out {out}/r.json"
+         " --diagram {out}/d.csv --svg {out}/d.svg", 1),
+        ("intervals --input {toy}/test.jsonl --out {out}/cov.csv", 1),
+        ("reject --input {toy}/test.jsonl --out {out}/rej.csv", 1),
+        ("ood --in-dist {toy}/val.jsonl --shifted {toy}/test.jsonl --out {out}/ood.csv", 2),
+    ], ids=["calibrate", "evaluate", "intervals", "reject", "ood"])
+    def test_calls_per_command(self, monkeypatch, toy_dir, tmp_path, argv, dumps):
+        decomposed = self.count_calls(monkeypatch, "uncertainty_records")
+        validated = self.count_calls(monkeypatch, "validate")
+        argv = argv.format(toy=toy_dir, out=tmp_path).split()
+        assert main(argv) == 0
+        assert len(decomposed) == dumps
+        assert len(validated) == dumps
+
+
 class TestOtherCommands:
     def test_intervals_csv(self, toy_dir, tmp_path):
         out = tmp_path / "cov.csv"
@@ -139,6 +178,13 @@ class TestErrorReporting:
     def test_missing_file(self, capsys, tmp_path):
         rc = main(["evaluate", "--input", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:")
+        assert err.count("\n") == 1
+
+    def test_directory_input(self, capsys, tmp_path):
+        rc = main(["evaluate", "--input", str(tmp_path), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: io:")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regcal.core import CalibrationArtifact, McPredictionSet, identity_artifact, validate
-from regcal.metrics import predictive_variance
+from regcal.metrics import uncertainty_records
 
 from conftest import make_record, make_set
 
@@ -14,15 +14,18 @@ class TestValidate:
         ]
         assert validate(make_set(records)) == []
 
-    def test_inconsistent_n_is_reported(self):
-        records = [
-            make_record("a", [0.5], [[0.4], [0.6]], [-2.0, -2.1]),
-            make_record("b", [0.5], [[0.4]], [-2.0]),
-        ]
-        report = validate(make_set(records))
-        assert len(report) == 1
-        assert "inconsistent N" in report[0]
-        assert "'b'" in report[0]
+    def test_ragged_shapes_rejected(self):
+        # Inconsistent N or d cannot be held: the constructor refuses the
+        # arrays (load_dump names the offending line before it gets here).
+        y, means, log_vars = np.zeros((2, 1)), np.zeros((2, 2, 1)), np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            McPredictionSet(["a", "b"], y, means, np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            McPredictionSet(["a", "b"], np.zeros((2, 2)), means, log_vars)
+        with pytest.raises(ValueError):
+            McPredictionSet(["a"], y, means, log_vars)
+        with pytest.raises(ValueError):
+            McPredictionSet(["a", "b"], y, [[[0.4], [0.6]], [[0.4]]], log_vars)
 
     def test_nan_log_var_is_reported(self):
         records = [
@@ -40,16 +43,8 @@ class TestValidate:
         assert any("non-finite y" in v for v in report)
         assert any("non-finite mean" in v for v in report)
 
-    def test_dimension_mismatch_names_record(self):
-        records = [
-            make_record("a", [0.5, 0.5], [[0.4, 0.4]], [-2.0]),
-            make_record("b", [0.5], [[0.4, 0.4]], [-2.0]),
-        ]
-        report = validate(make_set(records, d=2))
-        assert any("'b'" in v and "y has length" in v for v in report)
-
     def test_empty_set_is_reported(self):
-        report = validate(McPredictionSet(d=1, records=[]))
+        report = validate(make_set([], d=1))
         assert any("no records" in v for v in report)
 
 
@@ -57,9 +52,9 @@ def test_aleatoric_variance_always_positive(rng):
     # exp(log_var) > 0 for any finite log_var, so the decomposed parts are
     # positive even for extreme head outputs.
     rec = make_record("a", [0.0], [[0.1], [0.2]], [-700.0, 50.0])
-    u = predictive_variance(rec)
-    assert u.aleatoric > 0
-    assert u.total == u.epistemic + u.aleatoric
+    u = uncertainty_records(make_set([rec]))
+    assert u.aleatoric[0] > 0
+    assert u.total[0] == u.epistemic[0] + u.aleatoric[0]
 
 
 class TestCalibrationArtifact:

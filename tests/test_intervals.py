@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from regcal.calibrate import apply_calibration
-from regcal.core import CalibrationArtifact, UncertaintyRecord
+from regcal.core import CalibrationArtifact
 from regcal.intervals import coverage, probit
 
-from conftest import make_record, make_set
+from conftest import calibrated, make_record, make_set, make_uncertainties
 
 
 def bisection_erfinv(p, tol=1e-13):
@@ -68,35 +67,31 @@ class TestProbit:
 
 
 def _record(y, y_mean, total, rid="a"):
-    return UncertaintyRecord(
-        id=rid, y=np.atleast_1d(np.asarray(y, dtype=float)),
-        y_mean=np.atleast_1d(np.asarray(y_mean, dtype=float)),
-        epistemic=0.0, aleatoric=total, total=total,
-    )
+    return (rid, y, y_mean, total)
 
 
 class TestCoverage:
     def test_huge_uncertainty_covers_everything(self):
         records = [_record(i, 0.0, 1e6, rid=f"r{i}") for i in range(5)]
-        table = coverage(records, [0.5, 0.9, 0.99])
+        table = coverage(make_uncertainties(records), [0.5, 0.9, 0.99])
         assert table.observed == [1.0, 1.0, 1.0]
 
     def test_zero_uncertainty_covers_nothing(self):
         records = [_record(1.0, 0.0, 0.0)]
-        table = coverage(records, [0.5, 0.99])
+        table = coverage(make_uncertainties(records), [0.5, 0.99])
         assert table.observed == [0.0, 0.0]
 
     def test_boundary_is_inclusive(self):
         z = probit(0.5)
         records = [_record(z, 0.0, 1.0)]  # |y - mean| == z * sqrt(1)
-        assert coverage(records, [0.5]).observed == [1.0]
+        assert coverage(make_uncertainties(records), [0.5]).observed == [1.0]
 
     def test_monotone_in_level(self, rng):
         records = [
             _record(rng.normal(), rng.normal(), float(rng.uniform(0.01, 2.0)), rid=f"r{i}")
             for i in range(200)
         ]
-        table = coverage(records, [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+        table = coverage(make_uncertainties(records), [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
         assert all(a <= b for a, b in zip(table.observed, table.observed[1:]))
         assert all(a < b for a, b in zip(table.z_values, table.z_values[1:]))
 
@@ -108,7 +103,7 @@ class TestCoverage:
             total = gen.uniform(0.01, 0.09)
             y = gen.normal(mu, math.sqrt(total))
             records.append(_record(y, mu, total, rid=f"r{i}"))
-        table = coverage(records, [0.5, 0.9, 0.95, 0.99])
+        table = coverage(make_uncertainties(records), [0.5, 0.9, 0.95, 0.99])
         for level, obs in zip(table.levels, table.observed):
             assert obs == pytest.approx(level, abs=0.02)
 
@@ -119,24 +114,21 @@ class TestCoverage:
         ]
         pset = make_set(records)
         wide = CalibrationArtifact(method="sigma", s=2.5)
-        base = coverage(apply_calibration(pset, None), [0.5, 0.9, 0.99]).observed
-        after = coverage(apply_calibration(pset, wide), [0.5, 0.9, 0.99]).observed
+        base = coverage(calibrated(pset, None), [0.5, 0.9, 0.99]).observed
+        after = coverage(calibrated(pset, wide), [0.5, 0.9, 0.99]).observed
         assert all(b >= a for a, b in zip(base, after))
 
     def test_joint_membership_for_d2(self):
         # One component inside, the other outside: not covered.
-        rec = UncertaintyRecord(
-            id="a", y=np.array([0.0, 5.0]), y_mean=np.array([0.0, 0.0]),
-            epistemic=0.0, aleatoric=1.0, total=1.0,
-        )
-        table = coverage([rec], [0.9])
+        rec = ("a", np.array([0.0, 5.0]), np.array([0.0, 0.0]), 1.0)
+        table = coverage(make_uncertainties([rec]), [0.9])
         assert table.observed == [0.0]
         assert table.membership == "joint"
 
     def test_level_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            coverage([], [0.5])
+            coverage(make_uncertainties([]), [0.5])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            coverage([_record(0.0, 0.0, 1.0)], [1.0])
+            coverage(make_uncertainties([_record(0.0, 0.0, 1.0)]), [1.0])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            coverage([_record(0.0, 0.0, 1.0)], [0.0])
+            coverage(make_uncertainties([_record(0.0, 0.0, 1.0)]), [0.0])

@@ -13,6 +13,7 @@ from regcal.io import (
     save_artifact,
     save_dump,
 )
+from regcal.metrics import uncertainty_records
 
 from conftest import random_set
 
@@ -29,7 +30,7 @@ class TestDumpRoundTrip:
         assert pset.m == 3
         assert pset.d == 1
         assert pset.n_samples == 1
-        assert pset.records[1].id == "b"
+        assert pset.ids[1] == "b"
 
     def test_save_load_save_is_byte_stable(self, tmp_path, rng):
         pset = random_set(rng, m=20, n=3, d=2)
@@ -44,12 +45,12 @@ class TestDumpRoundTrip:
         path = tmp_path / "d.jsonl"
         save_dump(pset, path)
         loaded = load_dump(path)
-        for a, b in zip(pset.records, loaded.records):
-            assert a.id == b.id
-            assert np.array_equal(a.y, b.y)
-            for sa, sb in zip(a.samples, b.samples):
-                assert np.array_equal(sa.mean, sb.mean)
-                assert sa.log_var == sb.log_var
+        for i in range(pset.m):
+            assert pset.ids[i] == loaded.ids[i]
+            assert np.array_equal(pset.y[i], loaded.y[i])
+            for n in range(pset.n_samples):
+                assert np.array_equal(pset.means[i, n], loaded.means[i, n])
+                assert pset.log_vars[i, n] == loaded.log_vars[i, n]
 
 
 class TestDumpErrors:
@@ -112,7 +113,7 @@ class TestDumpErrors:
 
 class TestArtifactPersistence:
     def test_sigma_round_trip_bit_exact(self, tmp_path, rng):
-        art = fit_sigma(random_set(rng, m=30, n=4))
+        art = fit_sigma(uncertainty_records(random_set(rng, m=30, n=4)))
         path = tmp_path / "calib.json"
         save_artifact(art, path)
         loaded = load_artifact(path)
@@ -122,14 +123,17 @@ class TestArtifactPersistence:
         assert loaded.target == art.target
 
     def test_reals_stored_as_decimal_strings(self, tmp_path, rng):
-        art = fit_sigma(random_set(rng, m=10, n=3))
+        art = fit_sigma(uncertainty_records(random_set(rng, m=10, n=3)))
         doc = artifact_to_json(art)
         assert isinstance(doc["s"], str)
         assert float(doc["s"]) == art.s
         assert isinstance(doc["fit_meta"]["final_objective"], str)
 
     def test_aux_round_trip_bit_exact(self, tmp_path, rng):
-        art = aux_fit(random_set(rng, m=20, n=3), AuxConfig(hidden_width=4, epochs=30, seed=2))
+        art = aux_fit(
+            uncertainty_records(random_set(rng, m=20, n=3)),
+            AuxConfig(hidden_width=4, epochs=30, seed=2),
+        )
         path = tmp_path / "aux.json"
         save_artifact(art, path)
         loaded = load_artifact(path)
@@ -138,7 +142,10 @@ class TestArtifactPersistence:
         assert np.array_equal(loaded.aux_weights, art.aux_weights)
 
     def test_aux_json_layout(self, tmp_path, rng):
-        art = aux_fit(random_set(rng, m=10, n=2), AuxConfig(hidden_width=3, epochs=10, seed=0))
+        art = aux_fit(
+            uncertainty_records(random_set(rng, m=10, n=2)),
+            AuxConfig(hidden_width=3, epochs=10, seed=0),
+        )
         doc = artifact_to_json(art)
         assert doc["aux"]["h"] == 3
         assert len(doc["aux"]["w1"]) == 3
@@ -153,7 +160,7 @@ class TestArtifactPersistence:
         assert loaded.method == "identity"
 
     def test_artifact_file_is_valid_json(self, tmp_path, rng):
-        art = fit_sigma(random_set(rng, m=10, n=2))
+        art = fit_sigma(uncertainty_records(random_set(rng, m=10, n=2)))
         path = tmp_path / "calib.json"
         save_artifact(art, path)
         doc = json.loads(path.read_text())
@@ -171,7 +178,7 @@ class TestCsvWriters:
             rejection_to_csv,
             trace_to_csv,
         )
-        from regcal.metrics import calibration_diagram, uncertainty_records
+        from regcal.metrics import calibration_diagram, uce
         from regcal.toymodel import SyntheticSpec, ToyModelConfig, generate, train
 
         pset = random_set(rng, m=30, n=3)
@@ -192,7 +199,7 @@ class TestCsvWriters:
         assert len(lines) == 6
 
         path = tmp_path / "diag.csv"
-        diagram_to_csv(calibration_diagram(pset, k=5), path)
+        diagram_to_csv(calibration_diagram(uce(records, k=5)), path)
         assert path.read_text().splitlines()[0] == "bin_lower,bin_upper,count,uncert_mean,var_obs"
 
         data = generate(SyntheticSpec(seed=0))
@@ -205,10 +212,10 @@ class TestCsvWriters:
 
     def test_svg_renders_points_and_diagonal(self, tmp_path, rng):
         from regcal.io import diagram_to_svg
-        from regcal.metrics import calibration_diagram
+        from regcal.metrics import calibration_diagram, uce
 
         pset = random_set(rng, m=30, n=3)
-        bins = calibration_diagram(pset, k=5)
+        bins = calibration_diagram(uce(uncertainty_records(pset), k=5))
         path = tmp_path / "diag.svg"
         diagram_to_svg(bins, path)
         text = path.read_text()

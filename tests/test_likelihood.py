@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from regcal.calibrate import fit_sigma
+from regcal.calibrate import apply_calibration, fit_sigma
 from regcal.likelihood import batch_nll, gaussian_nll, laplace_nll
+from regcal.metrics import uncertainty_records
 
-from conftest import make_record, make_set, random_set
+from conftest import calibrated, make_record, make_set, random_set
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -75,52 +76,52 @@ class TestBatchNll:
         # y == MC mean and total uncertainty 1 leaves only 0.5*log(2*pi).
         rec = make_record("a", [0.3], [[0.3]], [0.0])
         # epistemic 0, aleatoric exp(0)=1
-        value = batch_nll(make_set([rec]))
+        value = batch_nll(uncertainty_records(make_set([rec])))
         assert value == pytest.approx(0.9189385332046727, abs=1e-15)
 
     def test_identity_calibration_matches_none(self, rng):
         from regcal.core import identity_artifact
 
         pset = random_set(rng, m=30, n=4)
-        assert batch_nll(pset, identity_artifact()) == batch_nll(pset, None)
+        assert batch_nll(calibrated(pset, identity_artifact())) == batch_nll(calibrated(pset, None))
 
     def test_unit_scale_matches_none(self, rng):
         from regcal.core import CalibrationArtifact
 
         pset = random_set(rng, m=30, n=4)
         unit = CalibrationArtifact(method="sigma", s=1.0)
-        assert batch_nll(pset, unit) == batch_nll(pset, None)
+        assert batch_nll(calibrated(pset, unit)) == batch_nll(calibrated(pset, None))
 
     def test_matches_independent_density_oracle(self, rng):
         pset = random_set(rng, m=40, n=6, d=2)
         # Brute-force re-derivation of the Gaussian density from raw samples.
         total = 0.0
-        for rec in pset.records:
-            means = np.stack([s.mean for s in rec.samples])
+        for i in range(pset.m):
+            means = pset.means[i]
             y_mean = means.mean(axis=0)
             epi = np.mean((means - y_mean) ** 2)
-            alea = np.mean([math.exp(s.log_var) for s in rec.samples])
+            alea = np.mean([math.exp(lv) for lv in pset.log_vars[i]])
             s2 = epi + alea
-            err_sq = float(np.mean((rec.y - y_mean) ** 2))
+            err_sq = float(np.mean((pset.y[i] - y_mean) ** 2))
             total += 0.5 * math.log(2 * math.pi) + 0.5 * math.log(s2) + err_sq / (2 * s2)
-        assert batch_nll(pset) == pytest.approx(total / pset.m, abs=1e-12)
+        assert batch_nll(uncertainty_records(pset)) == pytest.approx(total / pset.m, abs=1e-12)
 
     def test_fitted_sigma_never_worse_than_identity(self, rng):
         for trial in range(5):
-            pset = random_set(np.random.default_rng(trial), m=60, n=5)
-            calib = fit_sigma(pset, likelihood="gaussian", target="predictive")
-            assert batch_nll(pset, calib) <= batch_nll(pset, None)
+            unc = uncertainty_records(random_set(np.random.default_rng(trial), m=60, n=5))
+            calib = fit_sigma(unc, likelihood="gaussian", target="predictive")
+            assert batch_nll(apply_calibration(unc, calib)) <= batch_nll(unc)
 
     def test_degenerate_uncertainty_raises(self):
         # log_var low enough that exp underflows to exactly zero.
         rec = make_record("a", [0.0], [[0.5]], [-800.0])
         with pytest.raises(ValueError, match="degenerate uncertainty"):
-            batch_nll(make_set([rec]))
+            batch_nll(uncertainty_records(make_set([rec])))
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown likelihood"):
-            batch_nll(random_set(rng), kind="student-t")
+            batch_nll(uncertainty_records(random_set(rng)), kind="student-t")
 
     def test_laplace_kind_runs(self, rng):
-        value = batch_nll(random_set(rng, m=20, n=3), kind="laplace")
+        value = batch_nll(uncertainty_records(random_set(rng, m=20, n=3)), kind="laplace")
         assert math.isfinite(value)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from regcal.calibrate import apply_calibration
-from regcal.core import CalibrationArtifact
-from regcal.metrics import calibration_diagram, mse, predictive_variance, uce, uncertainty_records
+from regcal.core import CalibrationArtifact, McPredictionSet
+from regcal.metrics import calibration_diagram, mse, uce, uncertainty_records
 
-from conftest import make_record, make_set, random_set
+from conftest import calibrated, make_record, make_set, make_uncertainties, random_set
 
 
 def brute_force_uce(pset, k, mode, calib=None):
@@ -17,21 +16,24 @@ def brute_force_uce(pset, k, mode, calib=None):
     ties to the higher bin, last edge inclusive, degenerate range collapses
     to one bin); every aggregate is accumulated scalar-by-scalar.
     """
-    records = apply_calibration(pset, calib)
+    summary = calibrated(pset, calib)
     u, obs = [], []
-    for rec, summary in zip(pset.records, records):
-        u.append(summary.total if mode == "predictive" else summary.aleatoric)
+    for i in range(pset.m):
+        u.append(summary.total[i] if mode == "predictive" else summary.aleatoric[i])
         acc = 0.0
-        for s in rec.samples:
+        for n in range(pset.n_samples):
             if mode == "predictive":
-                diff = [(mv - yv) ** 2 for mv, yv in zip(s.mean, rec.y)]
+                diff = [(mv - yv) ** 2 for mv, yv in zip(pset.means[i, n], pset.y[i])]
                 acc += sum(diff) / len(diff)
         if mode == "predictive":
-            obs.append(acc / len(rec.samples))
+            obs.append(acc / pset.n_samples)
         else:
-            d = len(rec.y)
-            y_mean = [sum(s.mean[j] for s in rec.samples) / len(rec.samples) for j in range(d)]
-            obs.append(sum((ym - yv) ** 2 for ym, yv in zip(y_mean, rec.y)) / d)
+            d = pset.d
+            y_mean = [
+                sum(pset.means[i, n, j] for n in range(pset.n_samples)) / pset.n_samples
+                for j in range(d)
+            ]
+            obs.append(sum((ym - yv) ** 2 for ym, yv in zip(y_mean, pset.y[i])) / d)
     lo, hi = min(u), max(u)
     m = len(u)
 
@@ -59,42 +61,42 @@ def brute_force_uce(pset, k, mode, calib=None):
 class TestPredictiveVariance:
     def test_no_spread(self):
         rec = make_record("a", [0.5], [[0.5], [0.5], [0.5]], [math.log(0.04)] * 3)
-        u = predictive_variance(rec)
-        assert u.epistemic == 0.0
-        assert u.aleatoric == pytest.approx(0.04, rel=1e-12)
-        assert u.total == u.epistemic + u.aleatoric
+        u = uncertainty_records(make_set([rec]))
+        assert u.epistemic[0] == 0.0
+        assert u.aleatoric[0] == pytest.approx(0.04, rel=1e-12)
+        assert u.total[0] == u.epistemic[0] + u.aleatoric[0]
 
     def test_population_variance_of_means(self):
         # exp(-800) underflows to exactly zero aleatoric variance.
         rec = make_record("a", [1.0], [[0.0], [2.0]], [-800.0, -800.0])
-        u = predictive_variance(rec)
-        assert u.epistemic == 1.0
-        assert u.aleatoric == 0.0
-        assert u.total == 1.0
+        u = uncertainty_records(make_set([rec]))
+        assert u.epistemic[0] == 1.0
+        assert u.aleatoric[0] == 0.0
+        assert u.total[0] == 1.0
 
     def test_hand_evaluated_decomposition(self):
         rec = make_record(
             "a", [2.0], [[1.0], [2.0], [3.0]],
             [math.log(0.1), math.log(0.2), math.log(0.3)],
         )
-        u = predictive_variance(rec)
-        assert u.epistemic == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert u.aleatoric == pytest.approx(0.2, rel=1e-12)
-        assert u.total == pytest.approx(0.8666666666666667, rel=1e-12)
-        assert np.array_equal(u.y_mean, np.array([2.0]))
+        u = uncertainty_records(make_set([rec]))
+        assert u.epistemic[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert u.aleatoric[0] == pytest.approx(0.2, rel=1e-12)
+        assert u.total[0] == pytest.approx(0.8666666666666667, rel=1e-12)
+        assert np.array_equal(u.y_mean[0], np.array([2.0]))
 
     def test_multi_output_averages_across_d(self):
         rec = make_record("a", [0.0, 0.0], [[1.0, 3.0], [-1.0, -3.0]], [-800.0, -800.0])
-        u = predictive_variance(rec)
+        u = uncertainty_records(make_set([rec]))
         # per-output population variances 1 and 9, averaged
-        assert u.epistemic == pytest.approx(5.0, rel=1e-12)
+        assert u.epistemic[0] == pytest.approx(5.0, rel=1e-12)
 
 
 class TestUce:
     def test_perfectly_calibrated_degenerate_bin_is_zero(self):
         # log_var 0 makes aleatoric exactly 1.0; squared error exactly 1.0.
         records = [make_record(f"r{i}", [0.0], [[1.0]], [0.0]) for i in range(4)]
-        report = uce(make_set(records), k=10)
+        report = uce(uncertainty_records(make_set(records)), k=10)
         assert report.uce == 0.0
         assert len(report.bins) == 1
         assert report.bins[0].count == 4
@@ -103,7 +105,7 @@ class TestUce:
         # var(B1)=0.3, uncert(B1)=0.1 -> UCE = 0.2 * 100 = 20.
         err = math.sqrt(0.3)
         records = [make_record(f"r{i}", [0.0], [[err]], [math.log(0.1)]) for i in range(4)]
-        report = uce(make_set(records), k=1)
+        report = uce(uncertainty_records(make_set(records)), k=1)
         assert report.uce == pytest.approx(20.0, abs=1e-9)
 
     def test_matches_brute_force(self):
@@ -112,13 +114,13 @@ class TestUce:
             pset = random_set(gen, m=int(gen.integers(5, 200)), n=4, d=int(gen.integers(1, 3)))
             for k in (1, 5, 10):
                 for mode in ("predictive", "aleatoric_only"):
-                    got = uce(pset, k=k, mode=mode).uce
+                    got = uce(uncertainty_records(pset), k=k, mode=mode).uce
                     want = brute_force_uce(pset, k, mode)
                     assert got == pytest.approx(want, abs=1e-12)
 
     def test_report_self_consistency_and_counts(self, rng):
         pset = random_set(rng, m=120, n=4)
-        report = uce(pset, k=7)
+        report = uce(uncertainty_records(pset), k=7)
         assert sum(b.count for b in report.bins) == report.m == 120
         recomputed = 100.0 * sum(
             (b.count / report.m) * abs(b.var_obs - b.uncert_mean)
@@ -129,32 +131,35 @@ class TestUce:
     def test_permutation_invariance(self, rng):
         pset = random_set(rng, m=60, n=4)
         perm = rng.permutation(60)
-        shuffled = make_set([pset.records[i] for i in perm])
-        assert uce(shuffled, k=10).uce == pytest.approx(uce(pset, k=10).uce, abs=1e-12)
+        shuffled = McPredictionSet(
+            [pset.ids[i] for i in perm], pset.y[perm], pset.means[perm], pset.log_vars[perm]
+        )
+        assert uce(uncertainty_records(shuffled), k=10).uce == pytest.approx(
+            uce(uncertainty_records(pset), k=10).uce, abs=1e-12
+        )
 
     def test_k1_exact_weighted_mean_gap(self, rng):
         pset = random_set(rng, m=80, n=5)
-        records = uncertainty_records(pset)
-        u = np.array([r.total for r in records])
+        u = uncertainty_records(pset).total
         obs = np.array([
-            np.mean([np.mean((s.mean - rec.y) ** 2) for s in rec.samples])
-            for rec in pset.records
+            np.mean([np.mean((pset.means[i, n] - pset.y[i]) ** 2) for n in range(pset.n_samples)])
+            for i in range(pset.m)
         ])
-        assert uce(pset, k=1).uce == pytest.approx(100 * abs(obs.mean() - u.mean()), abs=1e-12)
+        assert uce(uncertainty_records(pset), k=1).uce == pytest.approx(100 * abs(obs.mean() - u.mean()), abs=1e-12)
 
     def test_scaling_artifact_keeps_bin_membership(self, rng):
         pset = random_set(rng, m=100, n=4)
         art = CalibrationArtifact(method="sigma", s=1.8)
-        base = uce(pset, k=10)
-        scaled = uce(pset, k=10, calib=art)
+        base = uce(uncertainty_records(pset), k=10)
+        scaled = uce(calibrated(pset, art), k=10)
         assert [b.count for b in base.bins] == [b.count for b in scaled.bins]
 
     def test_mode_and_k_validation(self, rng):
-        pset = random_set(rng, m=5, n=2)
+        unc = uncertainty_records(random_set(rng, m=5, n=2))
         with pytest.raises(ValueError, match="mode"):
-            uce(pset, mode="epistemic_only")
+            uce(unc, mode="epistemic_only")
         with pytest.raises(ValueError, match=">= 1"):
-            uce(pset, k=0)
+            uce(unc, k=0)
 
 
 class TestCalibrationDiagram:
@@ -165,7 +170,7 @@ class TestCalibrationDiagram:
             y = float(rng.normal())
             err = float(rng.uniform(0.2, 1.0))
             records.append(make_record(f"r{i}", [y], [[y + err]], [math.log(err * err / 4)]))
-        points = calibration_diagram(make_set(records), k=10)
+        points = calibration_diagram(uce(uncertainty_records(make_set(records)), k=10))
         assert points, "expected nonempty bins"
         for b in points:
             assert b.var_obs > b.uncert_mean
@@ -177,7 +182,7 @@ class TestCalibrationDiagram:
             make_record("b", [0.0], [[0.1]], [math.log(0.011)]),
             make_record("c", [0.0], [[0.1]], [math.log(1.0)]),
         ]
-        points = calibration_diagram(make_set(records), k=10)
+        points = calibration_diagram(uce(uncertainty_records(make_set(records)), k=10))
         assert len(points) == 2
         assert all(b.count > 0 for b in points)
 
@@ -199,9 +204,9 @@ class TestCalibrationDiagram:
                 make_record(f"r{i}", [y], [[mu - delta], [mu + delta]], [log_var, log_var])
             )
         pset = make_set(records)
-        report = uce(pset, k=10, mode="predictive")
+        report = uce(uncertainty_records(pset), k=10, mode="predictive")
         assert report.uce < 0.5
-        for b in calibration_diagram(pset, k=10):
+        for b in calibration_diagram(uce(uncertainty_records(pset), k=10)):
             if b.count >= 100:
                 assert b.var_obs == pytest.approx(b.uncert_mean, rel=0.25)
 
@@ -219,11 +224,11 @@ class TestMse:
         pset = random_set(rng, m=50, n=4, d=3)
         records = uncertainty_records(pset)
         want = 0.0
-        for rec in pset.records:
-            y_mean = np.mean([s.mean for s in rec.samples], axis=0)
-            want += float(np.mean((rec.y - y_mean) ** 2))
+        for i in range(pset.m):
+            y_mean = np.mean([pset.means[i, n] for n in range(pset.n_samples)], axis=0)
+            want += float(np.mean((pset.y[i] - y_mean) ** 2))
         assert mse(records) == pytest.approx(want / 50, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mse([])
+            mse(make_uncertainties([]))

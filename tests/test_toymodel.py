@@ -3,7 +3,7 @@ import pytest
 
 from regcal.calibrate import sigma_closed_form_gaussian
 from regcal.core import validate
-from regcal.io import dump_line
+from regcal.io import dump_lines
 from regcal.metrics import uncertainty_records
 from regcal.toymodel import (
     SyntheticSpec,
@@ -181,26 +181,26 @@ class TestMcPredict:
         cfg = ToyModelConfig(epochs=30, seed=0, dropout_p=0.0)
         model, _ = train(data, cfg)
         pset = mc_predict(model, data.test, n_passes=5, seed=0)
-        for rec in uncertainty_records(pset):
+        for epistemic in uncertainty_records(pset).epistemic:
             # identical passes; only the ulp of the mean survives squaring
-            assert rec.epistemic <= 1e-30
+            assert epistemic <= 1e-30
 
     def test_single_pass_gives_zero_epistemic(self):
         data = generate(SyntheticSpec(seed=0))
         model, _ = train(data, QUICK)
         pset = mc_predict(model, data.test, n_passes=1, seed=0)
-        for rec in uncertainty_records(pset):
-            assert rec.epistemic == 0.0
+        for epistemic in uncertainty_records(pset).epistemic:
+            assert epistemic == 0.0
 
     def test_deterministic_given_seed(self):
         data = generate(SyntheticSpec(seed=0))
         model, _ = train(data, QUICK)
         a = mc_predict(model, data.val, n_passes=4, seed=9)
         b = mc_predict(model, data.val, n_passes=4, seed=9)
-        assert [dump_line(r) for r in a.records] == [dump_line(r) for r in b.records]
+        assert list(dump_lines(a)) == list(dump_lines(b))
 
     def test_output_validates_and_feeds_pipeline(self):
-        from regcal.calibrate import fit_sigma
+        from regcal.calibrate import apply_calibration, fit_sigma
         from regcal.intervals import coverage
         from regcal.metrics import uce
 
@@ -208,9 +208,10 @@ class TestMcPredict:
         model, _ = train(data, QUICK)
         pset = mc_predict(model, data.test, n_passes=25, seed=3)
         assert validate(pset) == []
-        art = fit_sigma(pset)
-        report = uce(pset, k=10, calib=art)
-        table = coverage(uncertainty_records(pset), [0.5, 0.99])
+        unc = uncertainty_records(pset)
+        art = fit_sigma(unc)
+        report = uce(apply_calibration(unc, art), k=10)
+        table = coverage(unc, [0.5, 0.99])
         assert report.m == pset.m
         assert len(table.observed) == 2
 
