@@ -14,18 +14,24 @@ class TestValidate:
         ]
         assert validate(make_set(records)) == []
 
-    def test_ragged_shapes_rejected(self):
-        # Inconsistent N or d cannot be held: the constructor refuses the
-        # arrays (load_dump names the offending line before it gets here).
-        y, means, log_vars = np.zeros((2, 1)), np.zeros((2, 2, 1)), np.zeros((2, 2))
-        with pytest.raises(ValueError):
+    def test_inconsistent_n_is_reported(self):
+        # A columnar set cannot hold records with different N: the
+        # constructor refuses the arrays (load_dump names the offending line
+        # before it gets here).
+        y, means = np.zeros((2, 1)), np.zeros((2, 2, 1))
+        with pytest.raises(ValueError, match="inconsistent shapes"):
             McPredictionSet(["a", "b"], y, means, np.zeros((2, 1)))
         with pytest.raises(ValueError):
+            McPredictionSet(["a", "b"], y, [[[0.4], [0.6]], [[0.4]]], np.zeros((2, 2)))
+
+    def test_dimension_mismatch_names_record(self):
+        # Likewise a y whose dimension or record count disagrees with the
+        # means is refused, and the message gives the offending shapes.
+        means, log_vars = np.zeros((2, 2, 1)), np.zeros((2, 2))
+        with pytest.raises(ValueError, match=r"y \(2, 2\)"):
             McPredictionSet(["a", "b"], np.zeros((2, 2)), means, log_vars)
-        with pytest.raises(ValueError):
-            McPredictionSet(["a"], y, means, log_vars)
-        with pytest.raises(ValueError):
-            McPredictionSet(["a", "b"], y, [[[0.4], [0.6]], [[0.4]]], log_vars)
+        with pytest.raises(ValueError, match="1 ids"):
+            McPredictionSet(["a"], np.zeros((2, 1)), means, log_vars)
 
     def test_nan_log_var_is_reported(self):
         records = [
