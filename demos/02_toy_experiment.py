@@ -16,7 +16,6 @@ from regcal import (
     batch_nll,
     fit_sigma,
     generate,
-    intra_training_calibrate,
     mc_predict,
     mse,
     toy_experiment_config,
@@ -39,11 +38,12 @@ print(f"  train/val/test sizes: {len(data.train.x)}/{len(data.val.x)}/{len(data.
 print("training the MC-dropout regressor (a minute at most)...")
 cfg = toy_experiment_config(seed)
 model, trace = train(data, cfg)
-intra_training_calibrate(trace)
 trace_to_csv(trace, out_dir / "trace.csv")
 print(f"  final train MSE {trace.train_mse[-1]:.5f}, test MSE {trace.test_mse[-1]:.5f}")
 print(f"  final mean test sigma^2 {trace.test_sigma2[-1]:.5f} "
       "(below test MSE: the model is overconfident)")
+print(f"  sigma scale refitted on val after each epoch: s = {trace.s[0]:.3f} after "
+      f"epoch 1, {trace.s[-1]:.3f} after epoch {trace.n_epochs}")
 
 print("running stochastic forward passes...")
 val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")

@@ -39,7 +39,6 @@ from .toymodel import (
     ToyModelConfig,
     TrainingTrace,
     generate,
-    intra_training_calibrate,
     mc_predict,
     simulate_unbiasedness,
     toy_experiment_config,
@@ -75,7 +74,6 @@ __all__ = [
     "gaussian_nll",
     "generate",
     "identity_artifact",
-    "intra_training_calibrate",
     "laplace_nll",
     "load_artifact",
     "load_dump",

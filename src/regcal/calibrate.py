@@ -28,17 +28,21 @@ class CalibrationError(ValueError):
     pass
 
 
+# The gradient-descent sigma fit starts at s = 1 and stops once |delta s|
+# falls below the tolerance.
+SIGMA_GD_INIT_S = 1.0
+SIGMA_GD_TOLERANCE = 1e-8
+
+
 @dataclass
 class SigmaFitOptions:
     """Hyperparameters for the gradient-descent sigma fit."""
 
     max_iters: int = 1000
     step_size: float = 0.01
-    tolerance: float = 1e-8  # stop when |delta s| falls below this
-    init_s: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.step_size <= 0 or self.tolerance <= 0 or self.init_s <= 0:
+        if self.max_iters <= 0 or self.step_size <= 0:
             raise ValueError("all sigma fit options must be positive")
 
 
@@ -108,7 +112,7 @@ def sigma_fit_gd(
     kind, absolute errors and sigmas for the Laplacian kind. The search runs
     over rho = log(s), which keeps s positive without constraints; steps are
     clipped to 0.5 in rho so far-off starts cannot overshoot. Iteration
-    stops when |delta s| drops below ``opts.tolerance`` or ``opts.max_iters``
+    stops when |delta s| drops below ``SIGMA_GD_TOLERANCE`` or ``opts.max_iters``
     is reached (fit_meta records which).
 
     Returns:
@@ -125,8 +129,8 @@ def sigma_fit_gd(
     ratio_sum = float(np.sum(errors / scales))  # sum of err^2/var or |err|/sigma
     ratio_mean = ratio_sum / m
 
-    rho = math.log(opts.init_s)
-    s = opts.init_s
+    rho = math.log(SIGMA_GD_INIT_S)
+    s = SIGMA_GD_INIT_S
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
@@ -145,7 +149,7 @@ def sigma_fit_gd(
             )
         delta = abs(s_new - s)
         s = s_new
-        if delta < opts.tolerance:
+        if delta < SIGMA_GD_TOLERANCE:
             converged = True
             break
     fit_meta = {

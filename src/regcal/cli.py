@@ -27,14 +27,7 @@ from .core import identity_artifact
 from .intervals import DEFAULT_LEVELS, coverage
 from .likelihood import batch_nll
 from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
-from .toymodel import (
-    SyntheticSpec,
-    generate,
-    intra_training_calibrate,
-    mc_predict,
-    toy_experiment_config,
-    train,
-)
+from .toymodel import SyntheticSpec, generate, mc_predict, toy_experiment_config, train
 
 
 class CliError(Exception):
@@ -58,25 +51,23 @@ def _target(flag: str) -> str:
     return "aleatoric_only" if flag == "aleatoric" else flag
 
 
+def _given(**flags) -> dict:
+    """The flags the user set; the rest keep their defaults in the options class."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def cmd_calibrate(args) -> int:
     unc = uncertainty_records(rio.load_dump(args.input))
     target = _target(args.target)
     if args.method == "sigma":
-        opts = SigmaFitOptions(
-            max_iters=args.iters if args.iters is not None else 1000,
-            step_size=args.lr if args.lr is not None else 0.01,
-        )
+        opts = SigmaFitOptions(**_given(max_iters=args.iters, step_size=args.lr))
         calib = fit_sigma(unc, likelihood=args.likelihood, target=target,
                           opts=opts, use_gd=args.gd)
     else:
         if args.likelihood != "gaussian":
             raise CliError("invalid-flag", "aux calibration supports the gaussian likelihood only")
-        cfg = AuxConfig(
-            hidden_width=args.hidden,
-            seed=args.seed,
-            epochs=args.iters if args.iters is not None else 500,
-            step_size=args.lr if args.lr is not None else 3e-4,
-        )
+        cfg = AuxConfig(hidden_width=args.hidden, seed=args.seed,
+                        **_given(epochs=args.iters, step_size=args.lr))
         calib = aux_fit(unc, cfg, target=target)
     rio.save_artifact(calib, args.out)
     return 0
@@ -164,7 +155,6 @@ def cmd_toy(args) -> int:
         cfg.mc_passes = args.mc_passes
     data = generate(spec)
     model, trace = train(data, cfg)
-    intra_training_calibrate(trace)
 
     dumps = {}
     for i, (name, split) in enumerate(

@@ -128,8 +128,8 @@ class CalibrationArtifact:
         if self.target not in CALIBRATION_TARGETS:
             raise ValueError(f"unknown calibration target {self.target!r}")
         if self.method == "sigma":
-            if self.s is None or not (self.s > 0):
-                raise ValueError(f"sigma calibration requires s > 0, got {self.s}")
+            if self.s is None or not (0.0 < self.s < np.inf):
+                raise ValueError(f"sigma calibration requires a finite s > 0, got {self.s}")
         if self.method == "aux":
             if self.aux_weights is None or self.aux_shapes is None:
                 raise ValueError("aux calibration requires weights and shapes")
@@ -139,6 +139,8 @@ class CalibrationArtifact:
                     f"aux weight vector has {len(self.aux_weights)} entries, "
                     f"shapes require {expected}"
                 )
+            if not np.all(np.isfinite(self.aux_weights)):
+                raise ValueError("aux calibration requires finite weights")
 
     @property
     def hidden_width(self) -> int | None:

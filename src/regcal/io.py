@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import CalibrationArtifact, McPredictionSet, validate
+from .core import CalibrationArtifact, McPredictionSet
 
 
 class DumpFormatError(ValueError):
@@ -27,11 +27,18 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # a JSON integer too large for a float
+        return False
+
+
 def _check_vector(value, name: str, lineno: int, errors: list[str]):
     if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
         errors.append(f"line {lineno}: field {name} must be a non-empty array of numbers")
         return None
-    if not all(math.isfinite(v) for v in value):
+    if not all(_is_finite(v) for v in value):
         errors.append(f"line {lineno}: non-finite {name}")
         return None
     return [float(v) for v in value]
@@ -41,11 +48,14 @@ def load_dump(path) -> McPredictionSet:
     """Parse and validate a JSONL prediction dump.
 
     All problems are aggregated into one :class:`DumpFormatError` whose
-    message lists every offending line number and field.
+    message lists every offending line number and field. The per-line checks
+    cover every violation :func:`regcal.core.validate` reports, and also
+    reject duplicate ids.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     errors: list[str] = []
+    first_line: dict[str, int] = {}
     ids: list[str] = []
     ys: list[list[float]] = []
     means: list[list[list[float]]] = []
@@ -75,6 +85,10 @@ def load_dump(path) -> McPredictionSet:
         if not isinstance(obj["id"], str):
             errors.append(f"line {lineno}: field id must be a string")
             continue
+        first = first_line.setdefault(obj["id"], lineno)
+        if first != lineno:
+            errors.append(f"line {lineno}: duplicate id '{obj['id']}' (first on line {first})")
+            continue
         y = _check_vector(obj["y"], "y", lineno, errors)
         if y is None:
             continue
@@ -102,7 +116,7 @@ def load_dump(path) -> McPredictionSet:
                 line_means = None
                 break
             lv = s["log_var"]
-            if not _is_number(lv) or not math.isfinite(lv):
+            if not _is_number(lv) or not _is_finite(lv):
                 errors.append(f"line {lineno}: non-finite log_var in sample {j}")
                 line_means = None
                 break
@@ -125,11 +139,7 @@ def load_dump(path) -> McPredictionSet:
         raise DumpFormatError("empty dump file")
     if errors:
         raise DumpFormatError("; ".join(errors))
-    pset = McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
-    leftover = validate(pset)
-    if leftover:
-        raise DumpFormatError("; ".join(leftover))
-    return pset
+    return McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
 
 
 def dump_lines(pset: McPredictionSet):
@@ -202,31 +212,36 @@ def artifact_to_json(calib: CalibrationArtifact) -> dict:
     return doc
 
 
-def artifact_from_json(doc: dict) -> CalibrationArtifact:
+def artifact_from_json(doc) -> CalibrationArtifact:
+    """Rebuild an artifact; every malformed document raises ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError("artifact must be a JSON object")
     method = doc.get("method")
-    kwargs = {
-        "method": method,
-        "likelihood": doc.get("likelihood", "gaussian"),
-        "target": doc.get("target", "predictive"),
-        "fit_meta": _meta_from_json(doc.get("fit_meta", {})),
-    }
-    if method == "sigma":
-        kwargs["s"] = float(doc["s"])
-    elif method == "aux":
-        from .calibrate import aux_shapes
+    try:
+        kwargs = {
+            "method": method,
+            "likelihood": doc.get("likelihood", "gaussian"),
+            "target": doc.get("target", "predictive"),
+            "fit_meta": _meta_from_json(doc.get("fit_meta", {})),
+        }
+        if method == "sigma":
+            kwargs["s"] = float(doc["s"])
+        elif method == "aux":
+            from .calibrate import aux_shapes
 
-        aux = doc["aux"]
-        h = int(aux["h"])
-        weights = np.concatenate(
-            [
-                np.array([float(v) for v in aux["w1"]]),
-                np.array([float(v) for v in aux["b1"]]),
-                np.array([float(v) for v in aux["w2"]]),
-                np.array([float(aux["b2"])]),
-            ]
-        )
-        kwargs["aux_weights"] = weights
-        kwargs["aux_shapes"] = aux_shapes(h)
+            aux = doc["aux"]
+            h = int(aux["h"])
+            layers = ("w1", "b1", "w2")
+            for name in layers:
+                if not isinstance(aux[name], list) or len(aux[name]) != h:
+                    raise ValueError(f"aux field {name} must be a list of h={h} reals")
+            weights = [float(v) for name in layers for v in aux[name]] + [float(aux["b2"])]
+            kwargs["aux_weights"] = np.array(weights)
+            kwargs["aux_shapes"] = aux_shapes(h)
+    except KeyError as exc:
+        raise ValueError(f"{method} artifact is missing field {exc}") from None
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {method} artifact: {exc}") from None
     return CalibrationArtifact(**kwargs)
 
 
@@ -253,21 +268,10 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def trace_to_csv(trace, path) -> None:
-    rows = []
-    for i in range(trace.n_epochs):
-        s_col = _real(trace.s[i]) if trace.s is not None else ""
-        rows.append(
-            [
-                str(i + 1),
-                _real(trace.train_mse[i]),
-                _real(trace.test_mse[i]),
-                _real(trace.train_sigma2[i]),
-                _real(trace.test_sigma2[i]),
-                _real(trace.train_nll[i]),
-                _real(trace.test_nll[i]),
-                s_col,
-            ]
-        )
+    columns = (trace.train_mse, trace.test_mse, trace.train_sigma2, trace.test_sigma2,
+               trace.train_nll, trace.test_nll, trace.s)
+    rows = ([str(epoch)] + [_real(v) for v in values]
+            for epoch, values in enumerate(zip(*columns), start=1))
     _write_csv(
         path,
         "epoch,train_mse,test_mse,train_sigma2,test_sigma2,train_nll,test_nll,s",

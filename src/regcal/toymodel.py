@@ -220,44 +220,37 @@ class ToyModel:
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch diagnostics; list lengths equal the number of epochs run."""
+    """Per-epoch diagnostics, one float per epoch in every list.
+
+    ``s`` is the closed-form sigma scale fitted on that epoch's deterministic
+    validation pass, and ``test_nll_calibrated`` the test NLL after scaling
+    the test variances by s^2; the weights are untouched by either.
+    """
 
     train_mse: list[float] = field(default_factory=list)
     test_mse: list[float] = field(default_factory=list)
+    val_mse: list[float] = field(default_factory=list)
     train_sigma2: list[float] = field(default_factory=list)
     test_sigma2: list[float] = field(default_factory=list)
     train_nll: list[float] = field(default_factory=list)
     test_nll: list[float] = field(default_factory=list)
-    s: list[float] | None = None
-    test_nll_calibrated: list[float] | None = None
-    # Per-epoch (err_sq, sigma2) arrays from the deterministic pass over the
-    # validation and test splits; consumed by intra_training_calibrate.
-    val_snapshots: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    test_snapshots: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    s: list[float] = field(default_factory=list)
+    test_nll_calibrated: list[float] = field(default_factory=list)
 
     @property
     def n_epochs(self) -> int:
         return len(self.train_mse)
 
 
-class _Adam:
-    """Adaptive per-parameter steps via exponential moment estimates."""
-
-    def __init__(self, params, lr: float):
-        self.lr = lr
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def step(self, params, grads):
-        self.t += 1
-        b1c = 1.0 - ADAM_BETA1**self.t
-        b2c = 1.0 - ADAM_BETA2**self.t
-        for k in params:
-            g = grads[k]
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            params[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + ADAM_EPS)
+def _flatten(params: dict[str, np.ndarray]):
+    """Copy the parameters into one flat vector theta; return theta and a dict
+    of named, reshaped views of it, so in-place updates of theta show through."""
+    theta = np.concatenate([p.ravel() for p in params.values()])
+    views, pos = {}, 0
+    for name, p in params.items():
+        views[name] = theta[pos : pos + p.size].reshape(p.shape)
+        pos += p.size
+    return theta, views
 
 
 def _epoch_eval(params, split: LabeledData):
@@ -272,19 +265,24 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     """Train the two-headed MLP; returns (model, trace).
 
     Minimizes the mean per-sample Gaussian NLL term plus weight decay by
-    minibatch updates with adaptive per-parameter step sizes (exponential
-    moment scheme, beta1=0.9, beta2=0.999, eps=1e-8). Dropout is active on
-    every training step. Fully deterministic given cfg.seed.
+    minibatch Adam steps (beta1=0.9, beta2=0.999, eps=1e-8) on one flat
+    parameter vector. Dropout is active on every training step. After each
+    epoch sigma scaling is fitted on the validation split and the
+    recalibrated test NLL recorded (see :class:`TrainingTrace`). Fully
+    deterministic given cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg.hidden, rng)
-    opt = _Adam(params, cfg.step_size)
+    theta, params = _flatten(init_params(cfg.hidden, rng))
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    lr = cfg.step_size
+    step = 0
     trace = TrainingTrace()
     m_train = len(data.train.x)
 
     best_val_mse = math.inf
-    best_params = None
+    best_theta = None
     stale = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -299,37 +297,46 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
                 raise ValueError(
                     f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            opt.step(params, grads)
+            g = np.concatenate([grads[name].ravel() for name in params])
+            step += 1
+            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = adam_m / (1.0 - ADAM_BETA1**step)
+            v_hat = adam_v / (1.0 - ADAM_BETA2**step)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(params, data.train)
         te_err, te_s2_arr, te_mse, te_s2, te_nll = _epoch_eval(params, data.test)
         va_err, va_s2_arr, va_mse, _, _ = _epoch_eval(params, data.val)
+        s = sigma_closed_form_gaussian(va_err, va_s2_arr)
+        scaled = te_s2_arr * (s * s)
         trace.train_mse.append(tr_mse)
         trace.test_mse.append(te_mse)
+        trace.val_mse.append(va_mse)
         trace.train_sigma2.append(tr_s2)
         trace.test_sigma2.append(te_s2)
         trace.train_nll.append(tr_nll)
         trace.test_nll.append(te_nll)
-        trace.val_snapshots.append((va_err, va_s2_arr))
-        trace.test_snapshots.append((te_err, te_s2_arr))
+        trace.s.append(s)
+        trace.test_nll_calibrated.append(float(np.mean(te_err / scaled + np.log(scaled))))
 
         if cfg.lr_plateau or cfg.early_stopping:
             if va_mse < best_val_mse:
                 best_val_mse = va_mse
                 stale = 0
                 if cfg.early_stopping:
-                    best_params = {k: v.copy() for k, v in params.items()}
+                    best_theta = theta.copy()
             else:
                 stale += 1
                 if stale >= cfg.patience:
                     if cfg.early_stopping:
                         break
                     if cfg.lr_plateau:
-                        opt.lr *= 0.1
+                        lr *= 0.1
                         stale = 0
 
-    if cfg.early_stopping and best_params is not None:
-        params = best_params
+    if cfg.early_stopping and best_theta is not None:
+        theta[:] = best_theta
     model = ToyModel(params=params, hidden=cfg.hidden, dropout_p=cfg.dropout_p)
     return model, trace
 
@@ -403,24 +410,3 @@ def simulate_unbiasedness(
         rel = 0.0 if mean_estimate == 0.0 else math.inf
     return UnbiasednessResult(mean_estimate, true_sigma2, rel)
 
-
-def intra_training_calibrate(trace: TrainingTrace) -> list[float]:
-    """Fit sigma scaling per recorded epoch from the validation snapshots.
-
-    For each epoch the closed-form scale is fitted on the validation
-    aleatoric uncertainties and the recalibrated test NLL is recorded; model
-    weights are untouched. Returns the per-epoch s sequence (also appended
-    to the trace).
-    """
-    if not trace.val_snapshots:
-        raise ValueError("trace carries no validation snapshots")
-    s_values = []
-    nll_cal = []
-    for (va_err, va_s2), (te_err, te_s2) in zip(trace.val_snapshots, trace.test_snapshots):
-        s = sigma_closed_form_gaussian(va_err, va_s2)
-        s_values.append(s)
-        scaled = te_s2 * (s * s)
-        nll_cal.append(float(np.mean(te_err / scaled + np.log(scaled))))
-    trace.s = s_values
-    trace.test_nll_calibrated = nll_cal
-    return s_values

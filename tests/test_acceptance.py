@@ -25,7 +25,6 @@ from regcal.toymodel import (
     draw_masks,
     generate,
     init_params,
-    intra_training_calibrate,
     loss_and_grads,
     mc_predict,
     simulate_unbiasedness,
@@ -69,7 +68,6 @@ def toy_runs():
         data = generate(SyntheticSpec(seed=seed))
         cfg = toy_experiment_config(seed)
         model, trace = train(data, cfg)
-        intra_training_calibrate(trace)
         val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
         test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
         calib = fit_sigma(uncertainty_records(val), likelihood="gaussian", target="predictive")

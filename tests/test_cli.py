@@ -111,7 +111,8 @@ class TestCalibrateEvaluate:
 
 
 class TestDecomposeOnce:
-    """Each command validates and decomposes each dump it reads exactly once."""
+    """Each command loads (and so validates) and decomposes each dump it reads
+    exactly once; the per-line checks of load_dump are the only validation."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -140,11 +141,13 @@ class TestDecomposeOnce:
     ], ids=["calibrate", "evaluate", "intervals", "reject", "ood"])
     def test_calls_per_command(self, monkeypatch, toy_dir, tmp_path, argv, dumps):
         decomposed = self.count_calls(monkeypatch, "uncertainty_records")
+        loaded = self.count_calls(monkeypatch, "load_dump")
         validated = self.count_calls(monkeypatch, "validate")
         argv = argv.format(toy=toy_dir, out=tmp_path).split()
         assert main(argv) == 0
         assert len(decomposed) == dumps
-        assert len(validated) == dumps
+        assert len(loaded) == dumps
+        assert validated == []
 
 
 class TestOtherCommands:
@@ -225,3 +228,51 @@ class TestErrorReporting:
         rc = main(["evaluate", "--input", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert "error: dump-format:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id":"a","y":[1' + "0" * 400 + '],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
+             "line 2: non-finite y"),
+            ('{"id":"a","y":[0.1],"samples":[{"mean":[0.1],"log_var":1' + "0" * 400 + '}]}',
+             "line 2: non-finite log_var in sample 0"),
+            ('{"id":"b","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
+             "line 2: duplicate id 'b' (first on line 1)"),
+        ],
+        ids=["huge-int-y", "huge-int-log-var", "duplicate-id"],
+    )
+    def test_bad_dump_single_error_line(self, capsys, tmp_path, record, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id":"b","y":[0.2],"samples":[{"mean":[0.1],"log_var":-2.0}]}\n' + record + "\n")
+        rc = main(["evaluate", "--input", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: dump-format: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    AUX = '{"method": "aux", "aux": {"h": 2, "w1": %s, "b1": %s, "w2": %s, "b2": "0.0"}}'
+
+    @pytest.mark.parametrize(
+        "artifact, message",
+        [
+            ('{"method": "sigma"}', "sigma artifact is missing field 's'"),
+            ('{"method": "sigma", "s": "inf"}', "requires a finite s > 0"),
+            ('{"method": "sigma", "s": "nan"}', "requires a finite s > 0"),
+            ('["sigma", "1.0"]', "artifact must be a JSON object"),
+            # 3 + 1 + 2 entries: the total matches h=2, each field does not
+            (AUX % ('["1", "2", "3"]', '["0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
+            (AUX % ('"12"', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
+            (AUX % ('["1", "2"]', '["0", "0"]', '["0", "inf"]'), "requires finite weights"),
+        ],
+        ids=["sigma-without-s", "infinite-s", "nan-s", "not-an-object", "aux-field-length",
+             "aux-field-string", "infinite-aux-weight"],
+    )
+    def test_bad_artifact_single_error_line(self, capsys, toy_dir, tmp_path, artifact, message):
+        calib = tmp_path / "calib.json"
+        calib.write_text(artifact)
+        rc = main(["evaluate", "--input", str(toy_dir / "val.jsonl"), "--calib", str(calib),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,10 @@ from regcal.metrics import uncertainty_records
 from regcal.toymodel import (
     SyntheticSpec,
     ToyModelConfig,
-    TrainingTrace,
     draw_masks,
     forward,
     generate,
     init_params,
-    intra_training_calibrate,
     loss_and_grads,
     mc_predict,
     simulate_unbiasedness,
@@ -113,18 +113,6 @@ class TestGradients:
             if norms_before[name] > 0:
                 assert np.linalg.norm(value) < norms_before[name]
 
-    def test_zero_learning_rate_freezes_params(self):
-        from regcal.toymodel import _Adam
-
-        rng = np.random.default_rng(0)
-        params = init_params((4, 3), rng)
-        before = {k: v.copy() for k, v in params.items()}
-        opt = _Adam(params, lr=0.0)
-        grads = {k: np.ones_like(v) for k, v in params.items()}
-        opt.step(params, grads)
-        for name in params:
-            assert np.array_equal(params[name], before[name])
-
 
 class TestTrain:
     def test_deterministic_weights(self):
@@ -145,9 +133,11 @@ class TestTrain:
         data = generate(SyntheticSpec(seed=0))
         _, trace = train(data, QUICK)
         assert trace.n_epochs == QUICK.epochs
-        for field in (trace.train_mse, trace.test_sigma2, trace.test_nll):
-            assert len(field) == QUICK.epochs
-        assert len(trace.val_snapshots) == QUICK.epochs
+        for f in dataclasses.fields(trace):
+            values = getattr(trace, f.name)
+            assert isinstance(values, list), f.name
+            assert len(values) == QUICK.epochs, f.name
+            assert all(type(v) is float for v in values), f.name
 
     def test_early_stopping_restores_best(self):
         data = generate(SyntheticSpec(seed=0))
@@ -157,7 +147,7 @@ class TestTrain:
         # the returned model is the best-validation snapshot, not the last
         mu, _, _ = forward(model.params, data.val.x)
         returned_val = float(np.mean((data.val.y - mu) ** 2))
-        val_curve = [float(np.mean(err)) for err, _ in trace.val_snapshots]
+        val_curve = trace.val_mse
         assert returned_val == pytest.approx(min(val_curve), rel=1e-12)
         assert returned_val < val_curve[-1] or trace.n_epochs == np.argmin(val_curve) + 1
 
@@ -238,19 +228,24 @@ class TestSimulateUnbiasedness:
 
 
 class TestIntraTrainingCalibrate:
-    def test_perfectly_calibrated_snapshot_gives_one(self):
-        trace = TrainingTrace()
-        err = np.array([0.5, 0.2, 0.9])
-        trace.val_snapshots.append((err, err.copy()))
-        trace.test_snapshots.append((err, err.copy()))
-        s_values = intra_training_calibrate(trace)
-        assert s_values == [1.0]
-        assert trace.s == [1.0]
+    """train refits sigma on the validation split after every epoch."""
+
+    def test_final_epoch_matches_final_model(self):
+        data = generate(SyntheticSpec(seed=1))
+        model, trace = train(data, QUICK)
+        mu, lv = model.predict(data.val.x)
+        s = sigma_closed_form_gaussian((data.val.y - mu) ** 2, np.exp(lv))
+        assert trace.s[-1] == s
+        mu, lv = model.predict(data.test.x)
+        scaled = np.exp(lv) * (s * s)
+        nll_cal = float(np.mean((data.test.y - mu) ** 2 / scaled + np.log(scaled)))
+        assert trace.test_nll_calibrated[-1] == nll_cal
 
     def test_fit_on_test_itself_minimizes_test_nll(self):
         data = generate(SyntheticSpec(seed=1))
-        _, trace = train(data, QUICK)
-        te_err, te_s2 = trace.test_snapshots[-1]
+        model, _ = train(data, QUICK)
+        mu, lv = model.predict(data.test.x)
+        te_err, te_s2 = (data.test.y - mu) ** 2, np.exp(lv)
         s = sigma_closed_form_gaussian(te_err, te_s2)
         scaled = te_s2 * s * s
         nll_cal = float(np.mean(te_err / scaled + np.log(scaled)))
@@ -260,11 +255,6 @@ class TestIntraTrainingCalibrate:
     def test_appends_per_epoch_sequences(self):
         data = generate(SyntheticSpec(seed=0))
         _, trace = train(data, QUICK)
-        s_values = intra_training_calibrate(trace)
-        assert len(s_values) == trace.n_epochs
+        assert len(trace.s) == trace.n_epochs
         assert len(trace.test_nll_calibrated) == trace.n_epochs
-        assert all(s > 0 for s in s_values)
-
-    def test_requires_snapshots(self):
-        with pytest.raises(ValueError, match="snapshots"):
-            intra_training_calibrate(TrainingTrace())
+        assert all(s > 0 for s in trace.s)
