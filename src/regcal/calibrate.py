@@ -210,30 +210,11 @@ def fit_sigma(
 
 # -- auxiliary recalibration network ---------------------------------------
 
-AUX_LAYER_NAMES = ("w1", "b1", "w2", "b2")
-
-
-def aux_shapes(hidden_width: int) -> dict[str, tuple[int, ...]]:
-    return {
-        "w1": (hidden_width,),
-        "b1": (hidden_width,),
-        "w2": (hidden_width,),
-        "b2": (1,),
-    }
-
-
-def _unflatten(weights: np.ndarray, shapes: dict[str, tuple[int, ...]]):
-    params = {}
-    pos = 0
-    for name in AUX_LAYER_NAMES:
-        size = int(np.prod(shapes[name]))
-        params[name] = np.asarray(weights[pos : pos + size], dtype=float).reshape(shapes[name])
-        pos += size
-    return params
-
-
-def _flatten(params: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.ravel(params[name]) for name in AUX_LAYER_NAMES])
+def _aux_pass(x: np.ndarray, params: dict[str, np.ndarray]):
+    """Hidden pre-activations z, activations a and output R(x) of the network."""
+    z = np.outer(x, params["w1"]) + params["b1"]  # (m, h)
+    a = np.maximum(z, 0.0)
+    return z, a, x + a @ params["w2"] + params["b2"][0]
 
 
 def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
@@ -243,9 +224,7 @@ def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     map exactly the identity when w2 and b2 are zero, which is (close to)
     the initialization.
     """
-    z = np.outer(x, params["w1"]) + params["b1"]  # (m, h)
-    a = np.maximum(z, 0.0)
-    return x + a @ params["w2"] + params["b2"][0]
+    return _aux_pass(x, params)[2]
 
 
 def aux_fit(
@@ -259,7 +238,8 @@ def aux_fit(
     Gaussian NLL (constants dropped) of the calibration set with predictions
     fixed at the MC mean and the variance replaced by exp(R(log u)). The
     returned weights are the best seen during training, so the training NLL
-    at the artifact is never above the NLL of the near-identity init.
+    at the artifact is never above the NLL of the near-identity init. The
+    network is evaluated once per epoch, plus once for the last update.
     """
     cfg = cfg or AuxConfig()
     err_sq, u = _errors_and_scales(unc, "gaussian", target)
@@ -275,20 +255,16 @@ def aux_fit(
         "b2": np.zeros(1),
     }
 
-    def loss_of(g: np.ndarray) -> float:
-        return float(np.mean(np.exp(-g) * err_sq + g))
+    def evaluate():
+        z, a, g = _aux_pass(x, params)
+        return z, a, g, float(np.mean(np.exp(-g) * err_sq + g))
 
     best_params = {k: v.copy() for k, v in params.items()}
-    g0 = aux_forward(x, params)
-    best_loss = loss_of(g0)
-    init_loss = best_loss
+    z, a, g, loss = evaluate()
+    best_loss = init_loss = loss
 
     lr = cfg.step_size
     for epoch in range(1, cfg.epochs + 1):
-        z = np.outer(x, params["w1"]) + params["b1"]
-        a = np.maximum(z, 0.0)
-        g = x + a @ params["w2"] + params["b2"][0]
-        loss = loss_of(g)
         if not math.isfinite(loss):
             raise CalibrationError(f"non-finite aux training loss at epoch {epoch}")
         dg = (1.0 - np.exp(-g) * err_sq) / m  # (m,)
@@ -301,19 +277,17 @@ def aux_fit(
         params["b1"] -= lr * grad_b1
         params["w2"] -= lr * grad_w2
         params["b2"] -= lr * grad_b2
-        g = aux_forward(x, params)
-        loss = loss_of(g)
+        # The loss of the updated weights is also where the next epoch starts.
+        z, a, g, loss = evaluate()
         if math.isfinite(loss) and loss < best_loss:
             best_loss = loss
             best_params = {k: v.copy() for k, v in params.items()}
 
-    shapes = aux_shapes(h)
     return CalibrationArtifact(
         method="aux",
         likelihood="gaussian",
         target=target,
-        aux_weights=_flatten(best_params),
-        aux_shapes=shapes,
+        aux=best_params,
         fit_meta={
             "epochs": cfg.epochs,
             "step_size": cfg.step_size,
@@ -347,12 +321,11 @@ def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact | None) -> 
             epi = factor * epi
         alea = factor * alea
     else:
-        params = _unflatten(calib.aux_weights, calib.aux_shapes)
         if calib.target == "predictive":
             total = unc.total
-            new_total = np.exp(aux_forward(np.log(total), params))
+            new_total = np.exp(aux_forward(np.log(total), calib.aux))
             epi = new_total / total * epi
             alea = new_total - epi
         else:
-            alea = np.exp(aux_forward(np.log(alea), params))
+            alea = np.exp(aux_forward(np.log(alea), calib.aux))
     return replace(unc, epistemic=epi, aleatoric=alea)

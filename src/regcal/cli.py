@@ -74,9 +74,10 @@ def cmd_calibrate(args) -> int:
 
 
 def _write_json(doc: dict, path) -> None:
+    """Write strict JSON; a non-finite value raises ``ValueError`` before the file opens."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_evaluate(args) -> int:

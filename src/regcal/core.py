@@ -108,16 +108,16 @@ class Uncertainties:
 class CalibrationArtifact:
     """A fitted recalibration: a positive scalar s, a small network, or a no-op.
 
-    ``aux_weights`` is a flat parameter vector; ``aux_shapes`` maps layer
-    names (w1, b1, w2, b2) to shapes so the vector can be unflattened.
+    ``aux`` holds the auxiliary network's layers by name: ``w1``, ``b1`` and
+    ``w2`` of shape (h,) and ``b2`` of shape (1,), where h >= 1 is the hidden
+    width.
     """
 
     method: str  # sigma | aux | identity
     likelihood: str = "gaussian"
     target: str = "predictive"
     s: float | None = None
-    aux_weights: np.ndarray | None = None
-    aux_shapes: dict[str, tuple[int, ...]] | None = None
+    aux: dict[str, np.ndarray] | None = None
     fit_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -131,22 +131,23 @@ class CalibrationArtifact:
             if self.s is None or not (0.0 < self.s < np.inf):
                 raise ValueError(f"sigma calibration requires a finite s > 0, got {self.s}")
         if self.method == "aux":
-            if self.aux_weights is None or self.aux_shapes is None:
-                raise ValueError("aux calibration requires weights and shapes")
-            expected = sum(int(np.prod(sh)) for sh in self.aux_shapes.values())
-            if len(self.aux_weights) != expected:
+            if self.aux is None or sorted(self.aux) != ["b1", "b2", "w1", "w2"]:
+                raise ValueError("aux calibration requires the weights w1, b1, w2 and b2")
+            self.aux = {name: np.asarray(v, dtype=float) for name, v in self.aux.items()}
+            shapes = {name: v.shape for name, v in self.aux.items()}
+            h = shapes["b1"]
+            if not (len(h) == 1 and h[0] >= 1 and shapes["w1"] == shapes["w2"] == h
+                    and shapes["b2"] == (1,)):
                 raise ValueError(
-                    f"aux weight vector has {len(self.aux_weights)} entries, "
-                    f"shapes require {expected}"
+                    "aux layers w1, b1, w2 must share one length h >= 1 and b2 must "
+                    f"have length 1, got shapes {shapes}"
                 )
-            if not np.all(np.isfinite(self.aux_weights)):
+            if not all(np.all(np.isfinite(v)) for v in self.aux.values()):
                 raise ValueError("aux calibration requires finite weights")
 
     @property
     def hidden_width(self) -> int | None:
-        if self.aux_shapes is None:
-            return None
-        return int(self.aux_shapes["b1"][0])
+        return None if self.aux is None else len(self.aux["b1"])
 
 
 def identity_artifact(likelihood: str = "gaussian", target: str = "predictive") -> CalibrationArtifact:

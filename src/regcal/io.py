@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .core import CalibrationArtifact, McPredictionSet
 
 
@@ -198,18 +196,22 @@ def artifact_to_json(calib: CalibrationArtifact) -> dict:
     if calib.method == "sigma":
         doc["s"] = _real(calib.s)
     if calib.method == "aux":
-        from .calibrate import _unflatten
-
-        params = _unflatten(calib.aux_weights, calib.aux_shapes)
+        aux = calib.aux
         doc["aux"] = {
-            "h": int(calib.aux_shapes["b1"][0]),
-            "w1": [_real(v) for v in params["w1"]],
-            "b1": [_real(v) for v in params["b1"]],
-            "w2": [_real(v) for v in params["w2"]],
-            "b2": _real(params["b2"][0]),
+            "h": calib.hidden_width,
+            "w1": [_real(v) for v in aux["w1"]],
+            "b1": [_real(v) for v in aux["b1"]],
+            "w2": [_real(v) for v in aux["w2"]],
+            "b2": _real(aux["b2"][0]),
         }
     doc["fit_meta"] = _meta_to_json(calib.fit_meta)
     return doc
+
+
+def _real_from_json(v, name: str) -> float:
+    if isinstance(v, bool):  # float(True) would read as 1.0
+        raise ValueError(f"{name} must be a real, got {json.dumps(v)}")
+    return float(v)
 
 
 def artifact_from_json(doc) -> CalibrationArtifact:
@@ -225,19 +227,19 @@ def artifact_from_json(doc) -> CalibrationArtifact:
             "fit_meta": _meta_from_json(doc.get("fit_meta", {})),
         }
         if method == "sigma":
-            kwargs["s"] = float(doc["s"])
+            kwargs["s"] = _real_from_json(doc["s"], "s")
         elif method == "aux":
-            from .calibrate import aux_shapes
-
             aux = doc["aux"]
-            h = int(aux["h"])
-            layers = ("w1", "b1", "w2")
-            for name in layers:
+            h = aux["h"]
+            if not isinstance(h, int) or isinstance(h, bool):
+                raise ValueError(f"aux field h must be an integer, got {json.dumps(h)}")
+            layers = {}
+            for name in ("w1", "b1", "w2"):
                 if not isinstance(aux[name], list) or len(aux[name]) != h:
                     raise ValueError(f"aux field {name} must be a list of h={h} reals")
-            weights = [float(v) for name in layers for v in aux[name]] + [float(aux["b2"])]
-            kwargs["aux_weights"] = np.array(weights)
-            kwargs["aux_shapes"] = aux_shapes(h)
+                layers[name] = [_real_from_json(v, f"aux field {name}") for v in aux[name]]
+            layers["b2"] = [_real_from_json(aux["b2"], "aux field b2")]
+            kwargs["aux"] = layers
     except KeyError as exc:
         raise ValueError(f"{method} artifact is missing field {exc}") from None
     except (AttributeError, TypeError, OverflowError) as exc:

@@ -77,10 +77,13 @@ def batch_nll(unc: Uncertainties, kind: str = "gaussian") -> float:
     if degenerate.size:
         i = degenerate[0]
         raise ValueError(f"degenerate uncertainty: record '{unc.ids[i]}' has total {s2[i]}")
-    if kind == "gaussian":
-        terms = HALF_LOG_2PI + 0.5 * np.log(s2) + unc.err_sq / (2.0 * s2)
-    else:
-        # Laplace scale b = sqrt(total); mean-across-d absolute error.
-        b = np.sqrt(s2)
-        terms = np.log(2.0 * b) + unc.abs_err / b
+    # A subnormal total can overflow the error term to inf; the caller
+    # decides what a non-finite NLL means, so no RuntimeWarning is printed.
+    with np.errstate(over="ignore"):
+        if kind == "gaussian":
+            terms = HALF_LOG_2PI + 0.5 * np.log(s2) + unc.err_sq / (2.0 * s2)
+        else:
+            # Laplace scale b = sqrt(total); mean-across-d absolute error.
+            b = np.sqrt(s2)
+            terms = np.log(2.0 * b) + unc.abs_err / b
     return float(np.mean(terms))

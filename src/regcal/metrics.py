@@ -66,16 +66,29 @@ def uncertainty_records(pset: McPredictionSet) -> Uncertainties:
     Epistemic is the population (1/N) variance of the sample means, computed
     per output dimension and averaged across the d outputs; aleatoric is the
     mean of exp(log_var) over passes. The result is uncalibrated.
+
+    Raises:
+        ValueError: naming the first record whose epistemic, aleatoric or
+            observed variance overflows to a non-finite value.
     """
-    y_mean = pset.means.mean(axis=1)
-    return Uncertainties(
-        ids=pset.ids,
-        y=pset.y,
-        y_mean=y_mean,
-        epistemic=np.mean((pset.means - y_mean[:, None, :]) ** 2, axis=(1, 2)),
-        aleatoric=np.mean(np.exp(pset.log_vars), axis=1),
-        pass_err_sq=np.mean((pset.means - pset.y[:, None, :]) ** 2, axis=(1, 2)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_mean = pset.means.mean(axis=1)
+        unc = Uncertainties(
+            ids=pset.ids,
+            y=pset.y,
+            y_mean=y_mean,
+            epistemic=np.mean((pset.means - y_mean[:, None, :]) ** 2, axis=(1, 2)),
+            aleatoric=np.mean(np.exp(pset.log_vars), axis=1),
+            pass_err_sq=np.mean((pset.means - pset.y[:, None, :]) ** 2, axis=(1, 2)),
+        )
+    finite = np.isfinite(unc.epistemic) & np.isfinite(unc.aleatoric) & np.isfinite(unc.pass_err_sq)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise ValueError(
+            f"record '{unc.ids[i]}': non-finite uncertainty (epistemic {unc.epistemic[i]}, "
+            f"aleatoric {unc.aleatoric[i]}, observed {unc.pass_err_sq[i]})"
+        )
+    return unc
 
 
 def mse(unc: Uncertainties) -> float:

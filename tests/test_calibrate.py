@@ -11,7 +11,6 @@ from regcal.calibrate import (
     apply_calibration,
     aux_fit,
     aux_forward,
-    aux_shapes,
     fit_sigma,
     sigma_closed_form_gaussian,
     sigma_closed_form_laplace,
@@ -163,8 +162,8 @@ class TestAuxFit:
         pset = random_set(rng, m=30, n=3)
         art = aux_fit(uncertainty_records(pset), AuxConfig(hidden_width=2, seed=1))
         assert art.hidden_width == 2
-        assert art.aux_shapes == aux_shapes(2)
-        assert len(art.aux_weights) == 2 + 2 + 2 + 1
+        shapes = {name: layer.shape for name, layer in art.aux.items()}
+        assert shapes == {"w1": (2,), "b1": (2,), "w2": (2,), "b2": (1,)}
 
     def test_underestimated_set_improves(self, rng):
         # Uncertainties uniformly 4x too small.
@@ -190,6 +189,92 @@ class TestAuxFit:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             AuxConfig(hidden_width=0)
+
+
+def _reference_aux_fit(unc, cfg, target):
+    """The aux training loop written out with a second network evaluation
+    after every update; returns (best layers, initial loss, best loss, best
+    epoch), raising CalibrationError like aux_fit on a non-finite loss."""
+    err_sq = unc.err_sq
+    x = np.log(unc.total if target == "predictive" else unc.aleatoric)
+    m = len(x)
+    rng = np.random.default_rng(cfg.seed)
+    h = cfg.hidden_width
+    p = {
+        "w1": rng.standard_normal(h),
+        "b1": np.zeros(h),
+        "w2": rng.standard_normal(h) * 0.01,
+        "b2": np.zeros(1),
+    }
+
+    def net():
+        z = np.outer(x, p["w1"]) + p["b1"]
+        a = np.maximum(z, 0.0)
+        return z, a, x + a @ p["w2"] + p["b2"][0]
+
+    def loss_of(g):
+        return float(np.mean(np.exp(-g) * err_sq + g))
+
+    best = {k: v.copy() for k, v in p.items()}
+    best_loss = init_loss = loss_of(net()[2])
+    best_epoch = 0
+    for epoch in range(1, cfg.epochs + 1):
+        z, a, g = net()
+        if not math.isfinite(loss_of(g)):
+            raise CalibrationError(f"non-finite aux training loss at epoch {epoch}")
+        dg = (1.0 - np.exp(-g) * err_sq) / m
+        dz = np.outer(dg, p["w2"]) * (z > 0.0)
+        grads = {"w1": x @ dz, "b1": dz.sum(axis=0), "w2": a.T @ dg, "b2": np.array([dg.sum()])}
+        for name in ("w1", "b1", "w2", "b2"):
+            p[name] -= cfg.step_size * grads[name]
+        loss = loss_of(net()[2])
+        if math.isfinite(loss) and loss < best_loss:
+            best, best_loss, best_epoch = {k: v.copy() for k, v in p.items()}, loss, epoch
+    return best, init_loss, best_loss, best_epoch
+
+
+class TestAuxFitMatchesReferenceLoop:
+    # (hidden_width, epochs, step_size, target, best epoch is the last one)
+    CASES = [
+        (16, 500, 3e-4, "predictive", True),
+        (4, 1, 1e-3, "aleatoric_only", True),
+        (3, 60, 0.3, "predictive", False),
+        (8, 60, 0.1, "aleatoric_only", False),
+        (5, 40, 0.01, "aleatoric_only", True),
+    ]
+
+    @pytest.mark.parametrize("h, epochs, step_size, target, best_is_last", CASES)
+    def test_bit_identical(self, rng, h, epochs, step_size, target, best_is_last):
+        unc = uncertainty_records(random_set(rng, m=40, n=4))
+        cfg = AuxConfig(hidden_width=h, epochs=epochs, step_size=step_size, seed=2)
+        art = aux_fit(unc, cfg, target=target)
+        best, init_loss, best_loss, best_epoch = _reference_aux_fit(unc, cfg, target)
+        assert (best_epoch == epochs) == best_is_last
+        assert set(art.aux) == set(best)
+        for name, layer in best.items():
+            assert np.array_equal(art.aux[name], layer)
+        assert art.fit_meta["initial_objective"] == init_loss
+        assert art.fit_meta["final_objective"] == best_loss
+
+    def test_diverging_fit_raises_at_the_same_epoch(self, rng):
+        unc = uncertainty_records(_constant_uncertainty_set(rng, 20, 0.1, 0.25))
+        cfg = AuxConfig(seed=0, step_size=1e12, epochs=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CalibrationError) as expected:
+                _reference_aux_fit(unc, cfg, "predictive")
+            with pytest.raises(CalibrationError) as got:
+                aux_fit(unc, cfg)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("epochs", [1, 7])
+    def test_one_network_evaluation_per_epoch(self, monkeypatch, rng, epochs):
+        import regcal.calibrate as calibrate
+
+        calls = []
+        real = calibrate._aux_pass
+        monkeypatch.setattr(calibrate, "_aux_pass", lambda *a: calls.append(1) or real(*a))
+        aux_fit(uncertainty_records(random_set(rng, m=10, n=3)), AuxConfig(epochs=epochs))
+        assert len(calls) == epochs + 1
 
 
 class TestApply:
@@ -232,11 +317,8 @@ class TestApply:
     def test_aux_total_matches_network_output(self, rng):
         base = uncertainty_records(random_set(rng, m=25, n=4))
         art = aux_fit(base, AuxConfig(seed=3, epochs=50))
-        from regcal.calibrate import _unflatten
-
-        params = _unflatten(art.aux_weights, art.aux_shapes)
         out = apply_calibration(base, art)
-        expect = np.exp(aux_forward(np.log(base.total), params))
+        expect = np.exp(aux_forward(np.log(base.total), art.aux))
         for i, e in enumerate(expect):
             assert out.total[i] == pytest.approx(e, rel=1e-12)
             assert out.total[i] == out.epistemic[i] + out.aleatoric[i]

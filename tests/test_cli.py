@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -262,9 +263,20 @@ class TestErrorReporting:
             (AUX % ('["1", "2", "3"]', '["0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
             (AUX % ('"12"', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
             (AUX % ('["1", "2"]', '["0", "0"]', '["0", "inf"]'), "requires finite weights"),
+            ('{"method": "sigma", "s": true}', "s must be a real, got true"),
+            ('{"method": "aux", "aux": {"h": true, "w1": [true], "b1": ["0"], "w2": [false],'
+             ' "b2": true}}', "aux field h must be an integer, got true"),
+            (AUX.replace('"h": 2', '"h": 2.0') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+             "aux field h must be an integer, got 2.0"),
+            (AUX.replace('"h": 2', '"h": "2"') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+             'aux field h must be an integer, got "2"'),
+            (AUX % ('["1", true]', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a real, got true"),
+            (AUX.replace('"b2": "0.0"', '"b2": false') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+             "aux field b2 must be a real, got false"),
         ],
         ids=["sigma-without-s", "infinite-s", "nan-s", "not-an-object", "aux-field-length",
-             "aux-field-string", "infinite-aux-weight"],
+             "aux-field-string", "infinite-aux-weight", "boolean-s", "boolean-aux", "float-h",
+             "string-h", "boolean-aux-weight", "boolean-b2"],
     )
     def test_bad_artifact_single_error_line(self, capsys, toy_dir, tmp_path, artifact, message):
         calib = tmp_path / "calib.json"
@@ -276,3 +288,49 @@ class TestErrorReporting:
         assert err.startswith("error: invalid-input: ") and message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    # Each dump has five good records plus one whose uncertainty cannot be
+    # represented: an overflowing exp(log_var), or a subnormal variance whose
+    # NLL term overflows.
+    NON_FINITE_DUMPS = {
+        "log-var-800": ([800.0, -2.0], [0.1, 0.3]),
+        "log-var-minus-740": ([-740.0, -740.0], [0.1, 0.1]),
+    }
+    NON_FINITE_COMMANDS = {
+        "evaluate": ["evaluate", "--input", "{bad}", "--out", "{out}.json"],
+        "intervals": ["intervals", "--input", "{bad}", "--out", "{out}.csv"],
+        "reject": ["reject", "--input", "{bad}", "--out", "{out}.csv"],
+        "ood-in-dist": ["ood", "--in-dist", "{bad}", "--shifted", "{good}", "--out", "{out}.csv"],
+        "ood-shifted": ["ood", "--in-dist", "{good}", "--shifted", "{bad}", "--out", "{out}.csv"],
+        "calibrate": ["calibrate", "--input", "{bad}", "--method", "sigma", "--out", "{out}.json"],
+        "calibrate-gd": ["calibrate", "--input", "{bad}", "--method", "sigma", "--gd",
+                         "--out", "{out}.json"],
+        "calibrate-aux": ["calibrate", "--input", "{bad}", "--method", "aux", "--out", "{out}.json"],
+    }
+
+    @pytest.mark.parametrize("dump, command", [
+        *[("log-var-800", command) for command in NON_FINITE_COMMANDS],
+        ("log-var-minus-740", "evaluate"),
+    ])
+    def test_non_finite_values_single_error_line(self, capsys, tmp_path, dump, command):
+        def write(path, records):
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        good = [{"id": f"r{i}", "y": [0.2], "samples": [
+            {"mean": [0.1], "log_var": -2.0 + 0.1 * i}, {"mean": [0.3], "log_var": -1.5}]}
+            for i in range(5)]
+        log_vars, means = self.NON_FINITE_DUMPS[dump]
+        bad = {"id": "r9", "y": [0.2], "samples": [
+            {"mean": [m], "log_var": lv} for m, lv in zip(means, log_vars)]}
+        write(tmp_path / "good.jsonl", good)
+        write(tmp_path / "bad.jsonl", good + [bad])
+        out = tmp_path / "out"
+        argv = [a.format(bad=tmp_path / "bad.jsonl", good=tmp_path / "good.jsonl", out=out)
+                for a in self.NON_FINITE_COMMANDS[command]]
+        with warnings.catch_warnings(record=True) as caught:  # would print to stderr
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not Path(argv[-1]).exists()

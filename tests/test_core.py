@@ -75,10 +75,11 @@ class TestCalibrationArtifact:
             CalibrationArtifact(method="aux")
 
     def test_aux_weight_length_checked(self):
-        shapes = {"w1": (2,), "b1": (2,), "w2": (2,), "b2": (1,)}
-        with pytest.raises(ValueError, match="entries"):
-            CalibrationArtifact(method="aux", aux_weights=np.zeros(3), aux_shapes=shapes)
-        art = CalibrationArtifact(method="aux", aux_weights=np.zeros(7), aux_shapes=shapes)
+        layers = {"w1": np.zeros(2), "b1": np.zeros(2), "w2": np.zeros(2), "b2": np.zeros(1)}
+        for name, bad in [("w1", np.zeros(3)), ("w2", np.zeros(1)), ("b2", np.zeros(2))]:
+            with pytest.raises(ValueError, match="share one length"):
+                CalibrationArtifact(method="aux", aux={**layers, name: bad})
+        art = CalibrationArtifact(method="aux", aux=layers)
         assert art.hidden_width == 2
 
     def test_unknown_enums_rejected(self):
@@ -92,4 +93,4 @@ class TestCalibrationArtifact:
     def test_identity_artifact(self):
         art = identity_artifact()
         assert art.method == "identity"
-        assert art.s is None and art.aux_weights is None
+        assert art.s is None and art.aux is None

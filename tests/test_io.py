@@ -139,7 +139,9 @@ class TestArtifactPersistence:
         loaded = load_artifact(path)
         assert loaded.method == "aux"
         assert loaded.hidden_width == 4
-        assert np.array_equal(loaded.aux_weights, art.aux_weights)
+        assert set(loaded.aux) == set(art.aux)
+        for name, layer in art.aux.items():
+            assert np.array_equal(loaded.aux[name], layer)
 
     def test_aux_json_layout(self, tmp_path, rng):
         art = aux_fit(
