@@ -27,11 +27,10 @@ from .core import (
     McPredictionSet,
     Uncertainties,
     identity_artifact,
-    validate,
 )
 from .intervals import CoverageTable, coverage, probit
 from .io import DumpFormatError, load_artifact, load_dump, save_artifact, save_dump
-from .likelihood import batch_nll, gaussian_nll, laplace_nll
+from .likelihood import batch_nll
 from .metrics import UceReport, calibration_diagram, mse, uce, uncertainty_records
 from .toymodel import (
     SyntheticSpec,
@@ -71,10 +70,8 @@ __all__ = [
     "calibration_diagram",
     "coverage",
     "fit_sigma",
-    "gaussian_nll",
     "generate",
     "identity_artifact",
-    "laplace_nll",
     "load_artifact",
     "load_dump",
     "mc_predict",
@@ -92,5 +89,4 @@ __all__ = [
     "train",
     "uce",
     "uncertainty_records",
-    "validate",
 ]

@@ -62,7 +62,13 @@ class AuxConfig:
             raise ValueError("epochs and step_size must be positive")
 
 
-def _as_positive_arrays(errors, scales, scale_name: str):
+def _ratios(errors, scales, scale_name: str) -> np.ndarray:
+    """Checked per-record ratios errors / scales, the only statistic s depends on.
+
+    Raises ``CalibrationError`` when the ratios do not have a finite sum (for
+    instance a subnormal variance overflows its ratio), since s is a
+    function of that sum and no finite s fits it.
+    """
     errors = np.asarray(errors, dtype=float)
     scales = np.asarray(scales, dtype=float)
     if errors.shape != scales.shape:
@@ -75,7 +81,15 @@ def _as_positive_arrays(errors, scales, scale_name: str):
         raise ValueError(f"all {scale_name} must be > 0")
     if np.any(errors < 0):
         raise ValueError("errors must be >= 0")
-    return errors, scales
+    with np.errstate(over="ignore"):
+        ratios = errors / scales
+        ratio_sum = np.sum(ratios)
+    if not np.isfinite(ratio_sum):
+        raise CalibrationError(
+            f"error / {scale_name[:-1]} ratios do not have a finite sum "
+            f"(smallest {scale_name[:-1]} {scales.min():.3g}); s cannot be fitted"
+        )
+    return ratios
 
 
 def sigma_closed_form_gaussian(errors_sq, variances) -> float:
@@ -84,14 +98,12 @@ def sigma_closed_form_gaussian(errors_sq, variances) -> float:
     s = sqrt( mean_i errors_sq_i / variances_i ); the positive root. Returns
     exactly 1 when errors_sq == variances elementwise (already calibrated).
     """
-    errors_sq, variances = _as_positive_arrays(errors_sq, variances, "variances")
-    return float(np.sqrt(np.mean(errors_sq / variances)))
+    return float(np.sqrt(np.mean(_ratios(errors_sq, variances, "variances"))))
 
 
 def sigma_closed_form_laplace(abs_errors, sigmas) -> float:
     """Closed-form scale for the Laplacian objective: mean of |err|/sigma."""
-    abs_errors, sigmas = _as_positive_arrays(abs_errors, sigmas, "sigmas")
-    return float(np.mean(abs_errors / sigmas))
+    return float(np.mean(_ratios(abs_errors, sigmas, "sigmas")))
 
 
 def _sigma_objective(s: float, m: int, ratio_sum: float, kind: str) -> float:
@@ -122,11 +134,9 @@ def sigma_fit_gd(
     if kind not in ("gaussian", "laplace"):
         raise ValueError(f"unknown likelihood kind {kind!r}")
     opts = opts or SigmaFitOptions()
-    errors, scales = _as_positive_arrays(
-        errors, scales, "variances" if kind == "gaussian" else "sigmas"
-    )
-    m = len(errors)
-    ratio_sum = float(np.sum(errors / scales))  # sum of err^2/var or |err|/sigma
+    ratios = _ratios(errors, scales, "variances" if kind == "gaussian" else "sigmas")
+    m = len(ratios)
+    ratio_sum = float(np.sum(ratios))  # sum of err^2/var or |err|/sigma
     ratio_mean = ratio_sum / m
 
     rho = math.log(SIGMA_GD_INIT_S)
@@ -256,8 +266,10 @@ def aux_fit(
     }
 
     def evaluate():
-        z, a, g = _aux_pass(x, params)
-        return z, a, g, float(np.mean(np.exp(-g) * err_sq + g))
+        # An overflow makes the loss non-finite, which the loop reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, a, g = _aux_pass(x, params)
+            return z, a, g, float(np.mean(np.exp(-g) * err_sq + g))
 
     best_params = {k: v.copy() for k, v in params.items()}
     z, a, g, loss = evaluate()

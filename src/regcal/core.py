@@ -1,4 +1,4 @@
-"""Domain types shared across the toolkit, plus prediction-dump validation.
+"""Domain types shared across the toolkit.
 
 The universal input is an :class:`McPredictionSet`: dense arrays holding, for
 m test samples, the ground truth and N stochastic forward-pass outputs (a
@@ -6,8 +6,9 @@ mean vector and the log of the predicted aleatoric variance). Decomposing it
 gives one columnar :class:`Uncertainties`, and everything downstream
 (recalibration, calibration error, intervals, rejection) consumes that.
 
-All types are treated as immutable after construction; validation is a pure
-function that reports violations instead of raising.
+All types are treated as immutable after construction. The constructors of
+:class:`McPredictionSet` and :class:`CalibrationArtifact` raise ``ValueError``
+on shapes or fields their type cannot hold.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ class McPredictionSet:
     """Monte-Carlo prediction dump: m records, each with N samples of dimension d.
 
     ``y`` is (m, d), ``means`` is (m, N, d) and ``log_vars`` is (m, N); m, N
-    and d are read off these shapes, and inconsistent shapes raise
-    ``ValueError``.
+    and d are read off these shapes. Inconsistent shapes, or an m, N or d
+    below 1, raise ``ValueError``. Finiteness is checked where the values
+    enter (:func:`regcal.io.load_dump`) and where they are decomposed
+    (:func:`regcal.metrics.uncertainty_records`).
     """
 
     ids: list[str]
@@ -53,6 +56,8 @@ class McPredictionSet:
                 f"inconsistent shapes: {m} ids, y {self.y.shape}, "
                 f"means {self.means.shape}, log_vars {self.log_vars.shape}"
             )
+        if min(self.means.shape) < 1:
+            raise ValueError(f"empty set: m, N and d must be >= 1, got means {self.means.shape}")
 
     @property
     def m(self) -> int:
@@ -165,33 +170,3 @@ class BinStats:
     count: int
     var_obs: float  # mean observed squared deviation in the bin
     uncert_mean: float  # mean predicted uncertainty in the bin
-
-
-def validate(pset: McPredictionSet) -> list[str]:
-    """Check the set's invariants; return a list of violations.
-
-    An empty list means the set is well formed. Each violation names the
-    offending record id and field. Never raises.
-    """
-    violations: list[str] = []
-    if pset.d < 1:
-        violations.append(f"set: d must be >= 1 (got {pset.d})")
-    if pset.m < 1:
-        violations.append("set: no records (m must be >= 1)")
-        return violations
-    if pset.n_samples < 1:
-        return [f"record '{rid}': no samples (N must be >= 1)" for rid in pset.ids]
-
-    bad_y = ~np.all(np.isfinite(pset.y), axis=1)
-    bad_mean = ~np.all(np.isfinite(pset.means), axis=2)
-    bad_log_var = ~np.isfinite(pset.log_vars)
-    for i in np.flatnonzero(bad_y | bad_mean.any(axis=1) | bad_log_var.any(axis=1)):
-        rid = pset.ids[i]
-        if bad_y[i]:
-            violations.append(f"record '{rid}': non-finite y")
-        for j in range(pset.n_samples):
-            if bad_mean[i, j]:
-                violations.append(f"record '{rid}': non-finite mean in sample {j}")
-            if bad_log_var[i, j]:
-                violations.append(f"record '{rid}': non-finite log_var in sample {j}")
-    return violations

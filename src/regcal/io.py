@@ -46,9 +46,10 @@ def load_dump(path) -> McPredictionSet:
     """Parse and validate a JSONL prediction dump.
 
     All problems are aggregated into one :class:`DumpFormatError` whose
-    message lists every offending line number and field. The per-line checks
-    cover every violation :func:`regcal.core.validate` reports, and also
-    reject duplicate ids.
+    message lists every offending line number and field. These per-line
+    checks are where a dump is validated: each record needs a unique string
+    id, a non-empty finite y and at least one sample with a finite mean and
+    log_var, with N and d the same on every line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

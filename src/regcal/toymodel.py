@@ -27,6 +27,12 @@ PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wm", "bm", "Wv", "bv")
 # from exploding in the first epochs.
 INIT_LOG_VAR = math.log(0.01)
 
+# The one training recipe. Every run uses this architecture and optimiser;
+# ToyModelConfig holds only what callers vary between runs.
+HIDDEN = (64, 64)
+BATCH_SIZE = 16
+STEP_SIZE = 3e-4
+WEIGHT_DECAY = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -90,27 +96,20 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
 @dataclass
 class ToyModelConfig:
-    hidden: tuple[int, int] = (64, 64)
+    """The settings of one toy run: dropout rate, training epochs, MC passes
+    per dump and seed. Architecture and optimiser are the module constants
+    ``HIDDEN``, ``BATCH_SIZE``, ``STEP_SIZE`` and ``WEIGHT_DECAY``."""
+
     dropout_p: float = 0.2
     epochs: int = 500
-    batch_size: int = 16
-    step_size: float = 3e-4
-    weight_decay: float = 1e-7
     mc_passes: int = 25
     seed: int = 0
-    # Optional knobs, both off by default: a reduce-on-plateau step-size
-    # schedule and early stopping on validation MSE (patience 20, factor 0.1).
-    lr_plateau: bool = False
-    early_stopping: bool = False
-    patience: int = 20
 
     def __post_init__(self):
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must lie in [0, 1)")
-        if min(self.epochs, self.batch_size, self.mc_passes, self.patience) < 1:
-            raise ValueError("epochs, batch_size, mc_passes, patience must be >= 1")
-        if self.step_size <= 0 or self.weight_decay < 0:
-            raise ValueError("step_size must be > 0 and weight_decay >= 0")
+        if min(self.epochs, self.mc_passes) < 1:
+            raise ValueError("epochs and mc_passes must be >= 1")
 
 
 def toy_experiment_config(seed: int = 0) -> ToyModelConfig:
@@ -208,9 +207,15 @@ def loss_and_grads(params, x, y, masks, p: float, weight_decay: float):
 
 @dataclass
 class ToyModel:
+    """Trained weights, named as in ``PARAM_NAMES``, and the dropout rate
+    they were trained with. The hidden widths are read off the weights."""
+
     params: dict[str, np.ndarray]
-    hidden: tuple[int, int]
     dropout_p: float
+
+    @property
+    def hidden(self) -> tuple[int, int]:
+        return len(self.params["b1"]), len(self.params["b2"])
 
     def predict(self, x: np.ndarray):
         """Deterministic forward pass (no dropout): (mu, log_var)."""
@@ -220,7 +225,8 @@ class ToyModel:
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch diagnostics, one float per epoch in every list.
+    """Per-epoch diagnostics of :func:`train`: every list holds one float per
+    epoch, so ``n_epochs`` equals the configured ``epochs``.
 
     ``s`` is the closed-form sigma scale fitted on that epoch's deterministic
     validation pass, and ``test_nll_calibrated`` the test NLL after scaling
@@ -229,7 +235,6 @@ class TrainingTrace:
 
     train_mse: list[float] = field(default_factory=list)
     test_mse: list[float] = field(default_factory=list)
-    val_mse: list[float] = field(default_factory=list)
     train_sigma2: list[float] = field(default_factory=list)
     test_sigma2: list[float] = field(default_factory=list)
     train_nll: list[float] = field(default_factory=list)
@@ -262,40 +267,37 @@ def _epoch_eval(params, split: LabeledData):
 
 
 def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
-    """Train the two-headed MLP; returns (model, trace).
+    """Train the two-headed MLP for ``cfg.epochs`` epochs; returns (model, trace).
 
     Minimizes the mean per-sample Gaussian NLL term plus weight decay by
-    minibatch Adam steps (beta1=0.9, beta2=0.999, eps=1e-8) on one flat
-    parameter vector. Dropout is active on every training step. After each
+    minibatch Adam steps (``BATCH_SIZE``, ``STEP_SIZE``, ``WEIGHT_DECAY``;
+    beta1=0.9, beta2=0.999, eps=1e-8) on one flat parameter vector, at a
+    constant step size. Dropout is active on every training step. After each
     epoch sigma scaling is fitted on the validation split and the
-    recalibrated test NLL recorded (see :class:`TrainingTrace`). Fully
-    deterministic given cfg.seed.
+    recalibrated test NLL recorded (see :class:`TrainingTrace`). The model
+    returned holds the weights after the last epoch. Fully deterministic
+    given cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
     rng = np.random.default_rng(cfg.seed)
-    theta, params = _flatten(init_params(cfg.hidden, rng))
+    theta, params = _flatten(init_params(HIDDEN, rng))
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
-    lr = cfg.step_size
     step = 0
     trace = TrainingTrace()
     m_train = len(data.train.x)
 
-    best_val_mse = math.inf
-    best_theta = None
-    stale = 0
-
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(m_train)
-        for start in range(0, m_train, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            masks = draw_masks(rng, len(idx), cfg.hidden, cfg.dropout_p)
+        for start in range(0, m_train, BATCH_SIZE):
+            idx = perm[start : start + BATCH_SIZE]
+            masks = draw_masks(rng, len(idx), HIDDEN, cfg.dropout_p)
             loss, grads = loss_and_grads(
-                params, data.train.x[idx], data.train.y[idx], masks, cfg.dropout_p, cfg.weight_decay
+                params, data.train.x[idx], data.train.y[idx], masks, cfg.dropout_p, WEIGHT_DECAY
             )
             if not math.isfinite(loss):
                 raise ValueError(
-                    f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch_size}"
+                    f"non-finite training loss at epoch {epoch}, batch {start // BATCH_SIZE}"
                 )
             g = np.concatenate([grads[name].ravel() for name in params])
             step += 1
@@ -303,16 +305,15 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
             adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
             m_hat = adam_m / (1.0 - ADAM_BETA1**step)
             v_hat = adam_v / (1.0 - ADAM_BETA2**step)
-            theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            theta -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(params, data.train)
         te_err, te_s2_arr, te_mse, te_s2, te_nll = _epoch_eval(params, data.test)
-        va_err, va_s2_arr, va_mse, _, _ = _epoch_eval(params, data.val)
+        va_err, va_s2_arr, _, _, _ = _epoch_eval(params, data.val)
         s = sigma_closed_form_gaussian(va_err, va_s2_arr)
         scaled = te_s2_arr * (s * s)
         trace.train_mse.append(tr_mse)
         trace.test_mse.append(te_mse)
-        trace.val_mse.append(va_mse)
         trace.train_sigma2.append(tr_s2)
         trace.test_sigma2.append(te_s2)
         trace.train_nll.append(tr_nll)
@@ -320,25 +321,7 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
         trace.s.append(s)
         trace.test_nll_calibrated.append(float(np.mean(te_err / scaled + np.log(scaled))))
 
-        if cfg.lr_plateau or cfg.early_stopping:
-            if va_mse < best_val_mse:
-                best_val_mse = va_mse
-                stale = 0
-                if cfg.early_stopping:
-                    best_theta = theta.copy()
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    if cfg.early_stopping:
-                        break
-                    if cfg.lr_plateau:
-                        lr *= 0.1
-                        stale = 0
-
-    if cfg.early_stopping and best_theta is not None:
-        theta[:] = best_theta
-    model = ToyModel(params=params, hidden=cfg.hidden, dropout_p=cfg.dropout_p)
-    return model, trace
+    return ToyModel(params=params, dropout_p=cfg.dropout_p), trace
 
 
 def mc_predict(

@@ -16,11 +16,8 @@ def make_record(rid, y, means, log_vars):
     )
 
 
-def make_set(records, d=None):
+def make_set(records):
     """Stack records from :func:`make_record` into one prediction set."""
-    if not records:
-        d = 1 if d is None else d
-        return McPredictionSet([], np.zeros((0, d)), np.zeros((0, 0, d)), np.zeros((0, 0)))
     ids, ys, means, log_vars = zip(*records)
     return McPredictionSet(list(ids), np.stack(ys), np.stack(means), np.stack(log_vars))
 
@@ -33,7 +30,7 @@ def random_set(rng, m=50, n=5, d=1, scale=0.1):
         means = y + rng.normal(0.0, scale, size=(n, d))
         log_vars = rng.normal(np.log(scale**2), 0.5, size=n)
         records.append(make_record(f"r{i:04d}", y, means, log_vars))
-    return make_set(records, d=d)
+    return make_set(records)
 
 
 def calibrated(pset, calib=None):

@@ -61,6 +61,16 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="length mismatch"):
             sigma_closed_form_gaussian([1.0, 2.0], [1.0])
 
+    # One ratio overflows (a subnormal scale), or two finite ratios overflow
+    # their sum; no finite s fits either.
+    @pytest.mark.parametrize("fn", [sigma_closed_form_gaussian, sigma_closed_form_laplace,
+                                    sigma_fit_gd])
+    @pytest.mark.parametrize("errors, scales", [([0.01, 0.5], [4e-322, 1.0]),
+                                                ([1e8, 1e8], [1e-300, 1e-300])])
+    def test_error_on_non_finite_ratio_sum(self, fn, errors, scales):
+        with pytest.raises(CalibrationError, match="finite sum"):
+            fn(errors, scales)
+
     @given(c=st.floats(min_value=0.1, max_value=10))
     def test_gaussian_scale_equivariance(self, c):
         e = np.array([0.5, 2.0, 0.9])

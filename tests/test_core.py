@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from regcal.core import CalibrationArtifact, McPredictionSet, identity_artifact, validate
+from regcal.core import CalibrationArtifact, McPredictionSet, identity_artifact
 from regcal.metrics import uncertainty_records
 
 from conftest import make_record, make_set
 
 
 class TestValidate:
+    """Prediction-set invariants: the constructor refuses bad shapes and
+    uncertainty_records refuses non-finite values, naming the record."""
+
     def test_well_formed_set_gives_empty_report(self):
         records = [
             make_record(f"r{i}", [0.5], [[0.4], [0.6]], [-2.0, -2.1]) for i in range(3)
         ]
-        assert validate(make_set(records)) == []
+        assert uncertainty_records(make_set(records)).m == 3
 
     def test_inconsistent_n_is_reported(self):
         # A columnar set cannot hold records with different N: the
@@ -37,21 +40,25 @@ class TestValidate:
         records = [
             make_record("a", [0.5], [[0.4], [0.6]], [-2.0, float("nan")]),
         ]
-        report = validate(make_set(records))
-        assert any("non-finite log_var" in v and "'a'" in v for v in report)
+        with pytest.raises(ValueError, match="'a'"):
+            uncertainty_records(make_set(records))
 
     def test_non_finite_mean_and_y(self):
         records = [
             make_record("a", [float("inf")], [[0.4]], [-2.0]),
             make_record("b", [0.5], [[float("nan")]], [-2.0]),
         ]
-        report = validate(make_set(records))
-        assert any("non-finite y" in v for v in report)
-        assert any("non-finite mean" in v for v in report)
+        # Each bad record is named when it is the first one decomposed.
+        with pytest.raises(ValueError, match="'a'"):
+            uncertainty_records(make_set(records))
+        with pytest.raises(ValueError, match="'b'"):
+            uncertainty_records(make_set(records[1:]))
 
     def test_empty_set_is_reported(self):
-        report = validate(make_set([], d=1))
-        assert any("no records" in v for v in report)
+        with pytest.raises(ValueError, match="m, N and d must be >= 1"):
+            McPredictionSet([], np.zeros((0, 1)), np.zeros((0, 0, 1)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="m, N and d must be >= 1"):
+            McPredictionSet(["a"], np.zeros((1, 1)), np.zeros((1, 0, 1)), np.zeros((1, 0)))
 
 
 def test_aleatoric_variance_always_positive(rng):

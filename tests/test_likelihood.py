@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regcal.calibrate import apply_calibration, fit_sigma
-from regcal.likelihood import batch_nll, gaussian_nll, laplace_nll
+from regcal.likelihood import HALF_LOG_2PI, batch_nll
 from regcal.metrics import uncertainty_records
 
 from conftest import calibrated, make_record, make_set, random_set
@@ -13,61 +13,64 @@ from conftest import calibrated, make_record, make_set, random_set
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
+def one_record_nll(y, y_hat, log_var, kind="gaussian"):
+    """batch_nll of one N=1 record: MC mean y_hat, total variance exp(log_var)."""
+    return batch_nll(uncertainty_records(make_set([make_record("a", [y], [[y_hat]], [log_var])])), kind)
+
+
 class TestGaussianNll:
+    """batch_nll's Gaussian term: 1/2 log(2 pi) + 1/2 log_var + e^2 / (2 exp(log_var))."""
+
     def test_zero_error_unit_variance(self):
-        assert gaussian_nll([0.5], [0.5], 0.0) == 0.0
+        assert one_record_nll(0.5, 0.5, 0.0) == HALF_LOG_2PI
 
     def test_unit_error_unit_variance(self):
-        assert gaussian_nll([0.0], [1.0], 0.0) == 1.0
+        assert one_record_nll(0.0, 1.0, 0.0) == pytest.approx(HALF_LOG_2PI + 0.5, abs=1e-15)
 
     def test_hand_evaluated_term(self):
-        # 0.2^2 / 0.5 + ln 0.5 = 0.08 - 0.6931471805599453
-        assert gaussian_nll([0.0], [0.2], math.log(0.5)) == pytest.approx(
-            -0.6131471805599453, abs=1e-12
+        # (0.2^2 / 0.5 + ln 0.5) / 2 = (0.08 - 0.6931471805599453) / 2
+        assert one_record_nll(0.0, 0.2, math.log(0.5)) == pytest.approx(
+            HALF_LOG_2PI - 0.6131471805599453 / 2, abs=1e-12
         )
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            gaussian_nll([0.0, 1.0], [0.0], 0.0)
-
     def test_minimized_at_log_squared_error(self):
-        # For fixed error e^2 the loss e^2/s2 + log s2 bottoms out at
-        # s2 = e^2 with value 1 + log e^2.
+        # For fixed error e^2 the term bottoms out at variance e^2 with
+        # value 1/2 log(2 pi) + (1 + log e^2) / 2.
         err_sq = 0.3**2
         grid = np.linspace(math.log(err_sq) - 2, math.log(err_sq) + 2, 2001)
-        values = [gaussian_nll([0.0], [0.3], lv) for lv in grid]
+        values = [one_record_nll(0.0, 0.3, lv) for lv in grid]
         best = grid[int(np.argmin(values))]
         assert best == pytest.approx(math.log(err_sq), abs=2e-3)
-        assert min(values) == pytest.approx(1 + math.log(err_sq), abs=1e-5)
+        assert min(values) == pytest.approx(HALF_LOG_2PI + (1 + math.log(err_sq)) / 2, abs=1e-5)
 
     @given(y=finite, y_hat=finite, shift=finite, log_var=st.floats(-5, 5))
     def test_translation_invariant(self, y, y_hat, shift, log_var):
-        a = gaussian_nll([y + shift], [y_hat + shift], log_var)
-        b = gaussian_nll([y], [y_hat], log_var)
+        a = one_record_nll(y + shift, y_hat + shift, log_var)
+        b = one_record_nll(y, y_hat, log_var)
         assert a == pytest.approx(b, abs=1e-9)
 
 
 class TestLaplaceNll:
+    """batch_nll's Laplace term with scale b = sqrt(total): log(2 b) + |e| / b."""
+
     def test_zero_error(self):
-        assert laplace_nll([0.5], [0.5], 0.0) == 0.0
+        assert one_record_nll(0.5, 0.5, 0.0, "laplace") == math.log(2.0)
 
     def test_unit_error_unit_scale(self):
-        assert laplace_nll([0.0], [1.0], 0.0) == 1.0
-
-    def test_hand_evaluated_term(self):
-        # 0.5/2 + ln 2 = 0.25 + 0.6931471805599453
-        assert laplace_nll([0.0], [0.5], math.log(2.0)) == pytest.approx(
-            0.9431471805599453, abs=1e-12
+        assert one_record_nll(0.0, 1.0, 0.0, "laplace") == pytest.approx(
+            math.log(2.0) + 1.0, abs=1e-15
         )
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            laplace_nll([0.0], [0.0, 1.0], 0.0)
+    def test_hand_evaluated_term(self):
+        # b = 2: ln 4 + 0.5/2 = 1.3862943611198906 + 0.25
+        assert one_record_nll(0.0, 0.5, 2 * math.log(2.0), "laplace") == pytest.approx(
+            1.6362943611198906, abs=1e-12
+        )
 
     @given(y=finite, y_hat=finite, shift=finite, log_sigma=st.floats(-5, 5))
     def test_translation_invariant(self, y, y_hat, shift, log_sigma):
-        a = laplace_nll([y + shift], [y_hat + shift], log_sigma)
-        b = laplace_nll([y], [y_hat], log_sigma)
+        a = one_record_nll(y + shift, y_hat + shift, 2 * log_sigma, "laplace")
+        b = one_record_nll(y, y_hat, 2 * log_sigma, "laplace")
         assert a == pytest.approx(b, abs=1e-9)
 
 

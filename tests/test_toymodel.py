@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from regcal.calibrate import sigma_closed_form_gaussian
-from regcal.core import validate
 from regcal.io import dump_lines
 from regcal.metrics import uncertainty_records
 from regcal.toymodel import (
     SyntheticSpec,
+    ToyModel,
     ToyModelConfig,
     draw_masks,
-    forward,
     generate,
     init_params,
     loss_and_grads,
@@ -139,24 +138,6 @@ class TestTrain:
             assert len(values) == QUICK.epochs, f.name
             assert all(type(v) is float for v in values), f.name
 
-    def test_early_stopping_restores_best(self):
-        data = generate(SyntheticSpec(seed=0))
-        cfg = ToyModelConfig(epochs=400, seed=0, early_stopping=True, patience=10)
-        model, trace = train(data, cfg)
-        assert trace.n_epochs < 400
-        # the returned model is the best-validation snapshot, not the last
-        mu, _, _ = forward(model.params, data.val.x)
-        returned_val = float(np.mean((data.val.y - mu) ** 2))
-        val_curve = trace.val_mse
-        assert returned_val == pytest.approx(min(val_curve), rel=1e-12)
-        assert returned_val < val_curve[-1] or trace.n_epochs == np.argmin(val_curve) + 1
-
-    def test_plateau_schedule_runs(self):
-        data = generate(SyntheticSpec(seed=0))
-        cfg = ToyModelConfig(epochs=80, seed=0, lr_plateau=True, patience=5)
-        _, trace = train(data, cfg)
-        assert trace.n_epochs == 80
-
     def test_non_finite_loss_raises_with_epoch(self):
         data = generate(SyntheticSpec(seed=0))
         data.train.y[:] = 1e200
@@ -189,6 +170,15 @@ class TestMcPredict:
         b = mc_predict(model, data.val, n_passes=4, seed=9)
         assert list(dump_lines(a)) == list(dump_lines(b))
 
+    def test_hidden_widths_read_off_the_weights(self, rng):
+        model = ToyModel(params=init_params((5, 4), rng), dropout_p=0.3)
+        assert model.hidden == (5, 4)
+        data = generate(SyntheticSpec(seed=0, m_test=7))
+        pset = mc_predict(model, data.test, n_passes=3, seed=0)
+        assert (pset.m, pset.n_samples, pset.d) == (7, 3, 1)
+        assert np.all(np.isfinite(pset.means)) and np.all(np.isfinite(pset.log_vars))
+        assert uncertainty_records(pset).m == 7
+
     def test_output_validates_and_feeds_pipeline(self):
         from regcal.calibrate import apply_calibration, fit_sigma
         from regcal.intervals import coverage
@@ -197,7 +187,6 @@ class TestMcPredict:
         data = generate(SyntheticSpec(seed=0))
         model, _ = train(data, QUICK)
         pset = mc_predict(model, data.test, n_passes=25, seed=3)
-        assert validate(pset) == []
         unc = uncertainty_records(pset)
         art = fit_sigma(unc)
         report = uce(apply_calibration(unc, art), k=10)
