@@ -16,6 +16,7 @@ from regcal import (
     batch_nll,
     fit_sigma,
     generate,
+    identity_artifact,
     mc_predict,
     mse,
     toy_experiment_config,
@@ -61,7 +62,7 @@ print(f"  sigma scaling: s = {sigma_art.s:.3f}")
 
 print("\ntest-set comparison (uncalibrated vs recalibrated):")
 print(f"{'method':<10} {'MSE':>10} {'NLL':>10} {'UCE':>8}")
-for name, art in (("none", None), ("sigma", sigma_art), ("aux", aux_art)):
+for name, art in (("none", identity_artifact()), ("sigma", sigma_art), ("aux", aux_art)):
     unc = apply_calibration(test_unc, art)
     row_mse = mse(unc)
     row_nll = batch_nll(unc)

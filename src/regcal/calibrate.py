@@ -314,7 +314,7 @@ def aux_fit(
 # -- applying artifacts -----------------------------------------------------
 
 
-def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact | None) -> Uncertainties:
+def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact) -> Uncertainties:
     """Recalibrate per-record uncertainties; predictions stay untouched.
 
     sigma scaling multiplies variances by s^2 (both summands proportionally
@@ -324,7 +324,7 @@ def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact | None) -> 
     other field is passed through unchanged, so means are bit-identical to
     the input.
     """
-    if calib is None or calib.method == "identity":
+    if calib.method == "identity":
         return unc
     epi, alea = unc.epistemic, unc.aleatoric
     if calib.method == "sigma":

@@ -180,7 +180,7 @@ def cmd_toy(args) -> int:
         "interval_membership": "joint",
         "test": {},
     }
-    for name, calib in (("none", None), ("sigma", sigma_calib), ("aux", aux_calib)):
+    for name, calib in (("none", identity_artifact()), ("sigma", sigma_calib), ("aux", aux_calib)):
         unc = apply_calibration(test, calib)
         table = coverage(unc, DEFAULT_LEVELS)
         entry = {

@@ -155,9 +155,9 @@ class CalibrationArtifact:
         return None if self.aux is None else len(self.aux["b1"])
 
 
-def identity_artifact(likelihood: str = "gaussian", target: str = "predictive") -> CalibrationArtifact:
+def identity_artifact() -> CalibrationArtifact:
     """Artifact whose application is a no-op."""
-    return CalibrationArtifact(method="identity", likelihood=likelihood, target=target)
+    return CalibrationArtifact(method="identity")
 
 
 @dataclass

@@ -4,6 +4,8 @@ Dumps are JSON Lines, one record per line:
 
     {"id": "...", "y": [d reals], "samples": [{"mean": [d reals], "log_var": r}, ...]}
 
+:func:`load_dump` checks each line with one record parser and reports the
+first problem of every invalid line in one :class:`DumpFormatError`.
 Reals are serialized with full round-trip precision (shortest repr), so a
 load/save cycle is byte-stable. Calibration artifacts are JSON documents in
 which every real is a decimal string of full precision.
@@ -21,123 +23,99 @@ class DumpFormatError(ValueError):
     pass
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+class _BadLine(Exception):
+    """The problems of one dump line, each message without its line prefix."""
 
 
-def _is_finite(v) -> bool:
+def _numbers(value, name: str) -> list:
+    """``value`` itself when it is a non-empty JSON array of finite numbers."""
+    if not isinstance(value, list) or not value or not all(type(v) in (int, float) for v in value):
+        raise _BadLine(f"field {name} must be a non-empty array of numbers")
     try:
-        return math.isfinite(v)
+        finite = all(map(math.isfinite, value))
     except OverflowError:  # a JSON integer too large for a float
-        return False
+        finite = False
+    if not finite:
+        raise _BadLine(f"non-finite {name}")
+    return value
 
 
-def _check_vector(value, name: str, lineno: int, errors: list[str]):
-    if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
-        errors.append(f"line {lineno}: field {name} must be a non-empty array of numbers")
-        return None
-    if not all(_is_finite(v) for v in value):
-        errors.append(f"line {lineno}: non-finite {name}")
-        return None
-    return [float(v) for v in value]
+def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str, int]):
+    """Check one non-blank dump line and return its (id, y, means, log_vars).
+
+    Raises :class:`_BadLine` at the first problem. The id and d are claimed
+    as soon as each passes its check, so later lines are held to them even
+    when this one fails further on; only a valid line fixes N.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _BadLine(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise _BadLine("record must be a JSON object")
+    missing = [f"missing field {name}" for name in ("id", "y", "samples") if name not in obj]
+    if missing:
+        raise _BadLine(*missing)
+    rid = obj["id"]
+    if not isinstance(rid, str):
+        raise _BadLine("field id must be a string")
+    first = first_line.setdefault(rid, lineno)
+    if first != lineno:
+        raise _BadLine(f"duplicate id '{rid}' (first on line {first})")
+    y = _numbers(obj["y"], "y")
+    d = shape.setdefault("d", len(y))
+    if len(y) != d:
+        raise _BadLine(f"y has length {len(y)}, expected {d}")
+    samples = obj["samples"]
+    if not isinstance(samples, list) or not samples:
+        raise _BadLine("field samples must be a non-empty array")
+    means, log_vars = [], []
+    for j, s in enumerate(samples):
+        if not isinstance(s, dict) or "mean" not in s or "log_var" not in s:
+            raise _BadLine(f"sample {j} must have mean and log_var")
+        mean = _numbers(s["mean"], f"samples[{j}].mean")
+        if len(mean) != d:
+            raise _BadLine(f"samples[{j}].mean has length {len(mean)}, expected {d}")
+        try:
+            (log_var,) = _numbers([s["log_var"]], "log_var")
+        except _BadLine:
+            raise _BadLine(f"non-finite log_var in sample {j}") from None
+        means.append(mean)
+        log_vars.append(log_var)
+    n = shape.setdefault("N", len(means))
+    if len(means) != n:
+        raise _BadLine(f"inconsistent N (expected {n}, got {len(means)})")
+    return rid, y, means, log_vars
 
 
 def load_dump(path) -> McPredictionSet:
     """Parse and validate a JSONL prediction dump.
 
-    All problems are aggregated into one :class:`DumpFormatError` whose
-    message lists every offending line number and field. These per-line
-    checks are where a dump is validated: each record needs a unique string
-    id, a non-empty finite y and at least one sample with a finite mean and
-    log_var, with N and d the same on every line.
+    Each non-blank line holds one record: a new string id, a non-empty array
+    y of finite numbers, and samples each with a finite numeric log_var and
+    a mean of y's length. d comes from the first valid y and N from the
+    first valid record. Every invalid line adds its first problem, as
+    ``line <n>: ...``, to one :class:`DumpFormatError`; blank lines are
+    skipped but counted.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     errors: list[str] = []
     first_line: dict[str, int] = {}
-    ids: list[str] = []
-    ys: list[list[float]] = []
-    means: list[list[list[float]]] = []
-    log_vars: list[list[float]] = []
-    d = None
-    n_samples = None
-    any_content = False
+    shape: dict[str, int] = {}
+    records = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        any_content = True
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(obj, dict):
-            errors.append(f"line {lineno}: record must be a JSON object")
-            continue
-        line_ok = True
-        for fld in ("id", "y", "samples"):
-            if fld not in obj:
-                errors.append(f"line {lineno}: missing field {fld}")
-                line_ok = False
-        if not line_ok:
-            continue
-        if not isinstance(obj["id"], str):
-            errors.append(f"line {lineno}: field id must be a string")
-            continue
-        first = first_line.setdefault(obj["id"], lineno)
-        if first != lineno:
-            errors.append(f"line {lineno}: duplicate id '{obj['id']}' (first on line {first})")
-            continue
-        y = _check_vector(obj["y"], "y", lineno, errors)
-        if y is None:
-            continue
-        if d is None:
-            d = len(y)
-        elif len(y) != d:
-            errors.append(f"line {lineno}: y has length {len(y)}, expected {d}")
-            continue
-        raw_samples = obj["samples"]
-        if not isinstance(raw_samples, list) or not raw_samples:
-            errors.append(f"line {lineno}: field samples must be a non-empty array")
-            continue
-        line_means, line_log_vars = [], []
-        for j, s in enumerate(raw_samples):
-            if not isinstance(s, dict) or "mean" not in s or "log_var" not in s:
-                errors.append(f"line {lineno}: sample {j} must have mean and log_var")
-                line_means = None
-                break
-            mean = _check_vector(s["mean"], f"samples[{j}].mean", lineno, errors)
-            if mean is None or len(mean) != d:
-                if mean is not None:
-                    errors.append(
-                        f"line {lineno}: samples[{j}].mean has length {len(mean)}, expected {d}"
-                    )
-                line_means = None
-                break
-            lv = s["log_var"]
-            if not _is_number(lv) or not _is_finite(lv):
-                errors.append(f"line {lineno}: non-finite log_var in sample {j}")
-                line_means = None
-                break
-            line_means.append(mean)
-            line_log_vars.append(float(lv))
-        if line_means is None:
-            continue
-        if n_samples is None:
-            n_samples = len(line_means)
-        elif len(line_means) != n_samples:
-            errors.append(
-                f"line {lineno}: inconsistent N (expected {n_samples}, got {len(line_means)})"
-            )
-            continue
-        ids.append(obj["id"])
-        ys.append(y)
-        means.append(line_means)
-        log_vars.append(line_log_vars)
-    if not any_content:
+            records.append(_record(line, lineno, first_line, shape))
+        except _BadLine as exc:
+            errors += (f"line {lineno}: {msg}" for msg in exc.args)
+    if not records and not errors:
         raise DumpFormatError("empty dump file")
     if errors:
         raise DumpFormatError("; ".join(errors))
+    ids, ys, means, log_vars = zip(*records)
     return McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
 
 

@@ -103,7 +103,7 @@ def _bin_assignment(u: np.ndarray, k: int):
 
     Returns (indices, edges). When all values are identical the partition
     collapses to a single degenerate bin (edges [lo, lo]) holding every
-    record; callers detect this via edges[0] == edges[-1].
+    record, so there are len(edges) - 1 bins in either case.
     """
     lo = float(u.min())
     hi = float(u.max())
@@ -140,38 +140,26 @@ def uce(unc: Uncertainties, k: int = DEFAULT_BINS, mode: str = "predictive") -> 
 
     idx, edges = _bin_assignment(u, k)
     m = unc.m
-    if edges[0] == edges[-1]:
-        bins = [
+    bins = []
+    for b in range(len(edges) - 1):
+        mask = idx == b
+        count = int(mask.sum())
+        if count:
+            var_obs = float(obs[mask].mean())
+            uncert_mean = float(u[mask].mean())
+        else:
+            var_obs = 0.0
+            uncert_mean = 0.0
+        bins.append(
             BinStats(
-                k=0,
-                lower=float(edges[0]),
-                upper=float(edges[-1]),
-                count=m,
-                var_obs=float(obs.mean()),
-                uncert_mean=float(u.mean()),
+                k=b,
+                lower=float(edges[b]),
+                upper=float(edges[b + 1]),
+                count=count,
+                var_obs=var_obs,
+                uncert_mean=uncert_mean,
             )
-        ]
-    else:
-        bins = []
-        for b in range(k):
-            mask = idx == b
-            count = int(mask.sum())
-            if count:
-                var_obs = float(obs[mask].mean())
-                uncert_mean = float(u[mask].mean())
-            else:
-                var_obs = 0.0
-                uncert_mean = 0.0
-            bins.append(
-                BinStats(
-                    k=b,
-                    lower=float(edges[b]),
-                    upper=float(edges[b + 1]),
-                    count=count,
-                    var_obs=var_obs,
-                    uncert_mean=uncert_mean,
-                )
-            )
+        )
     total = 0.0
     for b in bins:
         if b.count:

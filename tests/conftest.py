@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regcal.calibrate import apply_calibration
-from regcal.core import McPredictionSet, Uncertainties
+from regcal.core import McPredictionSet, Uncertainties, identity_artifact
 from regcal.metrics import uncertainty_records
 
 
@@ -33,8 +33,8 @@ def random_set(rng, m=50, n=5, d=1, scale=0.1):
     return make_set(records)
 
 
-def calibrated(pset, calib=None):
-    """Decompose a set and apply an artifact (None leaves it uncalibrated)."""
+def calibrated(pset, calib=identity_artifact()):
+    """Decompose a set and apply an artifact (by default, none)."""
     return apply_calibration(uncertainty_records(pset), calib)
 
 

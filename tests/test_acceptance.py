@@ -71,7 +71,7 @@ def toy_runs():
         val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
         test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
         calib = fit_sigma(uncertainty_records(val), likelihood="gaussian", target="predictive")
-        rec_before = calibrated(test, None)
+        rec_before = calibrated(test, identity_artifact())
         rec_after = calibrated(test, calib)
         best = int(np.argmin(trace.test_mse))
         runs.append(

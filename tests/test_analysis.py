@@ -69,7 +69,7 @@ class TestRejectionCurve:
             for i in range(100)
         ]
         pset = make_set(records)
-        base = rejection_curve(calibrated(pset, None), steps=20)
+        base = rejection_curve(calibrated(pset), steps=20)
         art = CalibrationArtifact(method="sigma", s=2.0)
         scaled = rejection_curve(calibrated(pset, art), steps=20)
         assert np.array_equal(base.frac_rejected, scaled.frac_rejected)

@@ -179,7 +179,7 @@ class TestAuxFit:
         # Uncertainties uniformly 4x too small.
         pset = _constant_uncertainty_set(rng, 80, 0.1, 0.25)
         art = aux_fit(uncertainty_records(pset), AuxConfig(seed=0))
-        assert batch_nll(calibrated(pset, art)) < batch_nll(calibrated(pset, None))
+        assert batch_nll(calibrated(pset, art)) < batch_nll(calibrated(pset))
         assert art.fit_meta["final_objective"] <= art.fit_meta["initial_objective"]
 
     def test_aux_reduces_uce_on_its_calibration_set(self, rng):
@@ -332,6 +332,16 @@ class TestApply:
         for i, e in enumerate(expect):
             assert out.total[i] == pytest.approx(e, rel=1e-12)
             assert out.total[i] == out.epistemic[i] + out.aleatoric[i]
+
+    def test_aux_aleatoric_only_moves_only_aleatoric(self, rng):
+        base = uncertainty_records(random_set(rng, m=25, n=4))
+        art = aux_fit(base, AuxConfig(seed=3, epochs=50), target="aleatoric_only")
+        out = apply_calibration(base, art)
+        assert np.array_equal(out.epistemic, base.epistemic)
+        assert np.array_equal(out.y_mean, base.y_mean)
+        expect = np.exp(aux_forward(np.log(base.aleatoric), art.aux))
+        assert np.array_equal(out.aleatoric, expect)
+        assert not np.array_equal(out.aleatoric, base.aleatoric)
 
     def test_set_level_s_is_one_when_calibrated(self, rng):
         pset = _constant_uncertainty_set(rng, 60, 0.1, 1.0)

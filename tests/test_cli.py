@@ -3,10 +3,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import regcal
 from regcal.cli import main
+from regcal.io import load_dump
+from regcal.metrics import uncertainty_records
 
 QUICK_TOY = ["--epochs", "40", "--mc-passes", "5"]
 
@@ -165,6 +168,26 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "threshold,frac_rejected,mse_kept"
         assert len(lines) == 11
+
+    def test_reject_absolute_thresholds_csv(self, toy_dir, tmp_path):
+        out = tmp_path / "rej.csv"
+        assert main(["reject", "--input", str(toy_dir / "test.jsonl"),
+                     "--thresholds", "0.01,0.1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "threshold,frac_rejected,mse_kept"
+        total = uncertainty_records(load_dump(toy_dir / "test.jsonl")).total
+        for line, t in zip(lines[1:], (0.01, 0.1), strict=True):
+            threshold, frac_rejected, _ = line.split(",")
+            assert float(threshold) == t
+            assert float(frac_rejected) == 1.0 - np.sum(total <= t) / len(total)
+
+    def test_reject_bad_thresholds_flag(self, capsys, toy_dir, tmp_path):
+        out = tmp_path / "rej.csv"
+        rc = main(["reject", "--input", str(toy_dir / "test.jsonl"),
+                   "--thresholds", "0.1,abc", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: invalid-flag: could not parse thresholds '0.1,abc'\n"
+        assert not out.exists()
 
     def test_ood_csv(self, toy_dir, tmp_path):
         out = tmp_path / "ood.csv"

@@ -114,7 +114,7 @@ class TestCoverage:
         ]
         pset = make_set(records)
         wide = CalibrationArtifact(method="sigma", s=2.5)
-        base = coverage(calibrated(pset, None), [0.5, 0.9, 0.99]).observed
+        base = coverage(calibrated(pset), [0.5, 0.9, 0.99]).observed
         after = coverage(calibrated(pset, wide), [0.5, 0.9, 0.99]).observed
         assert all(b >= a for a, b in zip(base, after))
 

@@ -111,6 +111,96 @@ class TestDumpErrors:
             load_dump(path)
 
 
+def _line(rid="a", y="[0.5]", samples='[{"mean":[0.4],"log_var":-2.0}]'):
+    return '{"id":%s,"y":%s,"samples":%s}' % (json.dumps(rid), y, samples)
+
+
+TWO_SAMPLES = '[{"mean":[0.4],"log_var":-2.0},{"mean":[0.5],"log_var":-2.5}]'
+
+
+class TestDumpMessages:
+    """The full DumpFormatError text, one case per message and per rule of
+    which line fixes the id, d and N that later lines are checked against."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["not json"], "line 1: invalid JSON (Expecting value)"),
+            (["[1, 2]"], "line 1: record must be a JSON object"),
+            (['{"id":"a","samples":[]}'], "line 1: missing field y"),
+            (['{"id":"a"}'], "line 1: missing field y; line 1: missing field samples"),
+            ([_line(rid=7)], "line 1: field id must be a string"),
+            ([_line(), _line()], "line 2: duplicate id 'a' (first on line 1)"),
+            ([_line(y="[]")], "line 1: field y must be a non-empty array of numbers"),
+            ([_line(y="0.5")], "line 1: field y must be a non-empty array of numbers"),
+            ([_line(y="[0.5,true]")], "line 1: field y must be a non-empty array of numbers"),
+            ([_line(y='["0.5"]')], "line 1: field y must be a non-empty array of numbers"),
+            ([_line(y="[NaN]")], "line 1: non-finite y"),
+            ([_line(y="[1e400]")], "line 1: non-finite y"),
+            ([_line(y="[1" + "0" * 400 + "]")], "line 1: non-finite y"),
+            ([_line(y="[0.5,0.5]", samples='[{"mean":[0.4,0.4],"log_var":-2.0}]'),
+              _line(rid="b")], "line 2: y has length 1, expected 2"),
+            ([_line(samples="[]")], "line 1: field samples must be a non-empty array"),
+            ([_line(samples="{}")], "line 1: field samples must be a non-empty array"),
+            ([_line(samples='[{"mean":[0.4]}]')], "line 1: sample 0 must have mean and log_var"),
+            ([_line(samples='[{"log_var":-2.0}]')], "line 1: sample 0 must have mean and log_var"),
+            ([_line(samples="[[0.4]]")], "line 1: sample 0 must have mean and log_var"),
+            ([_line(samples='[{"mean":[0.4],"log_var":-2.0},{"mean":"x","log_var":-2.0}]')],
+             "line 1: field samples[1].mean must be a non-empty array of numbers"),
+            ([_line(samples='[{"mean":[false],"log_var":-2.0}]')],
+             "line 1: field samples[0].mean must be a non-empty array of numbers"),
+            ([_line(samples='[{"mean":[-Infinity],"log_var":-2.0}]')],
+             "line 1: non-finite samples[0].mean"),
+            ([_line(samples='[{"mean":[0.4,0.4],"log_var":-2.0}]')],
+             "line 1: samples[0].mean has length 2, expected 1"),
+            ([_line(samples='[{"mean":[0.4],"log_var":NaN}]')],
+             "line 1: non-finite log_var in sample 0"),
+            ([_line(samples='[{"mean":[0.4],"log_var":"-2"}]')],
+             "line 1: non-finite log_var in sample 0"),
+            ([_line(samples='[{"mean":[0.4],"log_var":true}]')],
+             "line 1: non-finite log_var in sample 0"),
+            ([_line(samples='[{"mean":[0.4],"log_var":[-2.0]}]')],
+             "line 1: non-finite log_var in sample 0"),
+            ([_line(samples=TWO_SAMPLES), _line(rid="b")],
+             "line 2: inconsistent N (expected 2, got 1)"),
+            ([], "empty dump file"),
+            (["", "  ", "\t"], "empty dump file"),
+            # blank lines are skipped but still counted
+            (["", _line(), "  ", "", "not json"], "line 5: invalid JSON (Expecting value)"),
+            # a rejected line still claims its id
+            ([_line(y="[NaN]"), _line()],
+             "line 1: non-finite y; line 2: duplicate id 'a' (first on line 1)"),
+            # d is fixed by the first valid y, even when that line fails later
+            ([_line(y="[NaN,0.5]"), _line(rid="b", y="[0.5,0.5]", samples="[]"), _line(rid="c")],
+             "line 1: non-finite y; line 2: field samples must be a non-empty array; "
+             "line 3: y has length 1, expected 2"),
+            # N is fixed only by the first fully valid line
+            ([_line(samples='[{"mean":[0.4],"log_var":-2.0},{"mean":[0.5],"log_var":NaN}]'),
+              _line(rid="b"), _line(rid="c", samples=TWO_SAMPLES)],
+             "line 1: non-finite log_var in sample 1; "
+             "line 3: inconsistent N (expected 1, got 2)"),
+        ],
+    )
+    def test_message(self, tmp_path, lines, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        assert str(err.value) == message
+
+    def test_integers_load_as_their_doubles(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        big, huge = 2**63 + 1, 10**30
+        path.write_text(
+            _line(y=f"[{big}, 3]", samples='[{"mean":[%d, -1],"log_var":-2}]' % huge) + "\n"
+        )
+        pset = load_dump(path)
+        assert pset.y.tolist() == [[float(big), 3.0]]
+        assert pset.means.tolist() == [[[float(huge), -1.0]]]
+        assert pset.log_vars.tolist() == [[-2.0]]
+        assert pset.y.dtype == pset.means.dtype == pset.log_vars.dtype == np.float64
+
+
 class TestArtifactPersistence:
     def test_sigma_round_trip_bit_exact(self, tmp_path, rng):
         art = fit_sigma(uncertainty_records(random_set(rng, m=30, n=4)))

@@ -82,18 +82,12 @@ class TestBatchNll:
         value = batch_nll(uncertainty_records(make_set([rec])))
         assert value == pytest.approx(0.9189385332046727, abs=1e-15)
 
-    def test_identity_calibration_matches_none(self, rng):
-        from regcal.core import identity_artifact
-
-        pset = random_set(rng, m=30, n=4)
-        assert batch_nll(calibrated(pset, identity_artifact())) == batch_nll(calibrated(pset, None))
-
     def test_unit_scale_matches_none(self, rng):
         from regcal.core import CalibrationArtifact
 
         pset = random_set(rng, m=30, n=4)
         unit = CalibrationArtifact(method="sigma", s=1.0)
-        assert batch_nll(calibrated(pset, unit)) == batch_nll(calibrated(pset, None))
+        assert batch_nll(calibrated(pset, unit)) == batch_nll(calibrated(pset))
 
     def test_matches_independent_density_oracle(self, rng):
         pset = random_set(rng, m=40, n=6, d=2)

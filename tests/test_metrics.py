@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from regcal.core import CalibrationArtifact, McPredictionSet
+from regcal.core import CalibrationArtifact, McPredictionSet, identity_artifact
 from regcal.metrics import calibration_diagram, mse, uce, uncertainty_records
 
 from conftest import calibrated, make_record, make_set, make_uncertainties, random_set
 
 
-def brute_force_uce(pset, k, mode, calib=None):
+def brute_force_uce(pset, k, mode, calib=identity_artifact()):
     """Independent reimplementation: explicit double loop over bins/records.
 
     Shares only the documented bin-index rule (floor over equal widths,
