@@ -89,7 +89,7 @@ def rejection_curve(
     for i, t in enumerate(thresholds):
         kept = totals <= t
         n_kept = int(kept.sum())
-        frac_rejected[i] = 1.0 - n_kept / m
+        frac_rejected[i] = (m - n_kept) / m
         mse_kept[i] = float(err_sq[kept].mean()) if n_kept else float("nan")
     return RejectionCurve(
         thresholds=np.asarray(thresholds, dtype=float),

@@ -9,6 +9,7 @@ exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,6 +57,14 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    """The comma-separated reals of a flag's value; empty items are skipped."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise CliError("invalid-flag", f"could not parse {flag} {text!r}") from None
+
+
 def cmd_calibrate(args) -> int:
     unc = uncertainty_records(rio.load_dump(args.input))
     target = _target(args.target)
@@ -101,20 +110,18 @@ def cmd_evaluate(args) -> int:
         },
     }
     _write_json(report, args.out)
+    points = calibration_diagram(rep_pred)
     if args.diagram:
-        rio.diagram_to_csv(calibration_diagram(rep_pred), args.diagram)
+        rio.diagram_to_csv(points, args.diagram)
     if args.svg:
-        rio.diagram_to_svg(calibration_diagram(rep_pred), args.svg)
+        rio.diagram_to_svg(points, args.svg)
     return 0
 
 
 def cmd_intervals(args) -> int:
     unc = uncertainty_records(rio.load_dump(args.input))
     calib = _load_calib(args.calib)
-    try:
-        levels = [float(tok) for tok in args.levels.split(",") if tok]
-    except ValueError:
-        raise CliError("invalid-flag", f"could not parse levels {args.levels!r}")
+    levels = _floats(args.levels, "levels")
     rio.coverage_to_csv(coverage(apply_calibration(unc, calib), levels), args.out)
     return 0
 
@@ -122,12 +129,7 @@ def cmd_intervals(args) -> int:
 def cmd_reject(args) -> int:
     unc = uncertainty_records(rio.load_dump(args.input))
     calib = _load_calib(args.calib)
-    thresholds = None
-    if args.thresholds:
-        try:
-            thresholds = [float(tok) for tok in args.thresholds.split(",") if tok]
-        except ValueError:
-            raise CliError("invalid-flag", f"could not parse thresholds {args.thresholds!r}")
+    thresholds = _floats(args.thresholds, "thresholds") if args.thresholds else None
     curve = rejection_curve(apply_calibration(unc, calib), steps=args.steps, thresholds=thresholds)
     rio.rejection_to_csv(curve, args.out)
     return 0
@@ -145,16 +147,12 @@ def cmd_ood(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    seed = args.seed
+    cfg = dataclasses.replace(toy_experiment_config(seed),
+                              **_given(epochs=args.epochs, mc_passes=args.mc_passes))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
-    spec = SyntheticSpec(seed=seed)
-    cfg = toy_experiment_config(seed)
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.mc_passes is not None:
-        cfg.mc_passes = args.mc_passes
-    data = generate(spec)
+    data = generate(SyntheticSpec(seed=seed))
     model, trace = train(data, cfg)
 
     dumps = {}
@@ -188,7 +186,7 @@ def cmd_toy(args) -> int:
             "nll": batch_nll(unc, kind="gaussian"),
             "uce_predictive": uce(unc, k=DEFAULT_BINS, mode="predictive").uce,
             "uce_aleatoric_only": uce(unc, k=DEFAULT_BINS, mode="aleatoric_only").uce,
-            "coverage": {repr(g): obs for g, _, obs in table.rows()},
+            "coverage": {repr(g): obs for g, obs in zip(table.levels, table.observed)},
         }
         if name == "sigma":
             entry["s"] = sigma_calib.s

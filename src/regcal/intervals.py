@@ -46,9 +46,6 @@ class CoverageTable:
     observed: list[float]
     membership: str = "joint"  # d > 1: all components must fall inside
 
-    def rows(self):
-        return list(zip(self.levels, self.z_values, self.observed))
-
 
 def coverage(unc: Uncertainties, levels=DEFAULT_LEVELS) -> CoverageTable:
     """Fraction of ground truths inside y_mean +/- z*sqrt(total) per level.

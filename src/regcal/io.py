@@ -241,54 +241,42 @@ def load_artifact(path) -> CalibrationArtifact:
 # -- CSV / SVG exports -------------------------------------------------------
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _write_csv(path, header: str, *columns) -> None:
+    """One row per position of the columns: Python ints as they are, every
+    other value through :func:`_real`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for row in zip(*columns, strict=True):
+            fh.write(",".join(str(v) if type(v) is int else _real(v) for v in row) + "\n")
 
 
 def trace_to_csv(trace, path) -> None:
-    columns = (trace.train_mse, trace.test_mse, trace.train_sigma2, trace.test_sigma2,
-               trace.train_nll, trace.test_nll, trace.s)
-    rows = ([str(epoch)] + [_real(v) for v in values]
-            for epoch, values in enumerate(zip(*columns), start=1))
     _write_csv(
         path,
         "epoch,train_mse,test_mse,train_sigma2,test_sigma2,train_nll,test_nll,s",
-        rows,
+        range(1, trace.n_epochs + 1), trace.train_mse, trace.test_mse, trace.train_sigma2,
+        trace.test_sigma2, trace.train_nll, trace.test_nll, trace.s,
     )
 
 
 def coverage_to_csv(table, path) -> None:
-    rows = [[_real(g), _real(z), _real(obs)] for g, z, obs in table.rows()]
-    _write_csv(path, "level,z,observed", rows)
+    _write_csv(path, "level,z,observed", table.levels, table.z_values, table.observed)
 
 
 def rejection_to_csv(curve, path) -> None:
-    rows = [
-        [_real(t), _real(fr), _real(mk)]
-        for t, fr, mk in zip(curve.thresholds, curve.frac_rejected, curve.mse_kept)
-    ]
-    _write_csv(path, "threshold,frac_rejected,mse_kept", rows)
+    _write_csv(path, "threshold,frac_rejected,mse_kept",
+               curve.thresholds, curve.frac_rejected, curve.mse_kept)
 
 
 def ood_to_csv(comparison, path) -> None:
     edges = comparison.in_dist.edges
-    rows = [
-        [_real(edges[i]), _real(edges[i + 1]),
-         str(int(comparison.in_dist.counts[i])), str(int(comparison.shifted.counts[i]))]
-        for i in range(len(edges) - 1)
-    ]
-    _write_csv(path, "bin_lower,bin_upper,count_in,count_shifted", rows)
+    _write_csv(path, "bin_lower,bin_upper,count_in,count_shifted", edges[:-1], edges[1:],
+               comparison.in_dist.counts.tolist(), comparison.shifted.counts.tolist())
 
 
 def diagram_to_csv(bins, path) -> None:
-    rows = [
-        [_real(b.lower), _real(b.upper), str(b.count), _real(b.uncert_mean), _real(b.var_obs)]
-        for b in bins
-    ]
-    _write_csv(path, "bin_lower,bin_upper,count,uncert_mean,var_obs", rows)
+    rows = [(b.lower, b.upper, b.count, b.uncert_mean, b.var_obs) for b in bins]
+    _write_csv(path, "bin_lower,bin_upper,count,uncert_mean,var_obs", *zip(*rows))
 
 
 def diagram_to_svg(bins, path) -> None:

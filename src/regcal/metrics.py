@@ -13,13 +13,18 @@ is reported in percent (x100).
 Bin-range decision: bins span [min, max] of the uncertainties actually seen
 on the evaluation set, not a fixed [0, 1]. The |B_k|/m weighting makes fixed
 empty tails irrelevant, and data-dependent axes match how calibration
-diagrams are read. The last bin is upper-edge inclusive; ties at interior
-edges go to the higher bin, so every record lands in exactly one bin.
+diagrams are read.
+
+Bin rule: the edges are ``np.linspace(min, max, K + 1)`` (``[min, min]``, one
+bin, when every value is equal) and a record's bin is found among those same
+edges, so the report's ``lower``/``upper`` hold exactly its records. A record
+on an interior edge counts in the bin above it; the last bin also holds its
+upper edge. Every record lands in exactly one bin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,29 +40,14 @@ class UceReport:
     """Calibration-error summary plus the per-bin statistics behind it."""
 
     uce: float  # in percent
-    bins: list[BinStats]
     num_bins: int
     mode: str
     m: int
+    bins: list[BinStats]
 
     def to_dict(self) -> dict:
-        return {
-            "uce": self.uce,
-            "num_bins": self.num_bins,
-            "mode": self.mode,
-            "m": self.m,
-            "bins": [
-                {
-                    "k": b.k,
-                    "lower": b.lower,
-                    "upper": b.upper,
-                    "count": b.count,
-                    "var_obs": b.var_obs,
-                    "uncert_mean": b.uncert_mean,
-                }
-                for b in self.bins
-            ],
-        }
+        """The report as JSON-ready values, keys in field order."""
+        return asdict(self)
 
 
 def uncertainty_records(pset: McPredictionSet) -> Uncertainties:
@@ -101,17 +91,13 @@ def mse(unc: Uncertainties) -> float:
 def _bin_assignment(u: np.ndarray, k: int):
     """Assign each uncertainty to one of k equal-width bins over [min, max].
 
-    Returns (indices, edges). When all values are identical the partition
-    collapses to a single degenerate bin (edges [lo, lo]) holding every
-    record, so there are len(edges) - 1 bins in either case.
+    Returns (indices, edges) under the module's bin rule; there are
+    len(edges) - 1 bins, one when every value is equal.
     """
     lo = float(u.min())
     hi = float(u.max())
-    if hi == lo:
-        return np.zeros(len(u), dtype=int), np.array([lo, hi])
-    idx = np.floor((u - lo) / (hi - lo) * k).astype(int)
-    np.clip(idx, 0, k - 1, out=idx)
-    edges = np.linspace(lo, hi, k + 1)
+    edges = np.linspace(lo, hi, k + 1) if hi > lo else np.array([lo, hi])
+    idx = np.minimum(np.searchsorted(edges, u, side="right") - 1, len(edges) - 2)
     return idx, edges
 
 
@@ -141,30 +127,16 @@ def uce(unc: Uncertainties, k: int = DEFAULT_BINS, mode: str = "predictive") -> 
     idx, edges = _bin_assignment(u, k)
     m = unc.m
     bins = []
+    total = 0.0
     for b in range(len(edges) - 1):
         mask = idx == b
         count = int(mask.sum())
-        if count:
-            var_obs = float(obs[mask].mean())
-            uncert_mean = float(u[mask].mean())
-        else:
-            var_obs = 0.0
-            uncert_mean = 0.0
-        bins.append(
-            BinStats(
-                k=b,
-                lower=float(edges[b]),
-                upper=float(edges[b + 1]),
-                count=count,
-                var_obs=var_obs,
-                uncert_mean=uncert_mean,
-            )
-        )
-    total = 0.0
-    for b in bins:
-        if b.count:
-            total += (b.count / m) * abs(b.var_obs - b.uncert_mean)
-    return UceReport(uce=100.0 * total, bins=bins, num_bins=k, mode=mode, m=m)
+        var_obs = float(obs[mask].mean()) if count else 0.0
+        uncert_mean = float(u[mask].mean()) if count else 0.0
+        total += (count / m) * abs(var_obs - uncert_mean)
+        bins.append(BinStats(k=b, lower=float(edges[b]), upper=float(edges[b + 1]),
+                             count=count, var_obs=var_obs, uncert_mean=uncert_mean))
+    return UceReport(uce=100.0 * total, num_bins=k, mode=mode, m=m, bins=bins)
 
 
 def calibration_diagram(report: UceReport) -> list[BinStats]:

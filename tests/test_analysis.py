@@ -83,6 +83,12 @@ class TestRejectionCurve:
         assert curve.frac_rejected[0] == 1.0
         assert curve.mse_kept[1] == 0.25
 
+    def test_rejected_fraction_is_rounded_once(self):
+        # 1.0 - 7/10 would give 0.30000000000000004.
+        records = [_record(f"r{i}", 0.1, float(i + 1)) for i in range(10)]
+        curve = rejection_curve(make_uncertainties(records), thresholds=[7.0])
+        assert curve.frac_rejected[0] == 0.3
+
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
             rejection_curve(make_uncertainties([]), steps=5)

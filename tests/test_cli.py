@@ -179,7 +179,7 @@ class TestOtherCommands:
         for line, t in zip(lines[1:], (0.01, 0.1), strict=True):
             threshold, frac_rejected, _ = line.split(",")
             assert float(threshold) == t
-            assert float(frac_rejected) == 1.0 - np.sum(total <= t) / len(total)
+            assert float(frac_rejected) == np.sum(total > t) / len(total)
 
     def test_reject_bad_thresholds_flag(self, capsys, toy_dir, tmp_path):
         out = tmp_path / "rej.csv"
@@ -242,6 +242,14 @@ class TestErrorReporting:
                    "--levels", "0.5,zebra", "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "error: invalid-flag:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--epochs", "-3"], ["--mc-passes", "0"]],
+                             ids=["zero-epochs", "negative-epochs", "zero-mc-passes"])
+    def test_bad_toy_override_single_error_line(self, capsys, tmp_path, flags):
+        out = tmp_path / "toy"
+        assert main(["toy", "--seed", "0", "--out-dir", str(out), *flags]) == 1
+        assert capsys.readouterr().err == "error: invalid-input: epochs and mc_passes must be >= 1\n"
+        assert not out.exists()
 
     def test_validation_failure_in_dump(self, capsys, tmp_path):
         # structurally fine JSONL but semantically broken: NaN y

@@ -15,7 +15,7 @@ from regcal.io import (
 )
 from regcal.metrics import uncertainty_records
 
-from conftest import random_set
+from conftest import make_uncertainties, random_set
 
 
 class TestDumpRoundTrip:
@@ -301,6 +301,39 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_mse,test_mse,train_sigma2,test_sigma2,train_nll,test_nll,s"
         assert len(lines) == 4
+
+    def test_data_rows(self, tmp_path):
+        """Integers are written without a fractional part, reals as their repr."""
+        from regcal.analysis import RejectionCurve, ood_compare
+        from regcal.core import BinStats
+        from regcal.intervals import CoverageTable
+        from regcal.io import (
+            coverage_to_csv,
+            diagram_to_csv,
+            ood_to_csv,
+            rejection_to_csv,
+            trace_to_csv,
+        )
+        from regcal.toymodel import TrainingTrace
+
+        def second_line(write, value):
+            path = tmp_path / "out.csv"
+            write(value, path)
+            return path.read_text().splitlines()[1]
+
+        table = CoverageTable(levels=[0.9], z_values=[1.6448536269514722], observed=[0.1 + 0.2])
+        assert second_line(coverage_to_csv, table) == "0.9,1.6448536269514722,0.30000000000000004"
+        curve = RejectionCurve(thresholds=np.array([0.25]), mse_kept=np.array([1 / 3]),
+                               frac_rejected=np.array([0.5]))
+        assert second_line(rejection_to_csv, curve) == "0.25,0.5,0.3333333333333333"
+        unc = make_uncertainties([(f"r{i}", 0.0, 0.0, t) for i, t in enumerate([1.0, 1.5, 3.0])])
+        assert second_line(ood_to_csv, ood_compare(unc, unc, k=2)) == "1.0,2.0,2,2"
+        bins = [BinStats(k=0, lower=0.0, upper=0.5, count=3, var_obs=0.25, uncert_mean=0.1)]
+        assert second_line(diagram_to_csv, bins) == "0.0,0.5,3,0.1,0.25"
+        trace = TrainingTrace(train_mse=[0.5], test_mse=[0.25], train_sigma2=[2.0],
+                              test_sigma2=[3.0], train_nll=[-1.5], test_nll=[1e-20], s=[0.75],
+                              test_nll_calibrated=[1.25])
+        assert second_line(trace_to_csv, trace) == "1,0.5,0.25,2.0,3.0,-1.5,1e-20,0.75"
 
     def test_svg_renders_points_and_diagonal(self, tmp_path, rng):
         from regcal.io import diagram_to_svg

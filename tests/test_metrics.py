@@ -12,9 +12,8 @@ from conftest import calibrated, make_record, make_set, make_uncertainties, rand
 def brute_force_uce(pset, k, mode, calib=identity_artifact()):
     """Independent reimplementation: explicit double loop over bins/records.
 
-    Shares only the documented bin-index rule (floor over equal widths,
-    ties to the higher bin, last edge inclusive, degenerate range collapses
-    to one bin); every aggregate is accumulated scalar-by-scalar.
+    Shares only the documented bin rule (see :func:`brute_force_binned_uce`);
+    every aggregate is accumulated scalar-by-scalar.
     """
     summary = calibrated(pset, calib)
     u, obs = [], []
@@ -34,14 +33,28 @@ def brute_force_uce(pset, k, mode, calib=identity_artifact()):
                 for j in range(d)
             ]
             obs.append(sum((ym - yv) ** 2 for ym, yv in zip(y_mean, pset.y[i])) / d)
+    return brute_force_binned_uce(u, obs, k)
+
+
+def brute_force_binned_uce(u, obs, k):
+    """UCE in percent of uncertainties ``u`` against observed variances ``obs``.
+
+    A record's bin comes from a scalar scan of the edges
+    ``np.linspace(min, max, k + 1)``: the first bin whose upper edge lies
+    above the value, so a tie at an interior edge goes to the higher bin, and
+    the last bin includes its upper edge. An all-equal range is one bin.
+    """
     lo, hi = min(u), max(u)
     m = len(u)
+    edges = np.linspace(lo, hi, k + 1)
 
     def bin_of(value):
         if hi == lo:
             return 0
-        idx = int(math.floor((value - lo) / (hi - lo) * k))
-        return min(max(idx, 0), k - 1)
+        for b in range(k - 1):
+            if value < edges[b + 1]:
+                return b
+        return k - 1
 
     total = 0.0
     for b in range(k):
@@ -56,6 +69,13 @@ def brute_force_uce(pset, k, mode, calib=identity_artifact()):
         if count:
             total += (count / m) * abs(sum_obs / count - sum_u / count)
     return 100.0 * total
+
+
+def on_edge_uncertainties(totals, errs):
+    """Uncertainties with these exact totals (all aleatoric) and errors."""
+    return make_uncertainties(
+        [(f"r{i}", 0.0, e, t) for i, (t, e) in enumerate(zip(totals, errs))]
+    )
 
 
 class TestPredictiveVariance:
@@ -117,6 +137,44 @@ class TestUce:
                     got = uce(uncertainty_records(pset), k=k, mode=mode).uce
                     want = brute_force_uce(pset, k, mode)
                     assert got == pytest.approx(want, abs=1e-12)
+
+    def test_records_on_interior_edges_go_to_the_bin_above(self):
+        totals = [0.0, 0.7, 1.4, 2.1, 2.8, 3.5]
+        errs = [0.1, 0.5, 0.2, 1.1, 0.9, 1.6]
+        unc = on_edge_uncertainties(totals, errs)
+        report = uce(unc, k=5)
+        assert [b.count for b in report.bins] == [1, 1, 1, 1, 2]
+        for b in report.bins:
+            inside = [u for u in totals if b.lower <= u < b.upper or (b.k == 4 and u == b.upper)]
+            assert b.count == len(inside)
+        want = brute_force_binned_uce(totals, list(unc.pass_err_sq), 5)
+        assert report.uce == pytest.approx(want, abs=1e-12)
+
+    def test_bins_hold_exactly_their_edge_range(self):
+        # Half of each set's records sit exactly on a bin edge.
+        for trial in range(40):
+            gen = np.random.default_rng(trial)
+            k = int(gen.integers(2, 12))
+            lo, hi = sorted(gen.uniform(0.0, 2.0, size=2))
+            edges = np.linspace(lo, hi, k + 1)
+            totals = np.concatenate([gen.choice(edges, size=20), gen.uniform(lo, hi, size=20)])
+            totals[:2] = lo, hi
+            errs = gen.uniform(0.0, 1.5, size=40)
+            unc = on_edge_uncertainties(totals, errs)
+            report = uce(unc, k=k)
+            assert [b.lower for b in report.bins] + [hi] == list(edges)
+            for b in report.bins:
+                inside = (totals >= b.lower) & ((totals < b.upper) | (b.k == k - 1))
+                assert b.count == int(inside.sum())
+            want = brute_force_binned_uce(list(totals), list(unc.pass_err_sq), k)
+            assert report.uce == pytest.approx(want, abs=1e-12)
+
+    def test_report_dict_key_order(self, rng):
+        doc = uce(uncertainty_records(random_set(rng, m=20, n=3)), k=4).to_dict()
+        assert list(doc) == ["uce", "num_bins", "mode", "m", "bins"]
+        assert [list(b) for b in doc["bins"]] == [
+            ["k", "lower", "upper", "count", "var_obs", "uncert_mean"]
+        ] * 4
 
     def test_report_self_consistency_and_counts(self, rng):
         pset = random_set(rng, m=120, n=4)
