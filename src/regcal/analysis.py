@@ -69,8 +69,6 @@ def rejection_curve(
     explicit ``thresholds`` switches to absolute mode.
     """
     m = unc.m
-    if m < 1:
-        raise ValueError("rejection curve of an empty record sequence")
     totals = unc.total
     err_sq = unc.err_sq
 
@@ -136,8 +134,6 @@ def ood_compare(
     Separation statistics: difference of means and the AUROC of thresholding
     uncertainty to tell the sets apart (0.5 = indistinguishable).
     """
-    if in_dist.m < 1 or shifted.m < 1:
-        raise ValueError("ood comparison requires two non-empty record sequences")
     if k < 1:
         raise ValueError(f"bin count must be >= 1 (got {k})")
     u_in = in_dist.total

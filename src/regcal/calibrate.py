@@ -170,21 +170,6 @@ def sigma_fit_gd(
     return s, fit_meta
 
 
-def _errors_and_scales(unc: Uncertainties, likelihood: str, target: str):
-    """Per-record observed error and predicted scale used by the fits.
-
-    Errors are those of the MC-mean prediction (mean across output
-    dimensions, matching the scalar uncertainty): squared errors against
-    variances for the Gaussian, absolute errors against sigmas for the
-    Laplacian. Predictive targets plug in the total uncertainty,
-    aleatoric-only targets only the aleatoric part.
-    """
-    u = unc.total if target == "predictive" else unc.aleatoric
-    if likelihood == "gaussian":
-        return unc.err_sq, u
-    return unc.abs_err, np.sqrt(u)
-
-
 def fit_sigma(
     unc: Uncertainties,
     likelihood: str = "gaussian",
@@ -197,7 +182,7 @@ def fit_sigma(
     Uses the exact closed form by default; ``use_gd`` switches to the
     gradient-descent route (the two agree to the fit tolerance).
     """
-    errors, scales = _errors_and_scales(unc, likelihood, target)
+    errors, scales = unc.errors_and_scales(likelihood, target)
     if use_gd:
         s, fit_meta = sigma_fit_gd(errors, scales, kind=likelihood, opts=opts)
         fit_meta = {"fit": "gd", **fit_meta}
@@ -252,7 +237,7 @@ def aux_fit(
     network is evaluated once per epoch, plus once for the last update.
     """
     cfg = cfg or AuxConfig()
-    err_sq, u = _errors_and_scales(unc, "gaussian", target)
+    err_sq, u = unc.errors_and_scales("gaussian", target)
     x = np.log(u)
     m = len(x)
 
@@ -322,18 +307,18 @@ def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact) -> Uncerta
     scaling maps the targeted variance through exp(R(log u)), splitting a
     recalibrated total between the parts in their old proportion. Every
     other field is passed through unchanged, so means are bit-identical to
-    the input.
+    the input; an overflow raises ``ValueError`` as in any :class:`Uncertainties`.
     """
     if calib.method == "identity":
         return unc
     epi, alea = unc.epistemic, unc.aleatoric
-    if calib.method == "sigma":
-        factor = calib.s * calib.s
-        if calib.target == "predictive":
-            epi = factor * epi
-        alea = factor * alea
-    else:
-        if calib.target == "predictive":
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if calib.method == "sigma":
+            factor = calib.s * calib.s
+            if calib.target == "predictive":
+                epi = factor * epi
+            alea = factor * alea
+        elif calib.target == "predictive":
             total = unc.total
             new_total = np.exp(aux_forward(np.log(total), calib.aux))
             epi = new_total / total * epi

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,11 +59,19 @@ def _given(**flags) -> dict:
 
 
 def _floats(text: str, flag: str) -> list[float]:
-    """The comma-separated reals of a flag's value; empty items are skipped."""
+    """The comma-separated reals of a flag's value, empty items skipped; refuses none or a NaN."""
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise CliError("invalid-flag", f"could not parse {flag} {text!r}") from None
+        values = []
+    if not values or any(math.isnan(v) for v in values):
+        raise CliError("invalid-flag", f"could not parse {flag} {text!r}")
+    return values
+
+
+def _uncertainties(path, calib):
+    """The decomposed uncertainties of the dump at ``path``, recalibrated by ``calib``."""
+    return apply_calibration(uncertainty_records(rio.load_dump(path)), calib)
 
 
 def cmd_calibrate(args) -> int:
@@ -119,28 +128,23 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_intervals(args) -> int:
-    unc = uncertainty_records(rio.load_dump(args.input))
-    calib = _load_calib(args.calib)
     levels = _floats(args.levels, "levels")
-    rio.coverage_to_csv(coverage(apply_calibration(unc, calib), levels), args.out)
+    unc = _uncertainties(args.input, _load_calib(args.calib))
+    rio.coverage_to_csv(coverage(unc, levels), args.out)
     return 0
 
 
 def cmd_reject(args) -> int:
-    unc = uncertainty_records(rio.load_dump(args.input))
-    calib = _load_calib(args.calib)
-    thresholds = _floats(args.thresholds, "thresholds") if args.thresholds else None
-    curve = rejection_curve(apply_calibration(unc, calib), steps=args.steps, thresholds=thresholds)
-    rio.rejection_to_csv(curve, args.out)
+    thresholds = None if args.thresholds is None else _floats(args.thresholds, "thresholds")
+    unc = _uncertainties(args.input, _load_calib(args.calib))
+    rio.rejection_to_csv(rejection_curve(unc, steps=args.steps, thresholds=thresholds), args.out)
     return 0
 
 
 def cmd_ood(args) -> int:
-    unc_in = uncertainty_records(rio.load_dump(args.in_dist))
-    unc_sh = uncertainty_records(rio.load_dump(args.shifted))
     calib = _load_calib(args.calib)
     comparison = ood_compare(
-        apply_calibration(unc_in, calib), apply_calibration(unc_sh, calib), k=args.bins
+        _uncertainties(args.in_dist, calib), _uncertainties(args.shifted, calib), k=args.bins
     )
     rio.ood_to_csv(comparison, args.out)
     return 0
@@ -150,9 +154,10 @@ def cmd_toy(args) -> int:
     seed = args.seed
     cfg = dataclasses.replace(toy_experiment_config(seed),
                               **_given(epochs=args.epochs, mc_passes=args.mc_passes))
+    spec = SyntheticSpec(seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = generate(SyntheticSpec(seed=seed))
+    data = generate(spec)
     model, trace = train(data, cfg)
 
     dumps = {}

@@ -6,9 +6,9 @@ mean vector and the log of the predicted aleatoric variance). Decomposing it
 gives one columnar :class:`Uncertainties`, and everything downstream
 (recalibration, calibration error, intervals, rejection) consumes that.
 
-All types are treated as immutable after construction. The constructors of
-:class:`McPredictionSet` and :class:`CalibrationArtifact` raise ``ValueError``
-on shapes or fields their type cannot hold.
+All types are treated as immutable after construction. Every constructor
+raises ``ValueError`` on shapes or fields its type cannot hold, so no
+consumer meets an empty or non-finite :class:`Uncertainties`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ class McPredictionSet:
     ``y`` is (m, d), ``means`` is (m, N, d) and ``log_vars`` is (m, N); m, N
     and d are read off these shapes. Inconsistent shapes, or an m, N or d
     below 1, raise ``ValueError``. Finiteness is checked where the values
-    enter (:func:`regcal.io.load_dump`) and where they are decomposed
-    (:func:`regcal.metrics.uncertainty_records`).
+    enter (:func:`regcal.io.load_dump`) and in every :class:`Uncertainties`.
     """
 
     ids: list[str]
@@ -80,7 +79,8 @@ class Uncertainties:
     ``pass_err_sq`` are (m,). ``pass_err_sq`` is the mean over passes and
     outputs of the squared deviation of each pass's mean from ``y``, the
     observed variance of predictive-mode UCE. ``total`` is always derived as
-    epistemic + aleatoric, never stored.
+    epistemic + aleatoric, never stored. Construction refuses m = 0 and any
+    non-finite variance or total, naming the first such record.
     """
 
     ids: list[str]
@@ -89,6 +89,17 @@ class Uncertainties:
     epistemic: np.ndarray
     aleatoric: np.ndarray
     pass_err_sq: np.ndarray
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("empty set: m must be >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum of finite parts may overflow
+            finite = np.isfinite(self.total) & np.isfinite(self.pass_err_sq)
+        if not finite.all():
+            i = np.flatnonzero(~finite)[0]
+            raise ValueError(
+                f"record '{self.ids[i]}': non-finite uncertainty (epistemic {self.epistemic[i]}, "
+                f"aleatoric {self.aleatoric[i]}, observed {self.pass_err_sq[i]})")
 
     @property
     def m(self) -> int:
@@ -103,10 +114,23 @@ class Uncertainties:
         """Squared error of the MC mean, averaged across output dimensions."""
         return np.mean((self.y - self.y_mean) ** 2, axis=1)
 
-    @property
-    def abs_err(self) -> np.ndarray:
-        """Absolute error of the MC mean, averaged across output dimensions."""
-        return np.mean(np.abs(self.y - self.y_mean), axis=1)
+    def errors_and_scales(self, likelihood: str, target: str):
+        """Per-record error of the MC mean and predicted scale of a likelihood.
+
+        Squared errors against variances (Gaussian) or absolute errors against
+        b = sqrt(variance) (Laplacian), averaged across output dimensions. The
+        variance is the total for the predictive target, else the aleatoric
+        part; a zero one raises ``ValueError`` naming its record.
+        """
+        u = self.total if target == "predictive" else self.aleatoric
+        degenerate = np.flatnonzero(u <= 0.0)
+        if degenerate.size:
+            i = degenerate[0]
+            raise ValueError(f"degenerate uncertainty: record '{self.ids[i]}' has {target} "
+                             f"variance {u[i]}")
+        if likelihood == "gaussian":
+            return self.err_sq, u
+        return np.mean(np.abs(self.y - self.y_mean), axis=1), np.sqrt(u)
 
 
 @dataclass

@@ -53,8 +53,6 @@ def coverage(unc: Uncertainties, levels=DEFAULT_LEVELS) -> CoverageTable:
     Boundary points count as covered. Coverage is non-decreasing in the
     level for fixed data because z is monotone in gamma.
     """
-    if unc.m < 1:
-        raise ValueError("coverage of an empty record sequence")
     levels = [float(g) for g in levels]
     for g in levels:
         if not (0.0 < g < 1.0):

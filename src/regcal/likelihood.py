@@ -1,9 +1,10 @@
 """Set-level negative log-likelihood under a Gaussian or Laplacian model.
 
 ``batch_nll`` keeps the full density constants, so the reported number is a
-proper negative log-likelihood that can be compared across models. The
-training objectives (``toymodel.loss_and_grads``, the sigma and aux fits)
-drop those constants and compute their own terms.
+proper negative log-likelihood that can be compared across models; like the
+sigma and aux fits, it reads errors and scales (the Laplacian's b included)
+from :meth:`Uncertainties.errors_and_scales`. The training objectives
+(``toymodel.loss_and_grads``, the fits) drop those constants.
 """
 
 from __future__ import annotations
@@ -35,18 +36,12 @@ def batch_nll(unc: Uncertainties, kind: str = "gaussian") -> float:
     """
     if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"unknown likelihood kind {kind!r}")
-    s2 = unc.total
-    degenerate = np.flatnonzero(s2 <= 0.0)
-    if degenerate.size:
-        i = degenerate[0]
-        raise ValueError(f"degenerate uncertainty: record '{unc.ids[i]}' has total {s2[i]}")
+    errors, scales = unc.errors_and_scales(kind, "predictive")
     # A subnormal total can overflow the error term to inf; the caller
     # decides what a non-finite NLL means, so no RuntimeWarning is printed.
     with np.errstate(over="ignore"):
         if kind == "gaussian":
-            terms = HALF_LOG_2PI + 0.5 * np.log(s2) + unc.err_sq / (2.0 * s2)
+            terms = HALF_LOG_2PI + 0.5 * np.log(scales) + errors / (2.0 * scales)
         else:
-            # Laplace scale b = sqrt(total); mean-across-d absolute error.
-            b = np.sqrt(s2)
-            terms = np.log(2.0 * b) + unc.abs_err / b
+            terms = np.log(2.0 * scales) + errors / scales
     return float(np.mean(terms))

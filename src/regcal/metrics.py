@@ -1,8 +1,8 @@
 """Predictive-variance decomposition, uncertainty calibration error, and MSE.
 
 :func:`uncertainty_records` is the one place a prediction set is decomposed;
-the other functions here take the resulting :class:`Uncertainties`, already
-recalibrated where wanted.
+the other functions here take the resulting :class:`Uncertainties` (never
+empty, never non-finite), already recalibrated where wanted.
 
 The calibration error follows the binning recipe used for classification
 calibration: uncertainties are partitioned into K equal-width bins over
@@ -28,9 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import BinStats, McPredictionSet, Uncertainties
-
-UCE_MODES = ("predictive", "aleatoric_only")
+from .core import CALIBRATION_TARGETS, BinStats, McPredictionSet, Uncertainties
 
 DEFAULT_BINS = 10
 
@@ -63,7 +61,7 @@ def uncertainty_records(pset: McPredictionSet) -> Uncertainties:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y_mean = pset.means.mean(axis=1)
-        unc = Uncertainties(
+        return Uncertainties(
             ids=pset.ids,
             y=pset.y,
             y_mean=y_mean,
@@ -71,20 +69,10 @@ def uncertainty_records(pset: McPredictionSet) -> Uncertainties:
             aleatoric=np.mean(np.exp(pset.log_vars), axis=1),
             pass_err_sq=np.mean((pset.means - pset.y[:, None, :]) ** 2, axis=(1, 2)),
         )
-    finite = np.isfinite(unc.epistemic) & np.isfinite(unc.aleatoric) & np.isfinite(unc.pass_err_sq)
-    if not finite.all():
-        i = np.flatnonzero(~finite)[0]
-        raise ValueError(
-            f"record '{unc.ids[i]}': non-finite uncertainty (epistemic {unc.epistemic[i]}, "
-            f"aleatoric {unc.aleatoric[i]}, observed {unc.pass_err_sq[i]})"
-        )
-    return unc
 
 
 def mse(unc: Uncertainties) -> float:
     """Mean over records of the mean-over-d squared error of the MC mean."""
-    if unc.m < 1:
-        raise ValueError("mse of an empty record sequence")
     return float(np.mean(unc.err_sq))
 
 
@@ -113,12 +101,10 @@ def uce(unc: Uncertainties, k: int = DEFAULT_BINS, mode: str = "predictive") -> 
 
     Returns a report whose ``uce`` field is in percent.
     """
-    if mode not in UCE_MODES:
+    if mode not in CALIBRATION_TARGETS:
         raise ValueError(f"unknown uce mode {mode!r}")
     if k < 1:
         raise ValueError(f"bin count must be >= 1 (got {k})")
-    if unc.m < 1:
-        raise ValueError("uce of an empty set")
     if mode == "predictive":
         u, obs = unc.total, unc.pass_err_sq
     else:

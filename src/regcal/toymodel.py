@@ -20,6 +20,7 @@ import numpy as np
 
 from .calibrate import sigma_closed_form_gaussian
 from .core import McPredictionSet
+from .metrics import uncertainty_records
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wm", "bm", "Wv", "bv")
 
@@ -61,6 +62,8 @@ class SyntheticSpec:
             raise ValueError("all split sizes must be >= 1")
         if self.noise_floor <= 0 or self.noise_slope < 0:
             raise ValueError("noise_floor must be > 0 and noise_slope >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -110,6 +113,8 @@ class ToyModelConfig:
             raise ValueError("dropout_p must lie in [0, 1)")
         if min(self.epochs, self.mc_passes) < 1:
             raise ValueError("epochs and mc_passes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def toy_experiment_config(seed: int = 0) -> ToyModelConfig:
@@ -372,20 +377,22 @@ def simulate_unbiasedness(
 ) -> UnbiasednessResult:
     """Monte-Carlo check that the decomposed variance estimator is unbiased.
 
-    Each trial draws N sample means from N(mu, tau^2) and assigns every pass
-    the perfectly calibrated aleatoric variance (mu - y)^2 + tau^2/N (the
-    expected squared error of the N-sample mean). The decomposed total is
-    then an unbiased estimate of the true variance tau^2 + (mu - y)^2, so
-    the trial average converges to it as trials grow.
+    Each trial is one record of N sample means drawn from N(mu, tau^2), every
+    pass given the perfectly calibrated aleatoric variance (mu - y)^2 + tau^2/N
+    (the expected squared error of the N-sample mean). The total decomposed by
+    ``uncertainty_records`` is then an unbiased estimate of tau^2 + (mu - y)^2,
+    so the trial average converges to it as trials grow.
     """
     if trials < 1 or n_passes < 1:
         raise ValueError("trials and n_passes must be >= 1")
     rng = np.random.default_rng(seed)
     draws = mu + tau * rng.standard_normal((trials, n_passes))
-    epistemic = np.mean((draws - draws.mean(axis=1, keepdims=True)) ** 2, axis=1)
     sigma_hat_sq = (mu - y) ** 2 + tau**2 / n_passes
-    estimates = epistemic + sigma_hat_sq
-    mean_estimate = float(estimates.mean())
+    with np.errstate(divide="ignore"):  # sigma_hat_sq = 0 gives log_var -inf, variance 0
+        log_vars = np.full((trials, n_passes), np.log(sigma_hat_sq))
+    pset = McPredictionSet([f"t{i}" for i in range(trials)], np.full((trials, 1), float(y)),
+                           draws[:, :, None], log_vars)
+    mean_estimate = float(uncertainty_records(pset).total.mean())
     true_sigma2 = tau**2 + (mu - y) ** 2
     if true_sigma2 > 0.0:
         rel = abs(mean_estimate - true_sigma2) / true_sigma2

@@ -41,9 +41,6 @@ def calibrated(pset, calib=identity_artifact()):
 def make_uncertainties(rows):
     """Uncertainties from (id, y, y_mean, total) rows, y and y_mean of equal
     length. All variance is aleatoric, as an N=1 dump decomposes."""
-    if not rows:
-        empty = np.zeros(0)
-        return Uncertainties([], np.zeros((0, 1)), np.zeros((0, 1)), empty, empty, empty)
     ids, y, y_mean, total = zip(*rows)
     y = np.array([np.atleast_1d(v) for v in y], dtype=float)
     y_mean = np.array([np.atleast_1d(v) for v in y_mean], dtype=float)

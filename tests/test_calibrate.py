@@ -294,6 +294,12 @@ class TestApply:
         for i in range(base.m):
             assert base.total[i] == out.total[i] and base.epistemic[i] == out.epistemic[i]
 
+    def test_total_past_largest_double_is_refused(self):
+        # Both scaled parts are finite (1.44e308 each); their total is not.
+        rec = make_record("a", [1.0], [[0.0], [2.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="record 'a': non-finite uncertainty"):
+            calibrated(make_set([rec]), CalibrationArtifact(method="sigma", s=1.2e154))
+
     def test_sigma_squares_the_scale(self):
         rec = make_record("a", [0.0], [[0.1]], [math.log(0.01)])
         art = CalibrationArtifact(method="sigma", s=2.0)

@@ -243,12 +243,26 @@ class TestErrorReporting:
         assert rc == 2
         assert "error: invalid-flag:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--epochs", "-3"], ["--mc-passes", "0"]],
-                             ids=["zero-epochs", "negative-epochs", "zero-mc-passes"])
-    def test_bad_toy_override_single_error_line(self, capsys, tmp_path, flags):
+    @pytest.mark.parametrize("command, flag", [("reject", "thresholds"), ("intervals", "levels")])
+    @pytest.mark.parametrize("value", [",", "nan,0.1"], ids=["no-items", "nan-item"])
+    def test_empty_or_nan_sweep_flag(self, capsys, toy_dir, tmp_path, command, flag, value):
+        out = tmp_path / "out.csv"
+        rc = main([command, "--input", str(toy_dir / "test.jsonl"), f"--{flag}", value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid-flag: could not parse {flag} {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "epochs and mc_passes must be >= 1"),
+        (["--epochs", "-3"], "epochs and mc_passes must be >= 1"),
+        (["--mc-passes", "0"], "epochs and mc_passes must be >= 1"),
+        (["--seed", "-1", "--epochs", "1", "--mc-passes", "1"], "seed must be >= 0, got -1"),
+    ], ids=["zero-epochs", "negative-epochs", "zero-mc-passes", "negative-seed"])
+    def test_bad_toy_override_single_error_line(self, capsys, tmp_path, flags, message):
         out = tmp_path / "toy"
-        assert main(["toy", "--seed", "0", "--out-dir", str(out), *flags]) == 1
-        assert capsys.readouterr().err == "error: invalid-input: epochs and mc_passes must be >= 1\n"
+        assert main(["toy", "--out-dir", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: invalid-input: {message}\n"
         assert not out.exists()
 
     def test_validation_failure_in_dump(self, capsys, tmp_path):
@@ -318,12 +332,38 @@ class TestErrorReporting:
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("artifact", [
+        '{"method": "sigma", "s": "1e200"}',
+        AUX.replace('"b2": "0.0"', '"b2": "800"') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+    ], ids=["sigma-s-1e200", "aux-b2-800"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--input", "{test}", "--out", "{out}.json"],
+        ["intervals", "--input", "{test}", "--out", "{out}.csv"],
+        ["reject", "--input", "{test}", "--out", "{out}.csv"],
+        ["ood", "--in-dist", "{val}", "--shifted", "{test}", "--out", "{out}.csv"],
+    ], ids=["evaluate", "intervals", "reject", "ood"])
+    def test_overflowing_recalibration_single_error_line(self, capsys, toy_dir, tmp_path,
+                                                         artifact, command):
+        # Both artifacts load, but recalibrating any record overflows its variance.
+        calib = tmp_path / "calib.json"
+        calib.write_text(artifact)
+        argv = [a.format(test=toy_dir / "test.jsonl", val=toy_dir / "val.jsonl",
+                         out=tmp_path / "out") for a in command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--calib", str(calib)]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input: record '") and err.count("\n") == 1
+        assert not Path(argv[-1]).exists()
+
     # Each dump has five good records plus one whose uncertainty cannot be
-    # represented: an overflowing exp(log_var), or a subnormal variance whose
-    # NLL term overflows.
+    # represented: an overflowing exp(log_var), a subnormal variance whose
+    # NLL term overflows, or an aleatoric variance that underflows to 0.
     NON_FINITE_DUMPS = {
         "log-var-800": ([800.0, -2.0], [0.1, 0.3]),
         "log-var-minus-740": ([-740.0, -740.0], [0.1, 0.1]),
+        "log-var-minus-800": ([-800.0, -800.0], [0.1, 0.3]),
     }
     NON_FINITE_COMMANDS = {
         "evaluate": ["evaluate", "--input", "{bad}", "--out", "{out}.json"],
@@ -335,6 +375,12 @@ class TestErrorReporting:
         "calibrate-gd": ["calibrate", "--input", "{bad}", "--method", "sigma", "--gd",
                          "--out", "{out}.json"],
         "calibrate-aux": ["calibrate", "--input", "{bad}", "--method", "aux", "--out", "{out}.json"],
+        "calibrate-aleatoric": ["calibrate", "--input", "{bad}", "--method", "sigma",
+                                "--target", "aleatoric", "--out", "{out}.json"],
+        "calibrate-gd-aleatoric": ["calibrate", "--input", "{bad}", "--method", "sigma", "--gd",
+                                   "--target", "aleatoric", "--out", "{out}.json"],
+        "calibrate-aux-aleatoric": ["calibrate", "--input", "{bad}", "--method", "aux",
+                                    "--target", "aleatoric", "--out", "{out}.json"],
     }
 
     @pytest.mark.parametrize("dump, command", [
@@ -343,6 +389,9 @@ class TestErrorReporting:
         ("log-var-minus-740", "calibrate"),
         ("log-var-minus-740", "calibrate-gd"),
         ("log-var-minus-740", "calibrate-aux"),
+        ("log-var-minus-800", "calibrate-aleatoric"),
+        ("log-var-minus-800", "calibrate-gd-aleatoric"),
+        ("log-var-minus-800", "calibrate-aux-aleatoric"),
     ])
     def test_non_finite_values_single_error_line(self, capsys, tmp_path, dump, command):
         def write(path, records):

@@ -1,15 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
-from regcal.core import CalibrationArtifact, McPredictionSet, identity_artifact
+from regcal.core import CalibrationArtifact, McPredictionSet, Uncertainties, identity_artifact
 from regcal.metrics import uncertainty_records
 
 from conftest import make_record, make_set
 
 
 class TestValidate:
-    """Prediction-set invariants: the constructor refuses bad shapes and
-    uncertainty_records refuses non-finite values, naming the record."""
+    """Prediction-set invariants: the constructor refuses bad shapes, and
+    every Uncertainties (so uncertainty_records) refuses an empty set or a
+    non-finite variance, naming the record."""
 
     def test_well_formed_set_gives_empty_report(self):
         records = [
@@ -53,6 +56,22 @@ class TestValidate:
             uncertainty_records(make_set(records))
         with pytest.raises(ValueError, match="'b'"):
             uncertainty_records(make_set(records[1:]))
+
+    def test_uncertainties_refuse_empty_and_non_finite(self):
+        def unc(epistemic, aleatoric, observed):
+            m = len(epistemic)
+            return Uncertainties([f"r{i}" for i in range(m)], np.zeros((m, 1)), np.zeros((m, 1)),
+                                 np.array(epistemic), np.array(aleatoric), np.array(observed))
+
+        with pytest.raises(ValueError, match="empty set: m must be >= 1"):
+            unc([], [], [])
+        message = "record 'r1': non-finite uncertainty (epistemic {}, aleatoric {}, observed {})"
+        # The last parts are finite, but their total is not.
+        bad = ([np.inf, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, -np.inf], [1e308, 1e308, 1.0])
+        for parts in bad:
+            with pytest.raises(ValueError, match=re.escape(message.format(*parts))):
+                unc([0.1, parts[0], np.nan], [0.1, parts[1], 0.1], [0.1, parts[2], 0.1])
+        assert unc([0.1], [0.2], [0.3]).m == 1
 
     def test_empty_set_is_reported(self):
         with pytest.raises(ValueError, match="m, N and d must be >= 1"):

@@ -126,8 +126,6 @@ class TestCoverage:
         assert table.membership == "joint"
 
     def test_level_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            coverage(make_uncertainties([]), [0.5])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             coverage(make_uncertainties([_record(0.0, 0.0, 1.0)]), [1.0])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):

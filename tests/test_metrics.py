@@ -286,7 +286,3 @@ class TestMse:
             y_mean = np.mean([pset.means[i, n] for n in range(pset.n_samples)], axis=0)
             want += float(np.mean((pset.y[i] - y_mean) ** 2))
         assert mse(records) == pytest.approx(want / 50, abs=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            mse(make_uncertainties([]))
