@@ -60,6 +60,8 @@ class AuxConfig:
             raise ValueError("hidden_width must be >= 1")
         if self.epochs <= 0 or self.step_size <= 0:
             raise ValueError("epochs and step_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _ratios(errors, scales, scale_name: str) -> np.ndarray:

@@ -265,6 +265,14 @@ class TestErrorReporting:
         assert capsys.readouterr().err == f"error: invalid-input: {message}\n"
         assert not out.exists()
 
+    def test_negative_aux_seed_single_error_line(self, capsys, toy_dir, tmp_path):
+        out = tmp_path / "c.json"
+        rc = main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", "aux",
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: invalid-input: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_validation_failure_in_dump(self, capsys, tmp_path):
         # structurally fine JSONL but semantically broken: NaN y
         bad = tmp_path / "bad.jsonl"

@@ -1,10 +1,14 @@
+import copy
+import gc
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regcal.calibrate import AuxConfig, aux_fit, fit_sigma
-from regcal.core import identity_artifact
+from regcal.core import McPredictionSet, identity_artifact
 from regcal.io import (
     DumpFormatError,
     artifact_to_json,
@@ -110,6 +114,22 @@ class TestDumpErrors:
         with pytest.raises(DumpFormatError, match="line 2: y has length 1"):
             load_dump(path)
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("text", ['{"id":"a","y":[0.5],"samples":[{"mean":[0.4],"log_var":-2}]}\n',
+                                      "not json\n"], ids=["valid", "invalid"])
+    def test_collector_state_is_restored(self, tmp_path, enabled, text):
+        path = tmp_path / "d.jsonl"
+        path.write_text(text)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_dump(path)
+            except DumpFormatError:
+                pass
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
 
 def _line(rid="a", y="[0.5]", samples='[{"mean":[0.4],"log_var":-2.0}]'):
     return '{"id":%s,"y":%s,"samples":%s}' % (json.dumps(rid), y, samples)
@@ -161,6 +181,18 @@ class TestDumpMessages:
              "line 1: non-finite log_var in sample 0"),
             ([_line(samples='[{"mean":[0.4],"log_var":[-2.0]}]')],
              "line 1: non-finite log_var in sample 0"),
+            ([_line(samples='[{"mean":[1' + "0" * 400 + '],"log_var":-2.0}]')],
+             "line 1: non-finite samples[0].mean"),
+            ([_line(samples='[{"mean":[0.4],"log_var":1' + "0" * 400 + '}]')],
+             "line 1: non-finite log_var in sample 0"),
+            # a sample's mean is checked for finiteness before its length
+            ([_line(samples='[{"mean":[NaN,0.4],"log_var":-2.0}]')],
+             "line 1: non-finite samples[0].mean"),
+            # and its length before its log_var
+            ([_line(samples='[{"mean":[0.4],"log_var":-2.0},{"mean":[0.5,0.5],"log_var":NaN}]')],
+             "line 1: samples[1].mean has length 2, expected 1"),
+            ([_line(samples='[{"mean":[0.4],"log_var":-2.0},0.5]')],
+             "line 1: sample 1 must have mean and log_var"),
             ([_line(samples=TWO_SAMPLES), _line(rid="b")],
              "line 2: inconsistent N (expected 2, got 1)"),
             ([], "empty dump file"),
@@ -199,6 +231,179 @@ class TestDumpMessages:
         assert pset.means.tolist() == [[[float(huge), -1.0]]]
         assert pset.log_vars.tolist() == [[-2.0]]
         assert pset.y.dtype == pset.means.dtype == pset.log_vars.dtype == np.float64
+
+
+# The record parser as it stood before its per-sample checks were inlined,
+# copied verbatim (bar the names), as the reference for the equivalence test.
+class _ReferenceBadLine(Exception):
+    pass
+
+
+def _reference_numbers(value, name: str) -> list:
+    if not isinstance(value, list) or not value or not all(type(v) in (int, float) for v in value):
+        raise _ReferenceBadLine(f"field {name} must be a non-empty array of numbers")
+    try:
+        finite = all(map(math.isfinite, value))
+    except OverflowError:  # a JSON integer too large for a float
+        finite = False
+    if not finite:
+        raise _ReferenceBadLine(f"non-finite {name}")
+    return value
+
+
+def _reference_record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str, int]):
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _ReferenceBadLine(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise _ReferenceBadLine("record must be a JSON object")
+    missing = [f"missing field {name}" for name in ("id", "y", "samples") if name not in obj]
+    if missing:
+        raise _ReferenceBadLine(*missing)
+    rid = obj["id"]
+    if not isinstance(rid, str):
+        raise _ReferenceBadLine("field id must be a string")
+    first = first_line.setdefault(rid, lineno)
+    if first != lineno:
+        raise _ReferenceBadLine(f"duplicate id '{rid}' (first on line {first})")
+    y = _reference_numbers(obj["y"], "y")
+    d = shape.setdefault("d", len(y))
+    if len(y) != d:
+        raise _ReferenceBadLine(f"y has length {len(y)}, expected {d}")
+    samples = obj["samples"]
+    if not isinstance(samples, list) or not samples:
+        raise _ReferenceBadLine("field samples must be a non-empty array")
+    means, log_vars = [], []
+    for j, s in enumerate(samples):
+        if not isinstance(s, dict) or "mean" not in s or "log_var" not in s:
+            raise _ReferenceBadLine(f"sample {j} must have mean and log_var")
+        mean = _reference_numbers(s["mean"], f"samples[{j}].mean")
+        if len(mean) != d:
+            raise _ReferenceBadLine(f"samples[{j}].mean has length {len(mean)}, expected {d}")
+        try:
+            (log_var,) = _reference_numbers([s["log_var"]], "log_var")
+        except _ReferenceBadLine:
+            raise _ReferenceBadLine(f"non-finite log_var in sample {j}") from None
+        means.append(mean)
+        log_vars.append(log_var)
+    n = shape.setdefault("N", len(means))
+    if len(means) != n:
+        raise _ReferenceBadLine(f"inconsistent N (expected {n}, got {len(means)})")
+    return rid, y, means, log_vars
+
+
+def _reference_load_dump(path) -> McPredictionSet:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    errors: list[str] = []
+    first_line: dict[str, int] = {}
+    shape: dict[str, int] = {}
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(_reference_record(line, lineno, first_line, shape))
+        except _ReferenceBadLine as exc:
+            errors += (f"line {lineno}: {msg}" for msg in exc.args)
+    if not records and not errors:
+        raise DumpFormatError("empty dump file")
+    if errors:
+        raise DumpFormatError("; ".join(errors))
+    ids, ys, means, log_vars = zip(*records)
+    return McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
+
+
+# What a mutation writes in place of a JSON value: a number (finite,
+# non-finite or too large for a float), a value of the wrong type, or an
+# array of such scalars.
+_SCALARS = [0.5, -3, math.nan, math.inf, -math.inf, 10**400, -(10**400),
+            True, False, None, "0.5", [], {}]
+
+
+def _finite(rnd):
+    """A finite JSON number: a float of any exponent, an edge value or an integer."""
+    return rnd.choice([rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-320, 307),
+                       rnd.randint(-10**20, 10**20), -0.0, 5e-324, 1.7976931348623157e308])
+
+
+def _mutate(records, rnd, d):
+    """Replace, reshape or drop one value somewhere in a dump's records."""
+
+    def scalar():
+        return copy.deepcopy(rnd.choice(_SCALARS))
+
+    def array():  # 0 to d + 1 entries of 0.5, up to two replaced by scalars
+        items = [0.5] * rnd.randint(0, d + 1)
+        for _ in range(rnd.randint(0, 2) if items else 0):
+            items[rnd.randrange(len(items))] = scalar()
+        return items
+
+    def value():
+        return rnd.choice((scalar, array))()
+
+    rec = rnd.choice(records)
+    samples = rec.get("samples") if isinstance(rec.get("samples"), list) else []
+    j = rnd.randrange(len(samples)) if samples else None
+    sample = samples[j] if j is not None and isinstance(samples[j], dict) else {}
+    kind = rnd.choice(["y", "y-item", "id", "samples", "drop"]
+                      + ["mean", "mean-item", "log_var", "sample"] * 3)
+    if kind == "y":
+        rec["y"] = value()
+    elif kind == "y-item" and isinstance(rec.get("y"), list) and rec["y"]:
+        rec["y"][rnd.randrange(len(rec["y"]))] = scalar()
+    elif kind == "id":
+        rec["id"] = rnd.choice([scalar(), records[0].get("id")])
+    elif kind == "samples":
+        rec["samples"] = rnd.choice([value(), samples[:-1], samples + samples[-1:]])
+    elif kind == "drop":
+        target = rnd.choice([rec, sample])
+        if target:
+            del target[rnd.choice(sorted(target))]
+    elif kind in ("mean", "log_var") and sample:
+        sample[kind] = value()
+    elif kind == "mean-item" and isinstance(sample.get("mean"), list) and sample["mean"]:
+        sample["mean"][rnd.randrange(len(sample["mean"]))] = scalar()
+    elif kind == "sample" and j is not None:
+        samples[j] = rnd.choice([value(), {"mean": value(), "log_var": value()},
+                                 {"mean": array(), "log_var": scalar()}])
+
+
+def _outcome(load, path):
+    """The error text of a load, or its arrays as bytes (bit-identical check)."""
+    try:
+        pset = load(path)
+    except DumpFormatError as exc:
+        return "error", str(exc)
+    return "ok", tuple(pset.ids), *(
+        (a.dtype.str, a.shape, a.tobytes()) for a in (pset.y, pset.means, pset.log_vars)
+    )
+
+
+class TestParserEquivalence:
+    """load_dump gives the reference parser's exact error text, or bit-identical
+    arrays, on valid dumps with a few values replaced, reshaped or dropped."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rnd=st.randoms(use_true_random=True))
+    def test_mutated_dumps_match_reference_parser(self, tmp_path, rnd):
+        m, n, d = rnd.randint(1, 8), rnd.randint(1, 3), rnd.randint(1, 3)
+
+        def vector():
+            return [_finite(rnd) for _ in range(d)]
+
+        records = [
+            {"id": f"r{i}", "y": vector(),
+             "samples": [{"mean": vector(), "log_var": _finite(rnd)} for _ in range(n)]}
+            for i in range(m)
+        ]
+        for _ in range(rnd.randint(0, 2 * m)):
+            _mutate(records, rnd, d)
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
 
 
 class TestArtifactPersistence:
