@@ -11,7 +11,7 @@ from pathlib import Path
 
 from regcal import (
     AuxConfig,
-    SyntheticSpec,
+    ToyModelConfig,
     aux_fit,
     batch_nll,
     fit_sigma,
@@ -19,7 +19,6 @@ from regcal import (
     identity_artifact,
     mc_predict,
     mse,
-    toy_experiment_config,
     train,
     uce,
     uncertainty_records,
@@ -33,11 +32,11 @@ out_dir.mkdir(exist_ok=True)
 
 seed = 0
 print("generating synthetic data (tiny training split, heteroscedastic noise)...")
-data = generate(SyntheticSpec(seed=seed))
+data = generate(seed)
 print(f"  train/val/test sizes: {len(data.train.x)}/{len(data.val.x)}/{len(data.test.x)}")
 
 print("training the MC-dropout regressor (a minute at most)...")
-cfg = toy_experiment_config(seed)
+cfg = ToyModelConfig(seed=seed)
 model, trace = train(data, cfg)
 trace_to_csv(trace, out_dir / "trace.csv")
 print(f"  final train MSE {trace.train_mse[-1]:.5f}, test MSE {trace.test_mse[-1]:.5f}")

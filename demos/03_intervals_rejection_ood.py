@@ -9,14 +9,13 @@ and a shifted set.
 import numpy as np
 
 from regcal import (
-    SyntheticSpec,
+    ToyModelConfig,
     coverage,
     fit_sigma,
     generate,
     mc_predict,
     ood_compare,
     rejection_curve,
-    toy_experiment_config,
     train,
     uncertainty_records,
 )
@@ -24,8 +23,8 @@ from regcal.calibrate import apply_calibration
 from regcal.toymodel import LabeledData, true_mean
 
 seed = 0
-data = generate(SyntheticSpec(seed=seed))
-cfg = toy_experiment_config(seed)
+data = generate(seed)
+cfg = ToyModelConfig(seed=seed)
 print("training (reusing the toy experiment setup)...")
 model, _ = train(data, cfg)
 val = uncertainty_records(

@@ -33,14 +33,12 @@ from .io import DumpFormatError, load_artifact, load_dump, save_artifact, save_d
 from .likelihood import batch_nll
 from .metrics import UceReport, calibration_diagram, mse, uce, uncertainty_records
 from .toymodel import (
-    SyntheticSpec,
     ToyModel,
     ToyModelConfig,
     TrainingTrace,
     generate,
     mc_predict,
     simulate_unbiasedness,
-    toy_experiment_config,
     train,
 )
 
@@ -57,7 +55,6 @@ __all__ = [
     "OodComparison",
     "RejectionCurve",
     "SigmaFitOptions",
-    "SyntheticSpec",
     "ToyModel",
     "ToyModelConfig",
     "TrainingTrace",
@@ -85,7 +82,6 @@ __all__ = [
     "sigma_closed_form_laplace",
     "sigma_fit_gd",
     "simulate_unbiasedness",
-    "toy_experiment_config",
     "train",
     "uce",
     "uncertainty_records",

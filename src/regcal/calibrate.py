@@ -42,8 +42,10 @@ class SigmaFitOptions:
     step_size: float = 0.01
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.step_size <= 0:
-            raise ValueError("all sigma fit options must be positive")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
+        if not 0.0 < self.step_size < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
 
 
 @dataclass
@@ -58,8 +60,10 @@ class AuxConfig:
     def __post_init__(self):
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be >= 1")
-        if self.epochs <= 0 or self.step_size <= 0:
-            raise ValueError("epochs and step_size must be positive")
+        if self.epochs <= 0:
+            raise ValueError("epochs must be positive")
+        if not 0.0 < self.step_size < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -9,7 +9,6 @@ exit code is nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .core import identity_artifact
 from .intervals import DEFAULT_LEVELS, coverage
 from .likelihood import batch_nll
 from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
-from .toymodel import SyntheticSpec, generate, mc_predict, toy_experiment_config, train
+from .toymodel import ToyModelConfig, generate, mc_predict, train
 
 
 class CliError(Exception):
@@ -152,12 +151,10 @@ def cmd_ood(args) -> int:
 
 def cmd_toy(args) -> int:
     seed = args.seed
-    cfg = dataclasses.replace(toy_experiment_config(seed),
-                              **_given(epochs=args.epochs, mc_passes=args.mc_passes))
-    spec = SyntheticSpec(seed=seed)
+    cfg = ToyModelConfig(seed=seed, **_given(epochs=args.epochs, mc_passes=args.mc_passes))
+    data = generate(seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = generate(spec)
     model, trace = train(data, cfg)
 
     dumps = {}

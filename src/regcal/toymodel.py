@@ -8,7 +8,9 @@ can be checked against finite differences. Dropout uses the inverted
 convention: activations are scaled by 1/(1-p) at mask time, so stochastic
 evaluation passes reuse the raw weights with fresh masks.
 
-Everything is deterministic given (seed, config, data).
+Data, architecture and optimiser are module constants; :class:`ToyModelConfig`
+holds the four settings a run varies. Everything is deterministic given the
+data seed and the config.
 """
 
 from __future__ import annotations
@@ -38,32 +40,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-
-@dataclass
-class SyntheticSpec:
-    """Synthetic heteroscedastic regression data: y = x + 0.3 sin(2 pi x) + eps.
-
-    x is uniform on [0, 1] and eps ~ N(0, (a + b*x)^2), so the aleatoric
-    noise grows with the input. The true noise level is retained per point
-    for oracle checks. The default training split is deliberately tiny
-    relative to the network capacity: miscalibration of uncertainty is an
-    overparameterized-regime effect, so the toy setup has to live there.
-    """
-
-    m_train: int = 32
-    m_val: int = 256
-    m_test: int = 512
-    noise_floor: float = 0.05  # a
-    noise_slope: float = 0.10  # b
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.m_train, self.m_val, self.m_test) < 1:
-            raise ValueError("all split sizes must be >= 1")
-        if self.noise_floor <= 0 or self.noise_slope < 0:
-            raise ValueError("noise_floor must be > 0 and noise_slope >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+# The one dataset: y = true_mean(x) + eps, x ~ U[0, 1], eps ~ N(0, sd(x)^2),
+# sd(x) = NOISE_FLOOR + NOISE_SLOPE*x. The training split is tiny next to the
+# network: underestimated uncertainty is an overparameterized-regime effect.
+M_TRAIN, M_VAL, M_TEST = 32, 256, 512
+NOISE_FLOOR = 0.05
+NOISE_SLOPE = 0.10
 
 
 @dataclass
@@ -84,27 +66,33 @@ def true_mean(x: np.ndarray) -> np.ndarray:
     return x + 0.3 * np.sin(2.0 * np.pi * x)
 
 
-def generate(spec: SyntheticSpec) -> SyntheticData:
-    """Draw the three splits deterministically from the spec's seed."""
-    rng = np.random.default_rng(spec.seed)
+def generate(seed: int) -> SyntheticData:
+    """Draw the ``M_TRAIN``/``M_VAL``/``M_TEST`` splits deterministically from
+    the seed; each point keeps its true noise level for oracle checks."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
 
     def draw(m: int) -> LabeledData:
         x = rng.uniform(0.0, 1.0, size=m)
-        sd = spec.noise_floor + spec.noise_slope * x
+        sd = NOISE_FLOOR + NOISE_SLOPE * x
         y = true_mean(x) + rng.normal(0.0, 1.0, size=m) * sd
         return LabeledData(x=x, y=y, noise_sd=sd)
 
-    return SyntheticData(train=draw(spec.m_train), val=draw(spec.m_val), test=draw(spec.m_test))
+    return SyntheticData(train=draw(M_TRAIN), val=draw(M_VAL), test=draw(M_TEST))
 
 
 @dataclass
 class ToyModelConfig:
     """The settings of one toy run: dropout rate, training epochs, MC passes
-    per dump and seed. Architecture and optimiser are the module constants
+    per dump and seed. The defaults are the toy experiment's: long training
+    at a small dropout rate drives the network into the overfitting regime on
+    the tiny training split, where predictive uncertainty underestimates the
+    test error. Architecture and optimiser are the module constants
     ``HIDDEN``, ``BATCH_SIZE``, ``STEP_SIZE`` and ``WEIGHT_DECAY``."""
 
-    dropout_p: float = 0.2
-    epochs: int = 500
+    dropout_p: float = 0.05
+    epochs: int = 4000
     mc_passes: int = 25
     seed: int = 0
 
@@ -115,18 +103,6 @@ class ToyModelConfig:
             raise ValueError("epochs and mc_passes must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def toy_experiment_config(seed: int = 0) -> ToyModelConfig:
-    """Training configuration of the end-to-end toy experiment.
-
-    Long training with a small dropout rate drives the network into the
-    overfitting regime on the tiny default training split, which is where
-    predictive uncertainty genuinely underestimates the test error. The
-    plain :class:`ToyModelConfig` defaults are general-purpose settings and
-    stay much milder.
-    """
-    return ToyModelConfig(epochs=4000, dropout_p=0.05, seed=seed)
 
 
 def init_params(hidden: tuple[int, int], rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -222,11 +198,6 @@ class ToyModel:
     def hidden(self) -> tuple[int, int]:
         return len(self.params["b1"]), len(self.params["b2"])
 
-    def predict(self, x: np.ndarray):
-        """Deterministic forward pass (no dropout): (mu, log_var)."""
-        mu, lv, _ = forward(self.params, x)
-        return mu, lv
-
 
 @dataclass
 class TrainingTrace:
@@ -234,8 +205,7 @@ class TrainingTrace:
     epoch, so ``n_epochs`` equals the configured ``epochs``.
 
     ``s`` is the closed-form sigma scale fitted on that epoch's deterministic
-    validation pass, and ``test_nll_calibrated`` the test NLL after scaling
-    the test variances by s^2; the weights are untouched by either.
+    validation pass; the weights are untouched by it.
     """
 
     train_mse: list[float] = field(default_factory=list)
@@ -245,7 +215,6 @@ class TrainingTrace:
     train_nll: list[float] = field(default_factory=list)
     test_nll: list[float] = field(default_factory=list)
     s: list[float] = field(default_factory=list)
-    test_nll_calibrated: list[float] = field(default_factory=list)
 
     @property
     def n_epochs(self) -> int:
@@ -278,10 +247,9 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     minibatch Adam steps (``BATCH_SIZE``, ``STEP_SIZE``, ``WEIGHT_DECAY``;
     beta1=0.9, beta2=0.999, eps=1e-8) on one flat parameter vector, at a
     constant step size. Dropout is active on every training step. After each
-    epoch sigma scaling is fitted on the validation split and the
-    recalibrated test NLL recorded (see :class:`TrainingTrace`). The model
-    returned holds the weights after the last epoch. Fully deterministic
-    given cfg.seed.
+    epoch sigma scaling is fitted on the validation split and recorded (see
+    :class:`TrainingTrace`). The model returned holds the weights after the
+    last epoch. Fully deterministic given cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -313,10 +281,9 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
             theta -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(params, data.train)
-        te_err, te_s2_arr, te_mse, te_s2, te_nll = _epoch_eval(params, data.test)
+        _, _, te_mse, te_s2, te_nll = _epoch_eval(params, data.test)
         va_err, va_s2_arr, _, _, _ = _epoch_eval(params, data.val)
         s = sigma_closed_form_gaussian(va_err, va_s2_arr)
-        scaled = te_s2_arr * (s * s)
         trace.train_mse.append(tr_mse)
         trace.test_mse.append(te_mse)
         trace.train_sigma2.append(tr_s2)
@@ -324,7 +291,6 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
         trace.train_nll.append(tr_nll)
         trace.test_nll.append(te_nll)
         trace.s.append(s)
-        trace.test_nll_calibrated.append(float(np.mean(te_err / scaled + np.log(scaled))))
 
     return ToyModel(params=params, dropout_p=cfg.dropout_p), trace
 

@@ -21,14 +21,13 @@ from regcal.metrics import mse, uce, uncertainty_records
 from regcal.calibrate import apply_calibration
 from regcal.io import load_dump, save_dump
 from regcal.toymodel import (
-    SyntheticSpec,
+    ToyModelConfig,
     draw_masks,
     generate,
     init_params,
     loss_and_grads,
     mc_predict,
     simulate_unbiasedness,
-    toy_experiment_config,
     train,
 )
 
@@ -65,8 +64,8 @@ def toy_runs():
     runs = []
     t0 = time.perf_counter()
     for seed in range(5):
-        data = generate(SyntheticSpec(seed=seed))
-        cfg = toy_experiment_config(seed)
+        data = generate(seed)
+        cfg = ToyModelConfig(seed=seed)
         model, trace = train(data, cfg)
         val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
         test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")

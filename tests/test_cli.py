@@ -273,6 +273,17 @@ class TestErrorReporting:
         assert capsys.readouterr().err == "error: invalid-input: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    @pytest.mark.parametrize("method_flags", [["sigma", "--gd"], ["aux"]], ids=["sigma-gd", "aux"])
+    def test_non_finite_lr_single_error_line(self, capsys, toy_dir, tmp_path, method_flags, lr):
+        out = tmp_path / "c.json"
+        rc = main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", *method_flags,
+                   "--lr", lr, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid-input: step_size must be finite and positive, got {float(lr)}\n")
+        assert not out.exists()
+
     def test_validation_failure_in_dump(self, capsys, tmp_path):
         # structurally fine JSONL but semantically broken: NaN y
         bad = tmp_path / "bad.jsonl"

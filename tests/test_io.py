@@ -476,7 +476,7 @@ class TestCsvWriters:
             trace_to_csv,
         )
         from regcal.metrics import calibration_diagram, uce
-        from regcal.toymodel import SyntheticSpec, ToyModelConfig, generate, train
+        from regcal.toymodel import ToyModelConfig, generate, train
 
         pset = random_set(rng, m=30, n=3)
         records = uncertainty_records(pset)
@@ -499,7 +499,7 @@ class TestCsvWriters:
         diagram_to_csv(calibration_diagram(uce(records, k=5)), path)
         assert path.read_text().splitlines()[0] == "bin_lower,bin_upper,count,uncert_mean,var_obs"
 
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         _, trace = train(data, ToyModelConfig(epochs=3, seed=0))
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
@@ -536,8 +536,7 @@ class TestCsvWriters:
         bins = [BinStats(k=0, lower=0.0, upper=0.5, count=3, var_obs=0.25, uncert_mean=0.1)]
         assert second_line(diagram_to_csv, bins) == "0.0,0.5,3,0.1,0.25"
         trace = TrainingTrace(train_mse=[0.5], test_mse=[0.25], train_sigma2=[2.0],
-                              test_sigma2=[3.0], train_nll=[-1.5], test_nll=[1e-20], s=[0.75],
-                              test_nll_calibrated=[1.25])
+                              test_sigma2=[3.0], train_nll=[-1.5], test_nll=[1e-20], s=[0.75])
         assert second_line(trace_to_csv, trace) == "1,0.5,0.25,2.0,3.0,-1.5,1e-20,0.75"
 
     def test_svg_renders_points_and_diagonal(self, tmp_path, rng):

@@ -7,16 +7,22 @@ from regcal.calibrate import sigma_closed_form_gaussian
 from regcal.io import dump_lines
 from regcal.metrics import uncertainty_records
 from regcal.toymodel import (
-    SyntheticSpec,
+    M_TEST,
+    M_TRAIN,
+    M_VAL,
+    NOISE_FLOOR,
+    NOISE_SLOPE,
     ToyModel,
     ToyModelConfig,
     draw_masks,
+    forward,
     generate,
     init_params,
     loss_and_grads,
     mc_predict,
     simulate_unbiasedness,
     train,
+    true_mean,
 )
 
 QUICK = ToyModelConfig(epochs=60, seed=0)
@@ -24,41 +30,37 @@ QUICK = ToyModelConfig(epochs=60, seed=0)
 
 class TestGenerate:
     def test_deterministic(self):
-        a = generate(SyntheticSpec(seed=5))
-        b = generate(SyntheticSpec(seed=5))
+        a = generate(5)
+        b = generate(5)
         assert np.array_equal(a.train.x, b.train.x)
         assert np.array_equal(a.test.y, b.test.y)
 
-    def test_homoscedastic_when_slope_zero(self):
-        data = generate(SyntheticSpec(seed=0, noise_slope=0.0))
-        assert np.all(data.train.noise_sd == 0.05)
-
     def test_split_sizes(self):
-        data = generate(SyntheticSpec(seed=0, m_train=10, m_val=20, m_test=30))
-        assert len(data.train.x) == 10
-        assert len(data.val.x) == 20
-        assert len(data.test.x) == 30
+        data = generate(0)
+        assert (M_TRAIN, M_VAL, M_TEST) == (32, 256, 512)
+        assert len(data.train.x) == M_TRAIN
+        assert len(data.val.x) == M_VAL
+        assert len(data.test.x) == M_TEST
 
     def test_empirical_noise_matches_spec(self):
         # Residual variance about the true conditional mean, binned in x,
-        # tracks (a + b x)^2 within 10% at 1e5 points.
-        from regcal.toymodel import true_mean
-
-        spec = SyntheticSpec(seed=3, m_train=100_000, m_val=1, m_test=1)
-        data = generate(spec)
-        resid = data.train.y - true_mean(data.train.x)
+        # tracks (a + b x)^2 within 10% at 1e5 points: the three splits of
+        # 125 seeds, pooled.
+        splits = [split for seed in range(125) for split in vars(generate(seed)).values()]
+        x = np.concatenate([split.x for split in splits])
+        y = np.concatenate([split.y for split in splits])
+        assert len(x) == 100_000
+        resid = y - true_mean(x)
         for lo in np.arange(0.0, 1.0, 0.1):
-            mask = (data.train.x >= lo) & (data.train.x < lo + 0.1)
+            mask = (x >= lo) & (x < lo + 0.1)
             mid = lo + 0.05
-            want = (spec.noise_floor + spec.noise_slope * mid) ** 2
+            want = (NOISE_FLOOR + NOISE_SLOPE * mid) ** 2
             got = float(np.mean(resid[mask] ** 2))
             assert got == pytest.approx(want, rel=0.10)
 
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(m_train=0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(noise_floor=0.0)
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            generate(-1)
 
 
 class TestGradients:
@@ -115,21 +117,21 @@ class TestGradients:
 
 class TestTrain:
     def test_deterministic_weights(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         m1, _ = train(data, QUICK)
         m2, _ = train(data, QUICK)
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_beats_constant_predictor(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         cfg = ToyModelConfig(epochs=300, seed=0)
         _, trace = train(data, cfg)
         target_var = float(np.var(data.test.y))
         assert trace.test_mse[-1] < target_var
 
     def test_trace_lengths(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         _, trace = train(data, QUICK)
         assert trace.n_epochs == QUICK.epochs
         for f in dataclasses.fields(trace):
@@ -139,7 +141,7 @@ class TestTrain:
             assert all(type(v) is float for v in values), f.name
 
     def test_non_finite_loss_raises_with_epoch(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         data.train.y[:] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="epoch"):
@@ -148,7 +150,7 @@ class TestTrain:
 
 class TestMcPredict:
     def test_no_dropout_gives_zero_epistemic(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         cfg = ToyModelConfig(epochs=30, seed=0, dropout_p=0.0)
         model, _ = train(data, cfg)
         pset = mc_predict(model, data.test, n_passes=5, seed=0)
@@ -157,14 +159,14 @@ class TestMcPredict:
             assert epistemic <= 1e-30
 
     def test_single_pass_gives_zero_epistemic(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         model, _ = train(data, QUICK)
         pset = mc_predict(model, data.test, n_passes=1, seed=0)
         for epistemic in uncertainty_records(pset).epistemic:
             assert epistemic == 0.0
 
     def test_deterministic_given_seed(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         model, _ = train(data, QUICK)
         a = mc_predict(model, data.val, n_passes=4, seed=9)
         b = mc_predict(model, data.val, n_passes=4, seed=9)
@@ -173,18 +175,18 @@ class TestMcPredict:
     def test_hidden_widths_read_off_the_weights(self, rng):
         model = ToyModel(params=init_params((5, 4), rng), dropout_p=0.3)
         assert model.hidden == (5, 4)
-        data = generate(SyntheticSpec(seed=0, m_test=7))
+        data = generate(0)
         pset = mc_predict(model, data.test, n_passes=3, seed=0)
-        assert (pset.m, pset.n_samples, pset.d) == (7, 3, 1)
+        assert (pset.m, pset.n_samples, pset.d) == (M_TEST, 3, 1)
         assert np.all(np.isfinite(pset.means)) and np.all(np.isfinite(pset.log_vars))
-        assert uncertainty_records(pset).m == 7
+        assert uncertainty_records(pset).m == M_TEST
 
     def test_output_validates_and_feeds_pipeline(self):
         from regcal.calibrate import apply_calibration, fit_sigma
         from regcal.intervals import coverage
         from regcal.metrics import uce
 
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         model, _ = train(data, QUICK)
         pset = mc_predict(model, data.test, n_passes=25, seed=3)
         unc = uncertainty_records(pset)
@@ -220,20 +222,16 @@ class TestIntraTrainingCalibrate:
     """train refits sigma on the validation split after every epoch."""
 
     def test_final_epoch_matches_final_model(self):
-        data = generate(SyntheticSpec(seed=1))
+        data = generate(1)
         model, trace = train(data, QUICK)
-        mu, lv = model.predict(data.val.x)
+        mu, lv, _ = forward(model.params, data.val.x)
         s = sigma_closed_form_gaussian((data.val.y - mu) ** 2, np.exp(lv))
         assert trace.s[-1] == s
-        mu, lv = model.predict(data.test.x)
-        scaled = np.exp(lv) * (s * s)
-        nll_cal = float(np.mean((data.test.y - mu) ** 2 / scaled + np.log(scaled)))
-        assert trace.test_nll_calibrated[-1] == nll_cal
 
     def test_fit_on_test_itself_minimizes_test_nll(self):
-        data = generate(SyntheticSpec(seed=1))
+        data = generate(1)
         model, _ = train(data, QUICK)
-        mu, lv = model.predict(data.test.x)
+        mu, lv, _ = forward(model.params, data.test.x)
         te_err, te_s2 = (data.test.y - mu) ** 2, np.exp(lv)
         s = sigma_closed_form_gaussian(te_err, te_s2)
         scaled = te_s2 * s * s
@@ -242,8 +240,7 @@ class TestIntraTrainingCalibrate:
         assert nll_cal <= nll_raw
 
     def test_appends_per_epoch_sequences(self):
-        data = generate(SyntheticSpec(seed=0))
+        data = generate(0)
         _, trace = train(data, QUICK)
         assert len(trace.s) == trace.n_epochs
-        assert len(trace.test_nll_calibrated) == trace.n_epochs
         assert all(s > 0 for s in trace.s)
