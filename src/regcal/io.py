@@ -8,8 +8,10 @@ Dumps are JSON Lines, one record per line:
 first problem of every invalid line in one :class:`DumpFormatError`. The
 parser checks each sample with a few inline tests on JSON's own lists and
 numbers and formats a message only when a test fails, so a valid dump
-loads at little more than the cost of ``json.loads``; the one conversion
-to float arrays is :class:`McPredictionSet`'s.
+loads at little more than the cost of ``json.loads``. Every sample mean
+goes into one flat list, so the conversion of the means to a float array
+is one ``np.array`` call and a reshape. Records are separated at ``\n``
+only, as JSON Lines specifies; a trailing ``\r`` is JSON whitespace.
 Reals are serialized with full round-trip precision (shortest repr), so a
 load/save cycle is byte-stable. Calibration artifacts are JSON documents in
 which every real is a decimal string of full precision.
@@ -20,6 +22,8 @@ from __future__ import annotations
 import gc
 import json
 from math import isfinite
+
+import numpy as np
 
 from .core import CalibrationArtifact, McPredictionSet
 
@@ -49,12 +53,16 @@ def _numbers(value, name: str) -> list:
     return value
 
 
-def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str, int]):
-    """Check one non-blank dump line and return its (id, y, means, log_vars).
+def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str, int],
+            flat_means: list):
+    """Check one non-blank dump line and return its (id, y, log_vars); the
+    entries of its sample means are appended to ``flat_means``.
 
     Raises :class:`_BadLine` at the first problem. The id and d are claimed
     as soon as each passes its check, so later lines are held to them even
-    when this one fails further on; only a valid line fixes N.
+    when this one fails further on; only a valid line fixes N. A failing
+    line may leave some of its means in ``flat_means``, which is then never
+    converted.
     """
     try:
         obj = json.loads(line)
@@ -78,7 +86,7 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
     samples = obj["samples"]
     if not isinstance(samples, list) or not samples:
         raise _BadLine("field samples must be a non-empty array")
-    means, log_vars = [], []
+    log_vars = []
     # The per-sample tests in message order: the first that fails is reported.
     for j, s in enumerate(samples):
         if type(s) is not dict or "mean" not in s or "log_var" not in s:
@@ -100,12 +108,12 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
             finite = False
         if not finite:
             raise _BadLine(f"non-finite log_var in sample {j}")
-        means.append(mean)
+        flat_means += mean
         log_vars.append(log_var)
-    n = shape.setdefault("N", len(means))
-    if len(means) != n:
-        raise _BadLine(f"inconsistent N (expected {n}, got {len(means)})")
-    return rid, y, means, log_vars
+    n = shape.setdefault("N", len(log_vars))
+    if len(log_vars) != n:
+        raise _BadLine(f"inconsistent N (expected {n}, got {len(log_vars)})")
+    return rid, y, log_vars
 
 
 def load_dump(path) -> McPredictionSet:
@@ -116,7 +124,8 @@ def load_dump(path) -> McPredictionSet:
     a mean of y's length. d comes from the first valid y and N from the
     first valid record. Every invalid line adds its first problem, as
     ``line <n>: ...``, to one :class:`DumpFormatError`; blank lines are
-    skipped but counted.
+    skipped but counted. Lines end at ``\n`` only, so a U+2028 or U+0085
+    inside an id is kept, and a CRLF file loads like its LF twin.
 
     Each sample is tested in this order, and the first failing test gives
     its message: an object with mean and log_var; mean a non-empty array
@@ -125,12 +134,13 @@ def load_dump(path) -> McPredictionSet:
     d; log_var a finite number. Lines are parsed with the cycle collector
     paused, since a parse creates no reference cycles.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        lines = fh.read().split("\n")
     errors: list[str] = []
     first_line: dict[str, int] = {}
     shape: dict[str, int] = {}
     records = []
+    flat_means: list = []
     # Parsing builds only acyclic lists and dicts, so the cycle collector
     # would find nothing; left on, it walks every kept list again each time
     # the young generation fills.
@@ -141,7 +151,7 @@ def load_dump(path) -> McPredictionSet:
             if not line.strip():
                 continue
             try:
-                records.append(_record(line, lineno, first_line, shape))
+                records.append(_record(line, lineno, first_line, shape, flat_means))
             except _BadLine as exc:
                 errors += (f"line {lineno}: {msg}" for msg in exc.args)
     finally:
@@ -151,7 +161,8 @@ def load_dump(path) -> McPredictionSet:
         raise DumpFormatError("empty dump file")
     if errors:
         raise DumpFormatError("; ".join(errors))
-    ids, ys, means, log_vars = zip(*records)
+    ids, ys, log_vars = zip(*records)
+    means = np.array(flat_means, dtype=float).reshape(len(ids), shape["N"], shape["d"])
     return McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
 
 

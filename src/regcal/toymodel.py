@@ -8,6 +8,12 @@ can be checked against finite differences. Dropout uses the inverted
 convention: activations are scaled by 1/(1-p) at mask time, so stochastic
 evaluation passes reuse the raw weights with fresh masks.
 
+The layer math is written once, in ``_forward_into``, which computes into a
+preallocated workspace. :func:`forward` gives it a fresh one per call;
+:func:`train`'s evaluation passes and :func:`mc_predict`'s masked passes
+reuse one workspace each, so a 512-row pass maps no new pages. Nothing
+returned is a view of a reused workspace.
+
 Data, architecture and optimiser are module constants; :class:`ToyModelConfig`
 holds the four settings a run varies. Everything is deterministic given the
 data seed and the config.
@@ -130,22 +136,44 @@ def draw_masks(rng: np.random.Generator, batch: int, hidden: tuple[int, int], p:
     )
 
 
+def _workspace(rows: int, params) -> tuple[np.ndarray, ...]:
+    """Uninitialised buffers for a forward pass over up to ``rows`` inputs:
+    (z1, d1, z2, d2, mu, log_var), hidden widths read off the weights."""
+    h1, h2 = len(params["b1"]), len(params["b2"])
+    return (np.empty((rows, h1)), np.empty((rows, h1)), np.empty((rows, h2)),
+            np.empty((rows, h2)), np.empty((rows, 1)), np.empty((rows, 1)))
+
+
+def _forward_into(ws, params, x, masks=None, p: float = 0.0):
+    """The forward pass, computed into the leading rows of workspace ``ws``.
+
+    Every step writes into a buffer of ``ws`` in the order of the plain
+    expressions (``X @ W1 + b1``, then ``maximum``, then ``a * mask / (1 - p)``),
+    so results are bit-identical to them. mu, log_var and the cache are views
+    of ``ws``: valid until its next use.
+    """
+    X = np.asarray(x, dtype=float).reshape(-1, 1)
+    z1, d1, z2, d2, mu, log_var = (buf[: len(X)] for buf in ws)
+    for layer, (a, z, d) in enumerate(((X, z1, d1), (d1, z2, d2)), start=1):
+        np.matmul(a, params[f"W{layer}"], out=z)
+        np.add(z, params[f"b{layer}"], out=z)
+        np.maximum(z, 0.0, out=d)  # ReLU
+        if masks is not None:  # inverted dropout: d * mask / (1 - p)
+            np.multiply(d, masks[layer - 1], out=d)
+            np.divide(d, 1.0 - p, out=d)
+    for head, out in (("m", mu), ("v", log_var)):
+        np.matmul(d2, params[f"W{head}"], out=out)
+        np.add(out, params[f"b{head}"], out=out)
+    return mu[:, 0], log_var[:, 0], (X, z1, d1, z2, d2)
+
+
 def forward(params, x: np.ndarray, masks=None, p: float = 0.0):
     """Forward pass; masks=None runs the deterministic (no-dropout) path.
 
-    Returns (mu, log_var, cache) with mu/log_var of shape (batch,).
+    Returns (mu, log_var, cache) with mu/log_var of shape (batch,), all
+    computed into a workspace of their own.
     """
-    X = np.asarray(x, dtype=float).reshape(-1, 1)
-    z1 = X @ params["W1"] + params["b1"]
-    a1 = np.maximum(z1, 0.0)
-    d1 = a1 if masks is None else a1 * masks[0] / (1.0 - p)
-    z2 = d1 @ params["W2"] + params["b2"]
-    a2 = np.maximum(z2, 0.0)
-    d2 = a2 if masks is None else a2 * masks[1] / (1.0 - p)
-    mu = (d2 @ params["Wm"] + params["bm"])[:, 0]
-    log_var = (d2 @ params["Wv"] + params["bv"])[:, 0]
-    cache = (X, z1, d1, z2, d2)
-    return mu, log_var, cache
+    return _forward_into(_workspace(np.size(x), params), params, x, masks, p)
 
 
 def loss_and_grads(params, x, y, masks, p: float, weight_decay: float):
@@ -232,8 +260,8 @@ def _flatten(params: dict[str, np.ndarray]):
     return theta, views
 
 
-def _epoch_eval(params, split: LabeledData):
-    mu, lv, _ = forward(params, split.x)
+def _epoch_eval(ws, params, split: LabeledData):
+    mu, lv, _ = _forward_into(ws, params, split.x)
     err_sq = (split.y - mu) ** 2
     sigma2 = np.exp(lv)
     nll = float(np.mean(err_sq / sigma2 + lv))
@@ -249,7 +277,10 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     constant step size. Dropout is active on every training step. After each
     epoch sigma scaling is fitted on the validation split and recorded (see
     :class:`TrainingTrace`). The model returned holds the weights after the
-    last epoch. Fully deterministic given cfg.seed.
+    last epoch. The three evaluation passes of every epoch write into one
+    workspace sized to the largest split, the smaller splits using its
+    leading rows; the trace holds Python floats computed from it, never
+    views. Fully deterministic given cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -259,6 +290,7 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     step = 0
     trace = TrainingTrace()
     m_train = len(data.train.x)
+    ws = _workspace(max(len(split.x) for split in (data.train, data.test, data.val)), params)
 
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(m_train)
@@ -280,9 +312,9 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
             v_hat = adam_v / (1.0 - ADAM_BETA2**step)
             theta -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-        _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(params, data.train)
-        _, _, te_mse, te_s2, te_nll = _epoch_eval(params, data.test)
-        va_err, va_s2_arr, _, _, _ = _epoch_eval(params, data.val)
+        _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(ws, params, data.train)
+        _, _, te_mse, te_s2, te_nll = _epoch_eval(ws, params, data.test)
+        va_err, va_s2_arr, _, _, _ = _epoch_eval(ws, params, data.val)
         s = sigma_closed_form_gaussian(va_err, va_s2_arr)
         trace.train_mse.append(tr_mse)
         trace.test_mse.append(te_mse)
@@ -305,7 +337,9 @@ def mc_predict(
     """Run N stochastic forward passes and package them as a prediction dump.
 
     Dropout masks are resampled on every pass (per input element, as in
-    batched dropout layers). Deterministic given the seed.
+    batched dropout layers). Every pass writes into one workspace made for
+    this call, and its outputs are copied into the returned arrays, which
+    are never views of it. Deterministic given the seed.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
@@ -313,9 +347,10 @@ def mc_predict(
     m = len(data.x)
     all_mu = np.empty((n_passes, m))
     all_lv = np.empty((n_passes, m))
+    ws = _workspace(m, model.params)
     for n in range(n_passes):
         masks = draw_masks(rng, m, model.hidden, model.dropout_p)
-        mu, lv, _ = forward(model.params, data.x, masks=masks, p=model.dropout_p)
+        mu, lv, _ = _forward_into(ws, model.params, data.x, masks=masks, p=model.dropout_p)
         all_mu[n] = mu
         all_lv[n] = lv
     return McPredictionSet(

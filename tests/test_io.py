@@ -12,6 +12,7 @@ from regcal.core import McPredictionSet, identity_artifact
 from regcal.io import (
     DumpFormatError,
     artifact_to_json,
+    dump_lines,
     load_artifact,
     load_dump,
     save_artifact,
@@ -55,6 +56,35 @@ class TestDumpRoundTrip:
             for n in range(pset.n_samples):
                 assert np.array_equal(pset.means[i, n], loaded.means[i, n])
                 assert pset.log_vars[i, n] == loaded.log_vars[i, n]
+
+
+class TestLineSeparators:
+    """Records end at "\n" only, as JSON Lines specifies."""
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085"], ids=["U+2028", "U+0085"])
+    def test_raw_unicode_line_break_in_id_is_kept(self, tmp_path, rng, char):
+        pset = random_set(rng, m=2, n=3, d=2)
+        pset.ids = [f"a{char}b", f"{char}c"]
+        path = tmp_path / "d.jsonl"
+        # ensure_ascii=False writes the characters raw, not as \u escapes
+        path.write_text("".join(
+            json.dumps(json.loads(line), ensure_ascii=False) + "\n" for line in dump_lines(pset)
+        ), encoding="utf-8")
+        assert char in path.read_text(encoding="utf-8")
+        loaded = load_dump(path)
+        assert loaded.ids == pset.ids
+        for name in ("y", "means", "log_vars"):
+            assert np.array_equal(getattr(loaded, name), getattr(pset, name)), name
+
+    def test_crlf_loads_like_lf(self, tmp_path, rng):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        save_dump(random_set(rng, m=5, n=3, d=2), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_dump(lf), load_dump(crlf)
+        assert a.ids == b.ids
+        for name in ("y", "means", "log_vars"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 class TestDumpErrors:

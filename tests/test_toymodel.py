@@ -197,6 +197,51 @@ class TestMcPredict:
         assert len(table.observed) == 2
 
 
+class TestWorkspacePath:
+    """train's evaluation passes and mc_predict compute into reused buffers;
+    every number they give equals the reference ``forward``, bit for bit."""
+
+    def test_forward_matches_plain_expressions(self, rng):
+        params = init_params((64, 64), rng)
+        x = rng.uniform(0.0, 1.0, size=40)
+        masks = draw_masks(rng, 40, (64, 64), 0.2)
+        for mask, p in ((None, 0.0), (masks, 0.2)):
+            X = x.reshape(-1, 1)
+            a1 = np.maximum(X @ params["W1"] + params["b1"], 0.0)
+            d1 = a1 if mask is None else a1 * mask[0] / (1.0 - p)
+            a2 = np.maximum(d1 @ params["W2"] + params["b2"], 0.0)
+            d2 = a2 if mask is None else a2 * mask[1] / (1.0 - p)
+            mu, lv, _ = forward(params, x, masks=mask, p=p)
+            assert np.array_equal(mu, (d2 @ params["Wm"] + params["bm"])[:, 0])
+            assert np.array_equal(lv, (d2 @ params["Wv"] + params["bv"])[:, 0])
+
+    def test_last_trace_entries_match_forward(self):
+        data = generate(0)
+        model, trace = train(data, ToyModelConfig(epochs=3, seed=0))
+        expected = {}
+        for name, split in (("train", data.train), ("test", data.test)):
+            mu, lv, _ = forward(model.params, split.x)
+            err_sq, sigma2 = (split.y - mu) ** 2, np.exp(lv)
+            expected[f"{name}_mse"] = float(err_sq.mean())
+            expected[f"{name}_sigma2"] = float(sigma2.mean())
+            expected[f"{name}_nll"] = float(np.mean(err_sq / sigma2 + lv))
+        mu, lv, _ = forward(model.params, data.val.x)
+        expected["s"] = sigma_closed_form_gaussian((data.val.y - mu) ** 2, np.exp(lv))
+        for key, value in expected.items():
+            assert np.array_equal(getattr(trace, key)[-1], value), key
+
+    def test_mc_predict_matches_forward_loop(self):
+        data = generate(0)
+        model, _ = train(data, ToyModelConfig(epochs=3, seed=0))
+        pset = mc_predict(model, data.test, n_passes=3, seed=5)
+        rng = np.random.default_rng(5)
+        for n in range(3):
+            masks = draw_masks(rng, M_TEST, model.hidden, model.dropout_p)
+            mu, lv, _ = forward(model.params, data.test.x, masks=masks, p=model.dropout_p)
+            assert np.array_equal(pset.means[:, n, 0], mu), n
+            assert np.array_equal(pset.log_vars[:, n], lv), n
+
+
 class TestSimulateUnbiasedness:
     def test_zero_tau_is_exact_per_trial(self):
         res = simulate_unbiasedness(mu=0.3, tau=0.0, y=0.1, n_passes=10, trials=100, seed=0)
