@@ -66,8 +66,8 @@ shifted = uncertainty_records(
 
 cmp = ood_compare(test_calibrated, apply_calibration(shifted, sigma_art), k=20)
 print("\nout-of-distribution comparison (inputs outside the training range):")
-print(f"  mean uncertainty in-dist:  {cmp.in_dist.summary.mean:.4f}")
-print(f"  mean uncertainty shifted:  {cmp.shifted.summary.mean:.4f}")
+print(f"  mean uncertainty in-dist:  {cmp.in_dist.mean:.4f}")
+print(f"  mean uncertainty shifted:  {cmp.shifted.mean:.4f}")
 print(f"  AUROC of thresholding uncertainty: {cmp.auroc:.3f}")
 print("  histogram (counts per shared bin, in-dist vs shifted):")
 for i in range(len(cmp.in_dist.counts)):

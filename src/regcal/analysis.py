@@ -33,19 +33,12 @@ class RejectionCurve:
 
 
 @dataclass
-class HistogramSummary:
-    mean: float
-    median: float
-    q90: float
-
-
-@dataclass
 class UncertaintyHistogram:
     """Histogram of per-record uncertainties on shared edges."""
 
     edges: np.ndarray  # K+1 edges
     counts: np.ndarray  # K counts, summing to m
-    summary: HistogramSummary
+    mean: float  # of the per-record uncertainties
 
 
 @dataclass
@@ -97,14 +90,6 @@ def rejection_curve(
     )
 
 
-def _summary(u: np.ndarray) -> HistogramSummary:
-    return HistogramSummary(
-        mean=float(np.mean(u)),
-        median=float(np.median(u)),
-        q90=float(np.quantile(u, 0.9)),
-    )
-
-
 def _auroc(negatives: np.ndarray, positives: np.ndarray) -> float:
     """Probability a positive outranks a negative (ties count half).
 
@@ -146,8 +131,8 @@ def ood_compare(
     counts_in, _ = np.histogram(u_in, bins=edges)
     counts_sh, _ = np.histogram(u_sh, bins=edges)
     return OodComparison(
-        in_dist=UncertaintyHistogram(edges=edges, counts=counts_in, summary=_summary(u_in)),
-        shifted=UncertaintyHistogram(edges=edges, counts=counts_sh, summary=_summary(u_sh)),
+        in_dist=UncertaintyHistogram(edges=edges, counts=counts_in, mean=float(u_in.mean())),
+        shifted=UncertaintyHistogram(edges=edges, counts=counts_sh, mean=float(u_sh.mean())),
         mean_diff=float(u_sh.mean() - u_in.mean()),
         auroc=_auroc(u_in, u_sh),
     )

@@ -8,18 +8,18 @@ Dumps are JSON Lines, one record per line:
 first problem of every invalid line in one :class:`DumpFormatError`. The
 parser checks each sample with a few inline tests on JSON's own lists and
 numbers and formats a message only when a test fails, so a valid dump
-loads at little more than the cost of ``json.loads``. Every sample mean
-goes into one flat list, so the conversion of the means to a float array
-is one ``np.array`` call and a reshape. Records are separated at ``\n``
-only, as JSON Lines specifies; a trailing ``\r`` is JSON whitespace.
-Reals are serialized with full round-trip precision (shortest repr), so a
-load/save cycle is byte-stable. Calibration artifacts are JSON documents in
-which every real is a decimal string of full precision.
+loads at little more than the cost of ``json.loads``. The file is read
+line by line into three flat lists of numbers (y, sample-mean entries and
+log_vars), each converted with one ``np.array`` call and a reshape, so no
+per-record list is kept. Records are separated at ``\n`` only, as JSON
+Lines specifies; a trailing ``\r`` is JSON whitespace. Reals are serialized
+with full round-trip precision (shortest repr), so a load/save cycle is
+byte-stable. Calibration artifacts are JSON documents in which every real
+is a decimal string of full precision.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from math import isfinite
 
@@ -54,14 +54,14 @@ def _numbers(value, name: str) -> list:
 
 
 def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str, int],
-            flat_means: list):
-    """Check one non-blank dump line and return its (id, y, log_vars); the
-    entries of its sample means are appended to ``flat_means``.
+            ys: list, means: list, log_vars: list) -> None:
+    """Check one non-blank dump line and append its y, the entries of its
+    sample means and its log_vars to the three flat columns.
 
     Raises :class:`_BadLine` at the first problem. The id and d are claimed
     as soon as each passes its check, so later lines are held to them even
     when this one fails further on; only a valid line fixes N. A failing
-    line may leave some of its means in ``flat_means``, which is then never
+    line may leave some of its numbers in the columns, which are then never
     converted.
     """
     try:
@@ -86,7 +86,6 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
     samples = obj["samples"]
     if not isinstance(samples, list) or not samples:
         raise _BadLine("field samples must be a non-empty array")
-    log_vars = []
     # The per-sample tests in message order: the first that fails is reported.
     for j, s in enumerate(samples):
         if type(s) is not dict or "mean" not in s or "log_var" not in s:
@@ -108,12 +107,12 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
             finite = False
         if not finite:
             raise _BadLine(f"non-finite log_var in sample {j}")
-        flat_means += mean
+        means += mean
         log_vars.append(log_var)
-    n = shape.setdefault("N", len(log_vars))
-    if len(log_vars) != n:
-        raise _BadLine(f"inconsistent N (expected {n}, got {len(log_vars)})")
-    return rid, y, log_vars
+    n = shape.setdefault("N", len(samples))
+    if len(samples) != n:
+        raise _BadLine(f"inconsistent N (expected {n}, got {len(samples)})")
+    ys += y
 
 
 def load_dump(path) -> McPredictionSet:
@@ -125,45 +124,48 @@ def load_dump(path) -> McPredictionSet:
     first valid record. Every invalid line adds its first problem, as
     ``line <n>: ...``, to one :class:`DumpFormatError`; blank lines are
     skipped but counted. Lines end at ``\n`` only, so a U+2028 or U+0085
-    inside an id is kept, and a CRLF file loads like its LF twin.
+    inside an id is kept, and a CRLF file loads like its LF twin. A file
+    that is not UTF-8 raises one :class:`DumpFormatError` without a line.
 
     Each sample is tested in this order, and the first failing test gives
     its message: an object with mean and log_var; mean a non-empty array
     of numbers (booleans are not numbers); every mean entry finite (an
     integer too large for a float counts as non-finite); mean of length
-    d; log_var a finite number. Lines are parsed with the cycle collector
-    paused, since a parse creates no reference cycles.
+    d; log_var a finite number. The file is read line by line into three
+    flat columns of numbers (y, mean entries, log_vars), and each column
+    becomes its array with one conversion and a reshape.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().split("\n")
     errors: list[str] = []
     first_line: dict[str, int] = {}
     shape: dict[str, int] = {}
-    records = []
-    flat_means: list = []
-    # Parsing builds only acyclic lists and dicts, so the cycle collector
-    # would find nothing; left on, it walks every kept list again each time
-    # the young generation fills.
-    collecting = gc.isenabled()
-    gc.disable()
+    ys, means, log_vars = [], [], []
     try:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(_record(line, lineno, first_line, shape, flat_means))
-            except _BadLine as exc:
-                errors += (f"line {lineno}: {msg}" for msg in exc.args)
-    finally:
-        if collecting:
-            gc.enable()
-    if not records and not errors:
-        raise DumpFormatError("empty dump file")
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    # Parsed without its "\n", which inside an unterminated
+                    # string would be reported as an invalid control character.
+                    _record(line.removesuffix("\n"), lineno, first_line, shape, ys, means, log_vars)
+                except _BadLine as exc:
+                    errors += (f"line {lineno}: {msg}" for msg in exc.args)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's read buffer, not from the file.
+        raise DumpFormatError(
+            f"not UTF-8 text ({exc.reason}, byte 0x{exc.object[exc.start]:02x})") from None
     if errors:
         raise DumpFormatError("; ".join(errors))
-    ids, ys, log_vars = zip(*records)
-    means = np.array(flat_means, dtype=float).reshape(len(ids), shape["N"], shape["d"])
-    return McPredictionSet(ids=ids, y=ys, means=means, log_vars=log_vars)
+    if not first_line:
+        raise DumpFormatError("empty dump file")
+    # With no failed line, first_line holds exactly the records' ids in file order.
+    m, n, d = len(first_line), shape["N"], shape["d"]
+    return McPredictionSet(
+        ids=list(first_line),
+        y=np.array(ys, dtype=float).reshape(m, d),
+        means=np.array(means, dtype=float).reshape(m, n, d),
+        log_vars=np.array(log_vars, dtype=float).reshape(m, n),
+    )
 
 
 def dump_lines(pset: McPredictionSet):

@@ -301,12 +301,16 @@ class TestErrorReporting:
              "line 2: non-finite log_var in sample 0"),
             ('{"id":"b","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
              "line 2: duplicate id 'b' (first on line 1)"),
+            # written as the raw byte 0xff, which no UTF-8 text holds
+            ('{"id":"\udcff","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
+             "not UTF-8 text (invalid start byte, byte 0xff)"),
         ],
-        ids=["huge-int-y", "huge-int-log-var", "duplicate-id"],
+        ids=["huge-int-y", "huge-int-log-var", "duplicate-id", "not-utf8"],
     )
     def test_bad_dump_single_error_line(self, capsys, tmp_path, record, message):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"id":"b","y":[0.2],"samples":[{"mean":[0.1],"log_var":-2.0}]}\n' + record + "\n")
+        bad.write_text('{"id":"b","y":[0.2],"samples":[{"mean":[0.1],"log_var":-2.0}]}\n' + record + "\n",
+                       encoding="utf-8", errors="surrogateescape")
         rc = main(["evaluate", "--input", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: dump-format: {message}\n"

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ class TestDumpErrors:
         with pytest.raises(DumpFormatError, match="line 2: y has length 1"):
             load_dump(path)
 
+    def test_unterminated_string_keeps_its_message(self, tmp_path):
+        # the line is parsed without its "\n", which inside a string would be
+        # reported as an invalid control character
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a\n')
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        assert str(err.value) == "line 1: invalid JSON (Unterminated string starting at)"
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
     @pytest.mark.parametrize("text", ['{"id":"a","y":[0.5],"samples":[{"mean":[0.4],"log_var":-2}]}\n',
                                       "not json\n"], ids=["valid", "invalid"])
@@ -159,6 +169,58 @@ class TestDumpErrors:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+
+class TestLoadFootprint:
+    """What load_dump holds while it parses: three flat columns of numbers,
+    no per-record list, so neither memory nor the cycle collector grows
+    with anything but the numbers themselves."""
+
+    # A number kept as a float in a list costs 32 bytes against its 8 in the
+    # array, and the flat columns peak at 5.4x (d = 1) and 5.2x (d = 4) of
+    # the array bytes; holding the text, its lines or per-record lists as
+    # well reads 8x and more.
+    PEAK_OVER_ARRAYS = 7.0
+
+    @pytest.fixture(scope="class")
+    def dumps(self, tmp_path_factory):
+        paths = {}
+        rng = np.random.default_rng(0)
+        for m, n, d in [(800, 25, 1), (160, 100, 4)]:
+            y = rng.normal(size=(m, d))
+            pset = McPredictionSet(ids=[f"r{i:05d}" for i in range(m)], y=y,
+                                   means=y[:, None, :] + 0.1 * rng.normal(size=(m, n, d)),
+                                   log_vars=rng.normal(-4.6, 0.5, size=(m, n)))
+            paths[d] = tmp_path_factory.mktemp("footprint") / f"d{d}.jsonl"
+            save_dump(pset, paths[d])
+        return paths
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_peak_is_a_small_multiple_of_the_arrays(self, dumps, d):
+        tracemalloc.start()
+        try:
+            pset = load_dump(dumps[d])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array_bytes = pset.y.nbytes + pset.means.nbytes + pset.log_vars.nbytes
+        assert peak < self.PEAK_OVER_ARRAYS * array_bytes
+
+    def test_no_cycle_collection(self, dumps):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            load_dump(dumps[1])
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
 
 
 def _line(rid="a", y="[0.5]", samples='[{"mean":[0.4],"log_var":-2.0}]'):
