@@ -59,7 +59,7 @@ rng = np.random.default_rng(99)
 x_shift = rng.uniform(1.1, 1.6, size=len(data.test.x))
 sd_shift = 0.05 + 0.10 * x_shift
 y_shift = true_mean(x_shift) + rng.normal(0.0, 1.0, size=len(x_shift)) * sd_shift
-shifted_data = LabeledData(x=x_shift, y=y_shift, noise_sd=sd_shift)
+shifted_data = LabeledData(x=x_shift, y=y_shift)
 shifted = uncertainty_records(
     mc_predict(model, shifted_data, cfg.mc_passes, seed=seed + 7, id_prefix="shift")
 )

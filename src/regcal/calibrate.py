@@ -3,8 +3,10 @@
 Two families are supported:
 
 * sigma scaling: a single scalar s multiplies the predictive standard
-  deviation, i.e. variances are multiplied by s^2. Fitted either in closed
-  form or by gradient descent on the scaled NLL objective; both routes agree.
+  deviation, i.e. variances are multiplied by s^2. s depends only on m and
+  the sum of error/scale ratios, and is fitted in closed form or by gradient
+  descent over rho = log s that stops once |delta rho| < SIGMA_GD_TOLERANCE;
+  both routes agree. A ratio sum that is not finite or is 0 fits no s > 0.
 * aux scaling: a small two-layer ReLU network mapping log(uncertainty) to
   log(recalibrated uncertainty), fitted by gradient descent on the Gaussian
   NLL with the predictions held fixed at the MC mean.
@@ -21,17 +23,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CalibrationArtifact, Uncertainties
+from .core import LIKELIHOOD_KINDS, CalibrationArtifact, Uncertainties
 
 
 class CalibrationError(ValueError):
     pass
 
 
-# The gradient-descent sigma fit starts at s = 1 and stops once |delta s|
-# falls below the tolerance.
-SIGMA_GD_INIT_S = 1.0
-SIGMA_GD_TOLERANCE = 1e-8
+SIGMA_GD_TOLERANCE = 1e-8  # on the step |delta rho| of the gradient-descent sigma fit
 
 
 @dataclass
@@ -68,19 +67,20 @@ class AuxConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _ratios(errors, scales, scale_name: str) -> np.ndarray:
-    """Checked per-record ratios errors / scales, the only statistic s depends on.
+_SCALE_NAMES = {"gaussian": "variances", "laplace": "sigmas"}
 
-    Raises ``CalibrationError`` when the ratios do not have a finite sum (for
-    instance a subnormal variance overflows its ratio), since s is a
-    function of that sum and no finite s fits it.
+
+def _ratio_sum(errors, scales, scale_name: str) -> tuple[int, float]:
+    """m and the checked sum of errors / scales, the only statistics s depends on.
+
+    Raises ``CalibrationError`` when that sum is not finite (for instance a
+    subnormal variance overflows its ratio) or its mean is 0 (every error is
+    0), since no finite s > 0 fits either.
     """
     errors = np.asarray(errors, dtype=float)
     scales = np.asarray(scales, dtype=float)
     if errors.shape != scales.shape:
-        raise ValueError(
-            f"length mismatch: {len(errors)} errors vs {len(scales)} {scale_name}"
-        )
+        raise ValueError(f"length mismatch: {len(errors)} errors vs {len(scales)} {scale_name}")
     if errors.size == 0:
         raise ValueError("empty input: need at least one record to fit s")
     if np.any(scales <= 0):
@@ -88,14 +88,21 @@ def _ratios(errors, scales, scale_name: str) -> np.ndarray:
     if np.any(errors < 0):
         raise ValueError("errors must be >= 0")
     with np.errstate(over="ignore"):
-        ratios = errors / scales
-        ratio_sum = np.sum(ratios)
-    if not np.isfinite(ratio_sum):
+        ratio_sum = float(np.sum(errors / scales))
+    if not math.isfinite(ratio_sum):
         raise CalibrationError(
             f"error / {scale_name[:-1]} ratios do not have a finite sum "
             f"(smallest {scale_name[:-1]} {scales.min():.3g}); s cannot be fitted"
         )
-    return ratios
+    if ratio_sum / errors.size == 0.0:
+        raise CalibrationError(
+            f"error / {scale_name[:-1]} ratios have mean 0 (every error is 0); no s > 0 fits"
+        )
+    return errors.size, ratio_sum
+
+
+def _closed_form(m: int, ratio_sum: float, kind: str) -> float:
+    return math.sqrt(ratio_sum / m) if kind == "gaussian" else ratio_sum / m
 
 
 def sigma_closed_form_gaussian(errors_sq, variances) -> float:
@@ -104,12 +111,12 @@ def sigma_closed_form_gaussian(errors_sq, variances) -> float:
     s = sqrt( mean_i errors_sq_i / variances_i ); the positive root. Returns
     exactly 1 when errors_sq == variances elementwise (already calibrated).
     """
-    return float(np.sqrt(np.mean(_ratios(errors_sq, variances, "variances"))))
+    return _closed_form(*_ratio_sum(errors_sq, variances, "variances"), "gaussian")
 
 
 def sigma_closed_form_laplace(abs_errors, sigmas) -> float:
     """Closed-form scale for the Laplacian objective: mean of |err|/sigma."""
-    return float(np.mean(_ratios(abs_errors, sigmas, "sigmas")))
+    return _closed_form(*_ratio_sum(abs_errors, sigmas, "sigmas"), "laplace")
 
 
 def _sigma_objective(s: float, m: int, ratio_sum: float, kind: str) -> float:
@@ -128,46 +135,39 @@ def sigma_fit_gd(
 
     ``errors``/``scales`` are squared errors and variances for the Gaussian
     kind, absolute errors and sigmas for the Laplacian kind. The search runs
-    over rho = log(s), which keeps s positive without constraints; steps are
-    clipped to 0.5 in rho so far-off starts cannot overshoot. Iteration
-    stops when |delta s| drops below ``SIGMA_GD_TOLERANCE`` or ``opts.max_iters``
-    is reached (fit_meta records which).
+    over rho = log(s) from rho = 0, which keeps s positive without
+    constraints. Each step is ``step_size`` times the objective's gradient in
+    rho over m, ``1 - exp(log r - p * rho)`` with r the mean ratio and p = 2
+    (Gaussian) or 1 (Laplace), clipped to 0.5 so far-off starts cannot
+    overshoot. Iteration stops when |delta rho| drops below
+    ``SIGMA_GD_TOLERANCE`` or after ``opts.max_iters`` steps (fit_meta
+    records which). A zero or non-finite ratio sum, and a final rho whose
+    exp overflows, raise ``CalibrationError``.
 
     Returns:
         (s, fit_meta) with fit_meta holding iterations, final objective and
         a converged flag.
     """
-    if kind not in ("gaussian", "laplace"):
+    if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"unknown likelihood kind {kind!r}")
     opts = opts or SigmaFitOptions()
-    ratios = _ratios(errors, scales, "variances" if kind == "gaussian" else "sigmas")
-    m = len(ratios)
-    ratio_sum = float(np.sum(ratios))  # sum of err^2/var or |err|/sigma
-    ratio_mean = ratio_sum / m
-
-    rho = math.log(SIGMA_GD_INIT_S)
-    s = SIGMA_GD_INIT_S
+    m, ratio_sum = _ratio_sum(errors, scales, _SCALE_NAMES[kind])
+    log_ratio_mean = math.log(ratio_sum / m)
+    p = 2.0 if kind == "gaussian" else 1.0  # s enters the objective as s^p
+    rho = 0.0
     converged = False
-    iters = 0
     for iters in range(1, opts.max_iters + 1):
-        # Normalized gradient of the objective w.r.t. rho (divided by m).
-        if kind == "gaussian":
-            grad = 1.0 - math.exp(-2.0 * rho) * ratio_mean
-        else:
-            grad = 1.0 - math.exp(-rho) * ratio_mean
-        step = opts.step_size * grad
-        step = max(-0.5, min(0.5, step))
+        step = max(-0.5, min(0.5, opts.step_size * (1.0 - math.exp(log_ratio_mean - p * rho))))
         rho -= step
-        s_new = math.exp(rho)
-        if not math.isfinite(s_new):
-            raise CalibrationError(
-                "sigma fit diverged to a non-finite scale; try a smaller step size"
-            )
-        delta = abs(s_new - s)
-        s = s_new
-        if delta < SIGMA_GD_TOLERANCE:
+        if abs(step) < SIGMA_GD_TOLERANCE:
             converged = True
             break
+    try:
+        s = math.exp(rho)
+    except OverflowError:
+        raise CalibrationError(
+            "sigma fit diverged to a non-finite scale; try a smaller step size"
+        ) from None
     fit_meta = {
         "iterations": iters,
         "final_objective": _sigma_objective(s, m, ratio_sum, kind),
@@ -193,15 +193,12 @@ def fit_sigma(
         s, fit_meta = sigma_fit_gd(errors, scales, kind=likelihood, opts=opts)
         fit_meta = {"fit": "gd", **fit_meta}
     else:
-        if likelihood == "gaussian":
-            s = sigma_closed_form_gaussian(errors, scales)
-        else:
-            s = sigma_closed_form_laplace(errors, scales)
-        m = len(errors)
+        m, ratio_sum = _ratio_sum(errors, scales, _SCALE_NAMES[likelihood])
+        s = _closed_form(m, ratio_sum, likelihood)
         fit_meta = {
             "fit": "closed_form",
             "iterations": 0,
-            "final_objective": _sigma_objective(s, m, float(np.sum(errors / scales)), likelihood),
+            "final_objective": _sigma_objective(s, m, ratio_sum, likelihood),
         }
     fit_meta["m"] = len(errors)
     return CalibrationArtifact(

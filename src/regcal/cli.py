@@ -83,8 +83,8 @@ def cmd_calibrate(args) -> int:
     else:
         if args.likelihood != "gaussian":
             raise CliError("invalid-flag", "aux calibration supports the gaussian likelihood only")
-        cfg = AuxConfig(hidden_width=args.hidden, seed=args.seed,
-                        **_given(epochs=args.iters, step_size=args.lr))
+        cfg = AuxConfig(**_given(hidden_width=args.hidden, seed=args.seed,
+                                 epochs=args.iters, step_size=args.lr))
         calib = aux_fit(unc, cfg, target=target)
     rio.save_artifact(calib, args.out)
     return 0
@@ -136,23 +136,21 @@ def cmd_intervals(args) -> int:
 def cmd_reject(args) -> int:
     thresholds = None if args.thresholds is None else _floats(args.thresholds, "thresholds")
     unc = _uncertainties(args.input, _load_calib(args.calib))
-    rio.rejection_to_csv(rejection_curve(unc, steps=args.steps, thresholds=thresholds), args.out)
+    curve = rejection_curve(unc, thresholds=thresholds, **_given(steps=args.steps))
+    rio.rejection_to_csv(curve, args.out)
     return 0
 
 
 def cmd_ood(args) -> int:
     calib = _load_calib(args.calib)
-    comparison = ood_compare(
-        _uncertainties(args.in_dist, calib), _uncertainties(args.shifted, calib), k=args.bins
-    )
-    rio.ood_to_csv(comparison, args.out)
+    in_dist, shifted = _uncertainties(args.in_dist, calib), _uncertainties(args.shifted, calib)
+    rio.ood_to_csv(ood_compare(in_dist, shifted, **_given(k=args.bins)), args.out)
     return 0
 
 
 def cmd_toy(args) -> int:
-    seed = args.seed
-    cfg = ToyModelConfig(seed=seed, **_given(epochs=args.epochs, mc_passes=args.mc_passes))
-    data = generate(seed)
+    cfg = ToyModelConfig(**_given(seed=args.seed, epochs=args.epochs, mc_passes=args.mc_passes))
+    data = generate(cfg.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, trace = train(data, cfg)
@@ -161,20 +159,20 @@ def cmd_toy(args) -> int:
     for i, (name, split) in enumerate(
         (("train", data.train), ("val", data.val), ("test", data.test)), start=1
     ):
-        pset = mc_predict(model, split, n_passes=cfg.mc_passes, seed=seed + i, id_prefix=name)
+        pset = mc_predict(model, split, n_passes=cfg.mc_passes, seed=cfg.seed + i, id_prefix=name)
         rio.save_dump(pset, out_dir / f"{name}.jsonl")
         dumps[name] = pset
     rio.trace_to_csv(trace, out_dir / "trace.csv")
 
     val = uncertainty_records(dumps["val"])
     sigma_calib = fit_sigma(val, likelihood="gaussian", target="predictive")
-    aux_calib = aux_fit(val, AuxConfig(seed=seed), target="predictive")
+    aux_calib = aux_fit(val, AuxConfig(seed=cfg.seed), target="predictive")
     rio.save_artifact(sigma_calib, out_dir / "calib_sigma.json")
     rio.save_artifact(aux_calib, out_dir / "calib_aux.json")
 
     test = uncertainty_records(dumps["test"])
     summary = {
-        "seed": seed,
+        "seed": cfg.seed,
         "epochs": cfg.epochs,
         "mc_passes": cfg.mc_passes,
         "interval_membership": "joint",
@@ -207,10 +205,10 @@ def build_parser() -> _Parser:
     p.add_argument("--likelihood", default="gaussian", choices=["gaussian", "laplace"])
     p.add_argument("--target", default="predictive", choices=["predictive", "aleatoric"])
     p.add_argument("--out", required=True)
-    p.add_argument("--h", dest="hidden", type=int, default=16, help="aux hidden width")
+    p.add_argument("--h", dest="hidden", type=int, help="aux hidden width")
     p.add_argument("--iters", type=int, help="gd iterations / aux epochs")
     p.add_argument("--lr", type=float, help="gd / aux step size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--gd", action="store_true", help="fit sigma by gradient descent")
     p.set_defaults(func=cmd_calibrate)
 
@@ -233,7 +231,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reject", help="uncertainty-threshold rejection curve")
     p.add_argument("--input", required=True)
     p.add_argument("--calib")
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=int)
     p.add_argument("--thresholds", help="comma-separated absolute thresholds (overrides --steps)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reject)
@@ -242,12 +240,12 @@ def build_parser() -> _Parser:
     p.add_argument("--in-dist", dest="in_dist", required=True)
     p.add_argument("--shifted", required=True)
     p.add_argument("--calib")
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ood)
 
     p = sub.add_parser("toy", help="end-to-end synthetic MC-dropout experiment")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--mc-passes", dest="mc_passes", type=int)

@@ -58,7 +58,6 @@ NOISE_SLOPE = 0.10
 class LabeledData:
     x: np.ndarray
     y: np.ndarray
-    noise_sd: np.ndarray  # true sigma(x)
 
 
 @dataclass
@@ -74,16 +73,15 @@ def true_mean(x: np.ndarray) -> np.ndarray:
 
 def generate(seed: int) -> SyntheticData:
     """Draw the ``M_TRAIN``/``M_VAL``/``M_TEST`` splits deterministically from
-    the seed; each point keeps its true noise level for oracle checks."""
+    the seed, with noise sd ``NOISE_FLOOR + NOISE_SLOPE * x``."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def draw(m: int) -> LabeledData:
         x = rng.uniform(0.0, 1.0, size=m)
-        sd = NOISE_FLOOR + NOISE_SLOPE * x
-        y = true_mean(x) + rng.normal(0.0, 1.0, size=m) * sd
-        return LabeledData(x=x, y=y, noise_sd=sd)
+        y = true_mean(x) + rng.normal(0.0, 1.0, size=m) * (NOISE_FLOOR + NOISE_SLOPE * x)
+        return LabeledData(x=x, y=y)
 
     return SyntheticData(train=draw(M_TRAIN), val=draw(M_VAL), test=draw(M_TEST))
 
@@ -200,12 +198,12 @@ def loss_and_grads(params, x, y, masks, p: float, weight_decay: float):
         "bv": dlv.sum(axis=0),
     }
     dd2 = dmu @ params["Wm"].T + dlv @ params["Wv"].T
-    da2 = dd2 if masks is None else dd2 * masks[1] / (1.0 - p)
+    da2 = dd2 * masks[1] / (1.0 - p)
     dz2 = da2 * (z2 > 0.0)
     grads["W2"] = d1.T @ dz2
     grads["b2"] = dz2.sum(axis=0)
     dd1 = dz2 @ params["W2"].T
-    da1 = dd1 if masks is None else dd1 * masks[0] / (1.0 - p)
+    da1 = dd1 * masks[0] / (1.0 - p)
     dz1 = da1 * (z1 > 0.0)
     grads["W1"] = X.T @ dz1
     grads["b1"] = dz1.sum(axis=0)

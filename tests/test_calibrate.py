@@ -71,6 +71,14 @@ class TestClosedForms:
         with pytest.raises(CalibrationError, match="finite sum"):
             fn(errors, scales)
 
+    # Every error 0 (or ratios whose mean underflows to 0): no s > 0 fits.
+    @pytest.mark.parametrize("fn", [sigma_closed_form_gaussian, sigma_closed_form_laplace,
+                                    sigma_fit_gd])
+    @pytest.mark.parametrize("errors", [[0.0, 0.0], [5e-324, 0.0]])
+    def test_error_on_zero_ratio_mean(self, fn, errors):
+        with pytest.raises(CalibrationError, match="mean 0"):
+            fn(errors, [1.0, 1.0])
+
     @given(c=st.floats(min_value=0.1, max_value=10))
     def test_gaussian_scale_equivariance(self, c):
         e = np.array([0.5, 2.0, 0.9])
@@ -120,6 +128,28 @@ class TestSigmaFitGd:
         here = _sigma_objective(s_star, m, ratio, "gaussian")
         assert (up - down) / (2 * eps) == pytest.approx(0.0, abs=1e-4)
         assert here <= min(up, down)
+
+    def test_tiny_ratios_converge_to_closed_form(self):
+        # A stop on |delta s| instead of |delta rho| ends at s = 3.2e-8.
+        e, v = [1e-320] * 5, [1.0] * 5
+        s, meta = sigma_fit_gd(e, v, opts=SigmaFitOptions(max_iters=5000, step_size=0.25))
+        assert meta["converged"]
+        assert s == pytest.approx(sigma_closed_form_gaussian(e, v), rel=1e-6, abs=0)
+
+    # One Laplace ratio of 1.76e308, next to the largest double.
+    NEAR_MAX = ([1.3e154], [math.exp(-354.9)])
+
+    def test_near_max_scale_converges_to_closed_form(self):
+        s, meta = sigma_fit_gd(*self.NEAR_MAX, kind="laplace",
+                               opts=SigmaFitOptions(max_iters=5000, step_size=1.0))
+        assert meta["converged"]
+        assert s == pytest.approx(sigma_closed_form_laplace(*self.NEAR_MAX), rel=1e-6)
+
+    def test_overflowing_scale_refused(self):
+        # At step size 5 the iteration oscillates and ends where exp(rho) overflows.
+        with pytest.raises(CalibrationError, match="non-finite scale"):
+            sigma_fit_gd(*self.NEAR_MAX, kind="laplace",
+                         opts=SigmaFitOptions(max_iters=5000, step_size=5.0))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown likelihood"):

@@ -8,7 +8,7 @@ import pytest
 
 import regcal
 from regcal.cli import main
-from regcal.io import load_dump
+from regcal.io import load_artifact, load_dump
 from regcal.metrics import uncertainty_records
 
 QUICK_TOY = ["--epochs", "40", "--mc-passes", "5"]
@@ -438,3 +438,46 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not Path(argv[-1]).exists()
+
+
+class TestSigmaFitExtremes:
+    """Sigma fits at the ends of the float range answer correctly or give one error line."""
+
+    # Ratio mean 1.1e-319: a stop on |delta s| instead of |delta rho| ends far
+    # above the closed form of 3.3e-160.
+    TINY = [{"id": f"r{i}", "y": [0.0], "samples": [{"mean": [(i + 1) * 1e-160], "log_var": 0.0}]}
+            for i in range(5)]
+    # One Laplace ratio of 1.76e308, next to the largest double.
+    NEAR_MAX = [{"id": "r0", "y": [1.3e154], "samples": [{"mean": [0.0], "log_var": -709.8}]}]
+    # y equals every pass mean, so every error is 0.
+    ZERO = [{"id": f"r{i}", "y": [0.1 * i], "samples": [
+        {"mean": [0.1 * i], "log_var": -2.0}, {"mean": [0.1 * i], "log_var": -1.0}]}
+        for i in range(5)]
+
+    def calibrate(self, tmp_path, records, name, *flags):
+        dump, out = tmp_path / "dump.jsonl", tmp_path / name
+        dump.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = main(["calibrate", "--input", str(dump), "--method", "sigma", *flags,
+                   "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize("records, likelihood, lr", [
+        (TINY, "gaussian", "0.25"), (NEAR_MAX, "laplace", "1"),
+    ], ids=["tiny-ratios", "near-max-ratio"])
+    def test_gd_agrees_with_closed_form(self, capsys, tmp_path, records, likelihood, lr):
+        flags = ["--likelihood", likelihood]
+        assert self.calibrate(tmp_path, records, "closed.json", *flags)[0] == 0
+        rc, gd = self.calibrate(tmp_path, records, "gd.json", *flags,
+                                "--gd", "--lr", lr, "--iters", "5000")
+        assert rc == 0 and capsys.readouterr().err == ""
+        gd = load_artifact(gd)
+        assert gd.fit_meta["converged"] is True
+        assert gd.s == pytest.approx(load_artifact(tmp_path / "closed.json").s, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("flags", [[], ["--gd"]], ids=["closed-form", "gd"])
+    def test_zero_errors_single_error_line(self, capsys, tmp_path, flags):
+        rc, out = self.calibrate(tmp_path, self.ZERO, "calib.json", *flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration: ") and err.count("\n") == 1
+        assert not out.exists()
