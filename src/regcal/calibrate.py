@@ -5,7 +5,8 @@ Two families are supported:
 * sigma scaling: a single scalar s multiplies the predictive standard
   deviation, i.e. variances are multiplied by s^2. s depends only on m and
   the sum of error/scale ratios, and is fitted in closed form or by gradient
-  descent over rho = log s that stops once |delta rho| < SIGMA_GD_TOLERANCE;
+  descent over rho = log s at the objective's own curvature, which stops once
+  |delta rho| < SIGMA_GD_TOLERANCE and raises if it runs out of iterations;
   both routes agree. A ratio sum that is not finite or is 0 fits no s > 0.
 * aux scaling: a small two-layer ReLU network mapping log(uncertainty) to
   log(recalibrated uncertainty), fitted by gradient descent on the Gaussian
@@ -35,16 +36,14 @@ SIGMA_GD_TOLERANCE = 1e-8  # on the step |delta rho| of the gradient-descent sig
 
 @dataclass
 class SigmaFitOptions:
-    """Hyperparameters for the gradient-descent sigma fit."""
+    """Iteration cap of the gradient-descent sigma fit. The default covers
+    every ratio mean a double can hold (at most about 1,500 steps)."""
 
-    max_iters: int = 1000
-    step_size: float = 0.01
+    max_iters: int = 2000
 
     def __post_init__(self):
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.step_size < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
 
 
 @dataclass
@@ -136,17 +135,18 @@ def sigma_fit_gd(
     ``errors``/``scales`` are squared errors and variances for the Gaussian
     kind, absolute errors and sigmas for the Laplacian kind. The search runs
     over rho = log(s) from rho = 0, which keeps s positive without
-    constraints. Each step is ``step_size`` times the objective's gradient in
-    rho over m, ``1 - exp(log r - p * rho)`` with r the mean ratio and p = 2
-    (Gaussian) or 1 (Laplace), clipped to 0.5 so far-off starts cannot
-    overshoot. Iteration stops when |delta rho| drops below
-    ``SIGMA_GD_TOLERANCE`` or after ``opts.max_iters`` steps (fit_meta
-    records which). A zero or non-finite ratio sum, and a final rho whose
-    exp overflows, raise ``CalibrationError``.
+    constraints. Per record the objective is ``rho + (r / p) exp(-p rho)``
+    (r the mean ratio, p = 2 Gaussian or 1 Laplace), whose curvature at the
+    minimum is p, so each step is ``(1 - exp(log r - p * rho)) / p``,
+    clipped to 0.5 so far-off starts cannot overshoot; near the optimum the
+    error shrinks quadratically. The fit stops once |delta rho| <
+    ``SIGMA_GD_TOLERANCE``. Running out of ``opts.max_iters`` steps, a zero
+    or non-finite ratio sum and an overflowing exp(rho) raise
+    ``CalibrationError``.
 
     Returns:
         (s, fit_meta) with fit_meta holding iterations, final objective and
-        a converged flag.
+        a converged flag, always true.
     """
     if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"unknown likelihood kind {kind!r}")
@@ -155,25 +155,21 @@ def sigma_fit_gd(
     log_ratio_mean = math.log(ratio_sum / m)
     p = 2.0 if kind == "gaussian" else 1.0  # s enters the objective as s^p
     rho = 0.0
-    converged = False
     for iters in range(1, opts.max_iters + 1):
-        step = max(-0.5, min(0.5, opts.step_size * (1.0 - math.exp(log_ratio_mean - p * rho))))
+        step = max(-0.5, min(0.5, (1.0 - math.exp(log_ratio_mean - p * rho)) / p))
         rho -= step
         if abs(step) < SIGMA_GD_TOLERANCE:
-            converged = True
             break
+    else:
+        raise CalibrationError(
+            f"sigma fit did not converge in {opts.max_iters} iterations; raise --iters"
+        )
     try:
         s = math.exp(rho)
     except OverflowError:
-        raise CalibrationError(
-            "sigma fit diverged to a non-finite scale; try a smaller step size"
-        ) from None
-    fit_meta = {
-        "iterations": iters,
-        "final_objective": _sigma_objective(s, m, ratio_sum, kind),
-        "converged": converged,
-    }
-    return s, fit_meta
+        raise CalibrationError("sigma fit diverged to a non-finite scale") from None
+    objective = _sigma_objective(s, m, ratio_sum, kind)
+    return s, {"iterations": iters, "final_objective": objective, "converged": True}
 
 
 def fit_sigma(

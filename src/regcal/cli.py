@@ -73,17 +73,26 @@ def _uncertainties(path, calib):
     return apply_calibration(uncertainty_records(rio.load_dump(path)), calib)
 
 
+# The optional flags each calibrate route reads; it refuses any other one.
+_ROUTE_FLAGS = {"sigma": (), "sigma --gd": ("gd", "iters"), "aux": ("h", "seed", "lr", "iters")}
+
+
 def cmd_calibrate(args) -> int:
+    route = "sigma --gd" if args.method == "sigma" and args.gd else args.method
+    given = _given(h=args.h, seed=args.seed, lr=args.lr, iters=args.iters, gd=args.gd or None)
+    unread = [flag for flag in given if flag not in _ROUTE_FLAGS[route]]
+    if unread:
+        raise CliError("invalid-flag", f"--{unread[0]} is not read by calibrate --method {route}")
+    if route == "aux" and args.likelihood != "gaussian":
+        raise CliError("invalid-flag", "aux calibration supports the gaussian likelihood only")
     unc = uncertainty_records(rio.load_dump(args.input))
     target = _target(args.target)
     if args.method == "sigma":
-        opts = SigmaFitOptions(**_given(max_iters=args.iters, step_size=args.lr))
+        opts = SigmaFitOptions(**_given(max_iters=args.iters))
         calib = fit_sigma(unc, likelihood=args.likelihood, target=target,
                           opts=opts, use_gd=args.gd)
     else:
-        if args.likelihood != "gaussian":
-            raise CliError("invalid-flag", "aux calibration supports the gaussian likelihood only")
-        cfg = AuxConfig(**_given(hidden_width=args.hidden, seed=args.seed,
+        cfg = AuxConfig(**_given(hidden_width=args.h, seed=args.seed,
                                  epochs=args.iters, step_size=args.lr))
         calib = aux_fit(unc, cfg, target=target)
     rio.save_artifact(calib, args.out)
@@ -205,10 +214,10 @@ def build_parser() -> _Parser:
     p.add_argument("--likelihood", default="gaussian", choices=["gaussian", "laplace"])
     p.add_argument("--target", default="predictive", choices=["predictive", "aleatoric"])
     p.add_argument("--out", required=True)
-    p.add_argument("--h", dest="hidden", type=int, help="aux hidden width")
-    p.add_argument("--iters", type=int, help="gd iterations / aux epochs")
-    p.add_argument("--lr", type=float, help="gd / aux step size")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--h", type=int, help="aux hidden width")
+    p.add_argument("--iters", type=int, help="sigma --gd iteration cap / aux epochs")
+    p.add_argument("--lr", type=float, help="aux step size")
+    p.add_argument("--seed", type=int, help="aux initialisation seed")
     p.add_argument("--gd", action="store_true", help="fit sigma by gradient descent")
     p.set_defaults(func=cmd_calibrate)
 

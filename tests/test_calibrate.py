@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from regcal.calibrate import (
     AuxConfig,
@@ -16,9 +16,15 @@ from regcal.calibrate import (
     sigma_closed_form_laplace,
     sigma_fit_gd,
 )
-from regcal.core import CalibrationArtifact, identity_artifact
+from regcal.core import (
+    CALIBRATION_TARGETS,
+    LIKELIHOOD_KINDS,
+    CalibrationArtifact,
+    McPredictionSet,
+    identity_artifact,
+)
 from regcal.likelihood import batch_nll
-from regcal.metrics import uce, uncertainty_records
+from regcal.metrics import mse, uce, uncertainty_records
 
 from conftest import calibrated, make_record, make_set, random_set
 
@@ -132,7 +138,7 @@ class TestSigmaFitGd:
     def test_tiny_ratios_converge_to_closed_form(self):
         # A stop on |delta s| instead of |delta rho| ends at s = 3.2e-8.
         e, v = [1e-320] * 5, [1.0] * 5
-        s, meta = sigma_fit_gd(e, v, opts=SigmaFitOptions(max_iters=5000, step_size=0.25))
+        s, meta = sigma_fit_gd(e, v)
         assert meta["converged"]
         assert s == pytest.approx(sigma_closed_form_gaussian(e, v), rel=1e-6, abs=0)
 
@@ -140,16 +146,29 @@ class TestSigmaFitGd:
     NEAR_MAX = ([1.3e154], [math.exp(-354.9)])
 
     def test_near_max_scale_converges_to_closed_form(self):
-        s, meta = sigma_fit_gd(*self.NEAR_MAX, kind="laplace",
-                               opts=SigmaFitOptions(max_iters=5000, step_size=1.0))
+        s, meta = sigma_fit_gd(*self.NEAR_MAX, kind="laplace")
         assert meta["converged"]
         assert s == pytest.approx(sigma_closed_form_laplace(*self.NEAR_MAX), rel=1e-6)
 
-    def test_overflowing_scale_refused(self):
-        # At step size 5 the iteration oscillates and ends where exp(rho) overflows.
+    def test_overflowing_scale_refused(self, monkeypatch):
+        # A loose tolerance stops the fit of the largest double's ratio just
+        # above log(max double), where exp(rho) overflows.
+        monkeypatch.setattr("regcal.calibrate.SIGMA_GD_TOLERANCE", 1e-3)
         with pytest.raises(CalibrationError, match="non-finite scale"):
-            sigma_fit_gd(*self.NEAR_MAX, kind="laplace",
-                         opts=SigmaFitOptions(max_iters=5000, step_size=5.0))
+            sigma_fit_gd([1.7976931348623157e308], [1.0], kind="laplace")
+
+    def test_too_few_iterations_raise(self):
+        with pytest.raises(CalibrationError, match="did not converge in 2 iterations"):
+            sigma_fit_gd([1.0, 2.0], [1.0, 1.0], opts=SigmaFitOptions(max_iters=2))
+
+    # The default cap reaches the fit from s = 1 at both ends of the float range.
+    @pytest.mark.parametrize("kind", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("ratio", [5e-324, 1.7976931348623157e308], ids=["min", "max"])
+    def test_float_range_ends_converge_at_default(self, kind, ratio):
+        closed = sigma_closed_form_gaussian if kind == "gaussian" else sigma_closed_form_laplace
+        s, meta = sigma_fit_gd([ratio], [1.0], kind=kind)
+        assert meta["converged"]
+        assert s == pytest.approx(closed([ratio], [1.0]), rel=1e-12, abs=0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown likelihood"):
@@ -157,7 +176,7 @@ class TestSigmaFitGd:
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            SigmaFitOptions(step_size=-1.0)
+            SigmaFitOptions(max_iters=0)
 
 
 class TestFitSigmaOnSets:
@@ -175,6 +194,61 @@ class TestFitSigmaOnSets:
         assert art.s > 0
         assert art.likelihood == "laplace"
         assert art.target == "aleatoric_only"
+
+
+@st.composite
+def small_sets(draw):
+    """A random set of m <= 8 records, N <= 5 passes and d <= 3 outputs whose
+    variances sit about e^-5 to e^5 off the squared errors, at scales e^-20 to e^20."""
+    m, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    log_scale, offset = draw(st.floats(-20, 20)), draw(st.floats(-5, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = gen.normal(size=(m, d))
+    means = y[:, None, :] + gen.normal(0.0, math.exp(log_scale / 2), size=(m, n, d))
+    log_vars = gen.normal(log_scale + offset, 1.0, size=(m, n))
+    return McPredictionSet([f"r{i}" for i in range(m)], y, means, log_vars)
+
+
+# (likelihood, target, use_gd) of every sigma fit
+SIGMA_FITS = [(lik, target, gd) for lik in LIKELIHOOD_KINDS
+              for target in CALIBRATION_TARGETS for gd in (False, True)]
+
+
+class TestSigmaProperties:
+    """Invariants of sigma scaling, closed form and GD, on small random sets.
+
+    The tolerances are about four times the worst of 20,000 generated sets
+    (idempotence 8.9e-16, equivariance 1.1e-15)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets())
+    def test_refit_on_own_recalibration_gives_one(self, pset):
+        unc = uncertainty_records(pset)
+        for lik, target, gd in SIGMA_FITS:
+            art = fit_sigma(unc, lik, target, use_gd=gd)
+            refit = fit_sigma(apply_calibration(unc, art), lik, target, use_gd=gd)
+            assert abs(refit.s - 1.0) <= 4e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets())
+    def test_s_is_unit_free(self, pset):
+        # y and means times 4 (exact) and variances times 16: the same set in other units
+        scaled = McPredictionSet(pset.ids, 4.0 * pset.y, 4.0 * pset.means,
+                                 pset.log_vars + 2 * math.log(4.0))
+        unc, unc_scaled = uncertainty_records(pset), uncertainty_records(scaled)
+        for lik, target, gd in SIGMA_FITS:
+            s = fit_sigma(unc, lik, target, use_gd=gd).s
+            assert fit_sigma(unc_scaled, lik, target, use_gd=gd).s == pytest.approx(
+                s, rel=4e-15, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets())
+    def test_mse_bit_identical_under_every_artifact(self, pset):
+        unc = uncertainty_records(pset)
+        arts = [fit_sigma(unc, lik, target, use_gd=gd) for lik, target, gd in SIGMA_FITS]
+        arts += [aux_fit(unc, AuxConfig(epochs=5), target) for target in CALIBRATION_TARGETS]
+        for art in [identity_artifact(), *arts]:
+            assert mse(apply_calibration(unc, art)) == mse(unc)
 
 
 def _constant_uncertainty_set(rng, m, err_scale, total_factor):

@@ -273,15 +273,44 @@ class TestErrorReporting:
         assert capsys.readouterr().err == "error: invalid-input: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    # The sigma fit has no step size, so any --lr is an unread flag there.
     @pytest.mark.parametrize("lr", ["nan", "inf"])
-    @pytest.mark.parametrize("method_flags", [["sigma", "--gd"], ["aux"]], ids=["sigma-gd", "aux"])
-    def test_non_finite_lr_single_error_line(self, capsys, toy_dir, tmp_path, method_flags, lr):
+    @pytest.mark.parametrize("method_flags, rc, message", [
+        (["sigma", "--gd"], 2, "invalid-flag: --lr is not read by calibrate --method sigma --gd"),
+        (["aux"], 1, "invalid-input: step_size must be finite and positive, got {lr}"),
+    ], ids=["sigma-gd", "aux"])
+    def test_non_finite_lr_single_error_line(self, capsys, toy_dir, tmp_path, method_flags,
+                                             rc, message, lr):
         out = tmp_path / "c.json"
-        rc = main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", *method_flags,
-                   "--lr", lr, "--out", str(out)])
-        assert rc == 1
+        assert main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method",
+                     *method_flags, "--lr", lr, "--out", str(out)]) == rc
+        assert capsys.readouterr().err == f"error: {message.format(lr=float(lr))}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route, flag", [
+        (["sigma"], ["--h", "4"]),
+        (["sigma"], ["--seed", "0"]),
+        (["sigma"], ["--lr", "0.5"]),
+        (["sigma"], ["--iters", "50"]),
+        (["sigma", "--gd"], ["--h", "4"]),
+        (["sigma", "--gd"], ["--seed", "1"]),
+        (["sigma", "--gd"], ["--lr", "1e9"]),
+        (["aux"], ["--gd"]),
+    ], ids=lambda flags: "-".join(flags).replace("--", ""))
+    def test_flag_the_route_does_not_read_refused(self, capsys, toy_dir, tmp_path, route, flag):
+        out = tmp_path / "c.json"
+        assert main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", *route,
+                     *flag, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: invalid-input: step_size must be finite and positive, got {float(lr)}\n")
+            f"error: invalid-flag: {flag[0]} is not read by calibrate --method {' '.join(route)}\n")
+        assert not out.exists()
+
+    def test_unconverged_gd_fit_single_error_line(self, capsys, toy_dir, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", "sigma",
+                     "--gd", "--iters", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: calibration: sigma fit did not converge in 2 iterations; raise --iters\n")
         assert not out.exists()
 
     def test_validation_failure_in_dump(self, capsys, tmp_path):
@@ -461,18 +490,33 @@ class TestSigmaFitExtremes:
                    "--out", str(out)])
         return rc, out
 
-    @pytest.mark.parametrize("records, likelihood, lr", [
-        (TINY, "gaussian", "0.25"), (NEAR_MAX, "laplace", "1"),
+    # Five records of TestErrorReporting's good dump plus one whose variance,
+    # exp(-740) in both passes, is subnormal: the Laplace ratio is near 1e159.
+    SUBNORMAL = [{"id": f"r{i}", "y": [0.2], "samples": [
+        {"mean": [0.1], "log_var": -2.0 + 0.1 * i}, {"mean": [0.3], "log_var": -1.5}]}
+        for i in range(5)] + [{"id": "r9", "y": [0.2], "samples": [
+            {"mean": [0.1], "log_var": -740.0}, {"mean": [0.1], "log_var": -740.0}]}]
+
+    @pytest.mark.parametrize("records, likelihood", [
+        (TINY, "gaussian"), (NEAR_MAX, "laplace"),
     ], ids=["tiny-ratios", "near-max-ratio"])
-    def test_gd_agrees_with_closed_form(self, capsys, tmp_path, records, likelihood, lr):
+    def test_gd_agrees_with_closed_form(self, capsys, tmp_path, records, likelihood):
         flags = ["--likelihood", likelihood]
         assert self.calibrate(tmp_path, records, "closed.json", *flags)[0] == 0
-        rc, gd = self.calibrate(tmp_path, records, "gd.json", *flags,
-                                "--gd", "--lr", lr, "--iters", "5000")
+        rc, gd = self.calibrate(tmp_path, records, "gd.json", *flags, "--gd")
         assert rc == 0 and capsys.readouterr().err == ""
         gd = load_artifact(gd)
         assert gd.fit_meta["converged"] is True
         assert gd.s == pytest.approx(load_artifact(tmp_path / "closed.json").s, rel=1e-6, abs=0)
+
+    def test_subnormal_laplace_gd_converges_to_closed_form(self, capsys, tmp_path):
+        flags = ["--likelihood", "laplace"]
+        assert self.calibrate(tmp_path, self.SUBNORMAL, "closed.json", *flags)[0] == 0
+        rc, gd = self.calibrate(tmp_path, self.SUBNORMAL, "gd.json", *flags, "--gd")
+        assert rc == 0 and capsys.readouterr().err == ""
+        gd = load_artifact(gd)
+        assert gd.fit_meta["converged"] is True
+        assert gd.s == pytest.approx(load_artifact(tmp_path / "closed.json").s, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flags", [[], ["--gd"]], ids=["closed-form", "gd"])
     def test_zero_errors_single_error_line(self, capsys, tmp_path, flags):
