@@ -9,10 +9,13 @@ convention: activations are scaled by 1/(1-p) at mask time, so stochastic
 evaluation passes reuse the raw weights with fresh masks.
 
 The layer math is written once, in ``_forward_into``, which computes into a
-preallocated workspace. :func:`forward` gives it a fresh one per call;
-:func:`train`'s evaluation passes and :func:`mc_predict`'s masked passes
-reuse one workspace each, so a 512-row pass maps no new pages. Nothing
-returned is a view of a reused workspace.
+preallocated workspace, and the backprop math once, in
+``_loss_and_grads_into``, which writes every gradient into a flat vector
+laid out as the parameters. :func:`forward` and :func:`loss_and_grads` give
+them fresh buffers per call; :func:`train` makes its workspace, gradient and
+Adam buffers once and runs every step and evaluation pass in them, and
+:func:`mc_predict` reuses one workspace, so a 512-row pass maps no new pages.
+Nothing returned is a view of a reused buffer.
 
 Data, architecture and optimiser are module constants; :class:`ToyModelConfig`
 holds the four settings a run varies. Everything is deterministic given the
@@ -127,11 +130,11 @@ def init_params(hidden: tuple[int, int], rng: np.random.Generator) -> dict[str, 
 
 
 def draw_masks(rng: np.random.Generator, batch: int, hidden: tuple[int, int], p: float):
-    keep = 1.0 - p
-    return (
-        (rng.random((batch, hidden[0])) < keep).astype(float),
-        (rng.random((batch, hidden[1])) < keep).astype(float),
-    )
+    """Keep masks for both hidden layers from one draw: the first layer's
+    uniforms come first in the stream, as with one draw per layer."""
+    h1, h2 = hidden
+    keep = (rng.random(batch * (h1 + h2)) < 1.0 - p).astype(float)
+    return keep[: batch * h1].reshape(batch, h1), keep[batch * h1 :].reshape(batch, h2)
 
 
 def _workspace(rows: int, params) -> tuple[np.ndarray, ...]:
@@ -153,7 +156,8 @@ def _forward_into(ws, params, x, masks=None, p: float = 0.0):
     X = np.asarray(x, dtype=float).reshape(-1, 1)
     z1, d1, z2, d2, mu, log_var = (buf[: len(X)] for buf in ws)
     for layer, (a, z, d) in enumerate(((X, z1, d1), (d1, z2, d2)), start=1):
-        np.matmul(a, params[f"W{layer}"], out=z)
+        # X is one column, so X @ W1 is one product per entry: multiply is bit-identical
+        (np.multiply if layer == 1 else np.matmul)(a, params[f"W{layer}"], out=z)
         np.add(z, params[f"b{layer}"], out=z)
         np.maximum(z, 0.0, out=d)  # ReLU
         if masks is not None:  # inverted dropout: d * mask / (1 - p)
@@ -174,42 +178,49 @@ def forward(params, x: np.ndarray, masks=None, p: float = 0.0):
     return _forward_into(_workspace(np.size(x), params), params, x, masks, p)
 
 
+def _loss_and_grads_into(ws, theta, params, g, grads, x, y, masks, p: float, weight_decay: float):
+    """The loss of :func:`loss_and_grads`; the gradients are written into the
+    flat ``g`` through ``grads``, its named views in ``theta``'s layout. The
+    forward pass computes into the leading rows of workspace ``ws``, and the
+    backward pass reuses its hidden-layer buffers once they are read."""
+    mu, lv, (X, z1, d1, z2, d2) = _forward_into(ws, params, x, masks=masks, p=p)
+    batch = len(y)
+    inv_var = np.exp(-lv)
+    resid = mu - y
+    fit = inv_var * resid**2
+    loss = float(np.add.reduce(fit + lv) / batch) + weight_decay * float(theta @ theta)
+
+    dmu = (2.0 * inv_var * resid / batch)[:, None]  # (B, 1)
+    dlv = ((1.0 - fit) / batch)[:, None]
+    for head, dout in (("m", dmu), ("v", dlv)):
+        np.matmul(d2.T, dout, out=grads[f"W{head}"])
+        np.add.reduce(dout, axis=0, out=grads[f"b{head}"])
+    dd = np.matmul(dmu, params["Wm"].T, out=d2)  # d2 is read: dd2 takes its place
+    dd += dlv @ params["Wv"].T
+    for layer, (a, z) in ((2, (d1, z2)), (1, (X, z1))):
+        np.multiply(dd, masks[layer - 1], out=dd)  # through the dropout, then the ReLU
+        np.divide(dd, 1.0 - p, out=dd)
+        np.multiply(dd, z > 0.0, out=dd)
+        np.matmul(a.T, dd, out=grads[f"W{layer}"])
+        np.add.reduce(dd, axis=0, out=grads[f"b{layer}"])
+        if layer == 2:  # d1 is read: dd1 takes its place
+            dd = np.matmul(dd, params["W2"].T, out=d1)
+    g += 2.0 * weight_decay * theta
+    return loss
+
+
 def loss_and_grads(params, x, y, masks, p: float, weight_decay: float):
     """Mean heteroscedastic Gaussian NLL term plus L2 decay, with gradients.
 
     Loss = mean_i[ exp(-lv_i) (y_i - mu_i)^2 + lv_i ] + wd * sum(theta^2).
     Masks are taken as given so the gradient is exact for the realized
-    stochastic forward pass.
+    stochastic forward pass. The gradients are views of one fresh flat
+    vector, sharing no memory with ``params``.
     """
-    y = np.asarray(y, dtype=float)
-    mu, lv, (X, z1, d1, z2, d2) = forward(params, x, masks=masks, p=p)
-    batch = len(y)
-    inv_var = np.exp(-lv)
-    resid = mu - y
-    loss = float(np.mean(inv_var * resid**2 + lv))
-    loss += weight_decay * sum(float(np.sum(w**2)) for w in params.values())
-
-    dmu = (2.0 * inv_var * resid / batch)[:, None]  # (B, 1)
-    dlv = ((1.0 - inv_var * resid**2) / batch)[:, None]
-    grads = {
-        "Wm": d2.T @ dmu,
-        "bm": dmu.sum(axis=0),
-        "Wv": d2.T @ dlv,
-        "bv": dlv.sum(axis=0),
-    }
-    dd2 = dmu @ params["Wm"].T + dlv @ params["Wv"].T
-    da2 = dd2 * masks[1] / (1.0 - p)
-    dz2 = da2 * (z2 > 0.0)
-    grads["W2"] = d1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
-    dd1 = dz2 @ params["W2"].T
-    da1 = dd1 * masks[0] / (1.0 - p)
-    dz1 = da1 * (z1 > 0.0)
-    grads["W1"] = X.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    for name in PARAM_NAMES:
-        grads[name] = grads[name] + 2.0 * weight_decay * params[name]
-    return loss, grads
+    theta, _ = _flatten(params)
+    g, grads = _flatten(params)
+    ws = _workspace(np.size(x), params)
+    return _loss_and_grads_into(ws, theta, params, g, grads, x, y, masks, p, weight_decay), grads
 
 
 @dataclass
@@ -260,10 +271,11 @@ def _flatten(params: dict[str, np.ndarray]):
 
 def _epoch_eval(ws, params, split: LabeledData):
     mu, lv, _ = _forward_into(ws, params, split.x)
+    n = len(split.x)
     err_sq = (split.y - mu) ** 2
     sigma2 = np.exp(lv)
-    nll = float(np.mean(err_sq / sigma2 + lv))
-    return err_sq, sigma2, float(err_sq.mean()), float(sigma2.mean()), nll
+    nll = float(np.add.reduce(err_sq / sigma2 + lv) / n)  # np.mean without its wrapper
+    return err_sq, sigma2, float(np.add.reduce(err_sq) / n), float(np.add.reduce(sigma2) / n), nll
 
 
 def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
@@ -275,16 +287,20 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     constant step size. Dropout is active on every training step. After each
     epoch sigma scaling is fitted on the validation split and recorded (see
     :class:`TrainingTrace`). The model returned holds the weights after the
-    last epoch. The three evaluation passes of every epoch write into one
-    workspace sized to the largest split, the smaller splits using its
-    leading rows; the trace holds Python floats computed from it, never
-    views. Fully deterministic given cfg.seed.
+    last epoch. Every training step and the three evaluation passes of every
+    epoch write into one workspace sized to the largest split, the smaller
+    batches using its leading rows; the trace holds Python floats computed
+    from it, never views. Gradients go into one flat vector, and Adam updates
+    its moments and theta in place in the order of the plain expressions
+    ``B1 m + (1 - B1) g``, ``B2 v + ((1 - B2) g) g`` and
+    ``(STEP_SIZE m_hat) / (sqrt(v_hat) + eps)``, so every step is
+    bit-identical to them. Fully deterministic given cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
     rng = np.random.default_rng(cfg.seed)
     theta, params = _flatten(init_params(HIDDEN, rng))
-    adam_m = np.zeros_like(theta)
-    adam_v = np.zeros_like(theta)
+    g, grads = _flatten(params)
+    adam_m, adam_v, scratch, denom = (np.zeros_like(theta) for _ in range(4))
     step = 0
     trace = TrainingTrace()
     m_train = len(data.train.x)
@@ -295,20 +311,26 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
         for start in range(0, m_train, BATCH_SIZE):
             idx = perm[start : start + BATCH_SIZE]
             masks = draw_masks(rng, len(idx), HIDDEN, cfg.dropout_p)
-            loss, grads = loss_and_grads(
-                params, data.train.x[idx], data.train.y[idx], masks, cfg.dropout_p, WEIGHT_DECAY
-            )
+            loss = _loss_and_grads_into(ws, theta, params, g, grads, data.train.x[idx],
+                                        data.train.y[idx], masks, cfg.dropout_p, WEIGHT_DECAY)
             if not math.isfinite(loss):
                 raise ValueError(
                     f"non-finite training loss at epoch {epoch}, batch {start // BATCH_SIZE}"
                 )
-            g = np.concatenate([grads[name].ravel() for name in params])
             step += 1
-            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
-            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = adam_m / (1.0 - ADAM_BETA1**step)
-            v_hat = adam_v / (1.0 - ADAM_BETA2**step)
-            theta -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # m = B1 m + (1 - B1) g;  v = B2 v + ((1 - B2) g) g
+            adam_m *= ADAM_BETA1
+            adam_m += np.multiply(1.0 - ADAM_BETA1, g, out=scratch)
+            adam_v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
+            adam_v += np.multiply(scratch, g, out=scratch)
+            # theta -= (STEP_SIZE m_hat) / (sqrt(v_hat) + eps)
+            np.divide(adam_m, 1.0 - ADAM_BETA1**step, out=scratch)
+            scratch *= STEP_SIZE
+            np.divide(adam_v, 1.0 - ADAM_BETA2**step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            theta -= np.divide(scratch, denom, out=scratch)
 
         _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(ws, params, data.train)
         _, _, te_mse, te_s2, te_nll = _epoch_eval(ws, params, data.test)

@@ -218,7 +218,9 @@ class TestSigmaProperties:
     """Invariants of sigma scaling, closed form and GD, on small random sets.
 
     The tolerances are about four times the worst of 20,000 generated sets
-    (idempotence 8.9e-16, equivariance 1.1e-15)."""
+    (idempotence 8.9e-16, equivariance 1.1e-15) and of 4,500 for record
+    order (s 8.9e-16); UCE under record order and s under pass duplication
+    are bounded by their conditioning (see there)."""
 
     @settings(max_examples=100, deadline=None)
     @given(pset=small_sets())
@@ -240,6 +242,46 @@ class TestSigmaProperties:
             s = fit_sigma(unc, lik, target, use_gd=gd).s
             assert fit_sigma(unc_scaled, lik, target, use_gd=gd).s == pytest.approx(
                 s, rel=4e-15, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets(), data=st.data())
+    def test_record_order_leaves_s_and_uce(self, pset, data):
+        order = data.draw(st.permutations(range(pset.m)))
+        shuffled = McPredictionSet([pset.ids[i] for i in order], pset.y[order],
+                                   pset.means[order], pset.log_vars[order])
+        unc, unc_shuffled = uncertainty_records(pset), uncertainty_records(shuffled)
+        for lik, target, gd in SIGMA_FITS:
+            s = fit_sigma(unc, lik, target, use_gd=gd).s
+            assert fit_sigma(unc_shuffled, lik, target, use_gd=gd).s == pytest.approx(
+                s, rel=4e-15, abs=0)
+        for mode in CALIBRATION_TARGETS:
+            # Summing a bin in another order moves its two means by a few ulps,
+            # which |var_obs - uncert_mean| can magnify: relative to UCE the
+            # move reached 5.0e-15, relative to the bins' scale 2.2 eps.
+            report = uce(unc, mode=mode)
+            scale = 100 * sum(b.count / report.m * (b.var_obs + b.uncert_mean)
+                              for b in report.bins)
+            assert abs(uce(unc_shuffled, mode=mode).uce - report.uce) <= (
+                8 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets())
+    def test_pass_duplication_leaves_s(self, pset):
+        doubled = McPredictionSet(pset.ids, pset.y, np.concatenate([pset.means] * 2, axis=1),
+                                  np.concatenate([pset.log_vars] * 2, axis=1))
+        unc, unc_doubled = uncertainty_records(pset), uncertainty_records(doubled)
+        # s is fitted to y - y_mean. Summing 2N passes moves y_mean by rounding,
+        # which that difference magnifies by cond = |y_mean| / |y - y_mean|: up
+        # to 1e5 at the smallest scales, where s moved by up to 1.9e-11 over
+        # 12,500 sets. Over 5,000 of them it never moved by more than
+        # 4e-14 + 0.94 eps cond.
+        cond = np.max(np.max(np.abs(unc.y_mean), axis=1)
+                      / np.mean(np.abs(unc.y - unc.y_mean), axis=1))
+        rel = 4e-14 + 4 * np.finfo(float).eps * cond
+        for lik, target, gd in SIGMA_FITS:
+            s = fit_sigma(unc, lik, target, use_gd=gd).s
+            assert fit_sigma(unc_doubled, lik, target, use_gd=gd).s == pytest.approx(
+                s, rel=rel, abs=0)
 
     @settings(max_examples=100, deadline=None)
     @given(pset=small_sets())

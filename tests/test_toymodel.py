@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +8,22 @@ from regcal.calibrate import sigma_closed_form_gaussian
 from regcal.io import dump_lines
 from regcal.metrics import uncertainty_records
 from regcal.toymodel import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BATCH_SIZE,
+    HIDDEN,
     M_TEST,
     M_TRAIN,
     M_VAL,
     NOISE_FLOOR,
     NOISE_SLOPE,
+    PARAM_NAMES,
+    STEP_SIZE,
+    WEIGHT_DECAY,
     ToyModel,
     ToyModelConfig,
+    TrainingTrace,
     draw_masks,
     forward,
     generate,
@@ -102,17 +112,25 @@ class TestGradients:
                 without[name] + 2 * wd * params[name], abs=1e-12
             )
 
-    def test_pure_decay_shrinks_weights(self):
+    def test_decay_loss_term(self):
         rng = np.random.default_rng(0)
         params = init_params((4, 3), rng)
-        wd = 0.1
-        lr = 0.05
-        norms_before = {k: np.linalg.norm(v) for k, v in params.items()}
-        for name, value in params.items():
-            value -= lr * (2 * wd * value)  # plain step along the decay term
-        for name, value in params.items():
-            if norms_before[name] > 0:
-                assert np.linalg.norm(value) < norms_before[name]
+        x = rng.uniform(0, 1, size=4)
+        y = rng.normal(0, 1, size=4)
+        masks = draw_masks(rng, 4, (4, 3), 0.0)
+        with_decay, _ = loss_and_grads(params, x, y, masks, 0.0, 1.0)
+        without, _ = loss_and_grads(params, x, y, masks, 0.0, 0.0)
+        squares = sum(float(np.sum(value**2)) for value in params.values())
+        assert with_decay - without == pytest.approx(squares, rel=1e-12, abs=0)
+        # a weight no input reaches (its hidden unit is dropped) leaves the
+        # forward pass finite; its square alone overflows the loss
+        masks[0][:, 0] = 0.0
+        params["W2"][0, 0] = 1e200
+        mu, lv, _ = forward(params, x, masks=masks, p=0.0)
+        assert np.all(np.isfinite(mu)) and np.all(np.isfinite(lv))
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, _ = loss_and_grads(params, x, y, masks, 0.0, 1e-7)
+        assert not math.isfinite(loss)
 
 
 class TestTrain:
@@ -146,6 +164,109 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="epoch"):
                 train(data, QUICK)
+
+
+def _reference_masks(rng, batch, hidden, p):
+    """draw_masks as one draw per layer."""
+    keep = 1.0 - p
+    return (
+        (rng.random((batch, hidden[0])) < keep).astype(float),
+        (rng.random((batch, hidden[1])) < keep).astype(float),
+    )
+
+
+def _reference_loss_and_grads(params, x, y, masks, p, weight_decay):
+    """loss_and_grads as plain expressions: fresh arrays, one dict entry each."""
+    mu, lv, (X, z1, d1, z2, d2) = forward(params, x, masks=masks, p=p)
+    batch = len(y)
+    inv_var = np.exp(-lv)
+    resid = mu - y
+    loss = float(np.mean(inv_var * resid**2 + lv))
+    loss += weight_decay * sum(float(np.sum(w**2)) for w in params.values())
+    dmu = (2.0 * inv_var * resid / batch)[:, None]
+    dlv = ((1.0 - inv_var * resid**2) / batch)[:, None]
+    grads = {"Wm": d2.T @ dmu, "bm": dmu.sum(axis=0), "Wv": d2.T @ dlv, "bv": dlv.sum(axis=0)}
+    dd2 = dmu @ params["Wm"].T + dlv @ params["Wv"].T
+    dz2 = dd2 * masks[1] / (1.0 - p) * (z2 > 0.0)
+    grads["W2"] = d1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    dd1 = dz2 @ params["W2"].T
+    dz1 = dd1 * masks[0] / (1.0 - p) * (z1 > 0.0)
+    grads["W1"] = X.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    for name in PARAM_NAMES:
+        grads[name] = grads[name] + 2.0 * weight_decay * params[name]
+    return loss, grads
+
+
+def _reference_train(data, cfg):
+    """train with the step above, np.concatenate of the gradients and Adam
+    out of place; the evaluation through forward."""
+    rng = np.random.default_rng(cfg.seed)
+    init = init_params(HIDDEN, rng)
+    theta = np.concatenate([value.ravel() for value in init.values()])
+    ends = np.cumsum([value.size for value in init.values()])
+    params = {name: part.reshape(init[name].shape)
+              for name, part in zip(init, np.split(theta, ends[:-1]))}
+    adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
+    trace, step = TrainingTrace(), 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(data.train.x))
+        for start in range(0, len(perm), BATCH_SIZE):
+            idx = perm[start : start + BATCH_SIZE]
+            masks = _reference_masks(rng, len(idx), HIDDEN, cfg.dropout_p)
+            _, grads = _reference_loss_and_grads(params, data.train.x[idx], data.train.y[idx],
+                                                 masks, cfg.dropout_p, WEIGHT_DECAY)
+            g = np.concatenate([grads[name].ravel() for name in params])
+            step += 1
+            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = adam_m / (1.0 - ADAM_BETA1**step)
+            v_hat = adam_v / (1.0 - ADAM_BETA2**step)
+            theta -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for name, split in (("train", data.train), ("test", data.test), ("val", data.val)):
+            mu, lv, _ = forward(params, split.x)
+            err_sq, sigma2 = (split.y - mu) ** 2, np.exp(lv)
+            if name == "val":
+                trace.s.append(sigma_closed_form_gaussian(err_sq, sigma2))
+                continue
+            getattr(trace, f"{name}_mse").append(float(err_sq.mean()))
+            getattr(trace, f"{name}_sigma2").append(float(sigma2.mean()))
+            getattr(trace, f"{name}_nll").append(float(np.mean(err_sq / sigma2 + lv)))
+    return params, trace
+
+
+class TestTrainStep:
+    """train's step computes into buffers made once per call; weights and
+    trace equal the plain-expression reference above, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    def test_train_matches_reference(self, seed, p):
+        cfg = ToyModelConfig(seed=seed, epochs=15, dropout_p=p)
+        model, trace = train(generate(seed), cfg)
+        params, expected = _reference_train(generate(seed), cfg)
+        for name in PARAM_NAMES:
+            assert np.array_equal(model.params[name], params[name]), name
+        for f in dataclasses.fields(trace):
+            assert getattr(trace, f.name) == getattr(expected, f.name), f.name
+
+    def test_masks_match_one_draw_per_layer(self):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        masks = draw_masks(rng, 5, (4, 3), 0.3)
+        for got, want in zip(masks, _reference_masks(ref_rng, 5, (4, 3), 0.3)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # the stream is left in the same place
+
+    def test_gradients_are_fresh_arrays(self, rng):
+        params = init_params((4, 3), rng)
+        x, y = rng.uniform(0, 1, size=4), rng.normal(0, 1, size=4)
+        masks = draw_masks(rng, 4, (4, 3), 0.3)
+        _, first = loss_and_grads(params, x, y, masks, 0.3, 1e-3)
+        _, second = loss_and_grads(params, x, y, masks, 0.3, 1e-3)
+        for grad in second.values():
+            for other in [*params.values(), *first.values()]:
+                assert not np.shares_memory(grad, other)
 
 
 class TestMcPredict:
