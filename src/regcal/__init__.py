@@ -28,9 +28,9 @@ from .core import (
     Uncertainties,
     identity_artifact,
 )
-from .intervals import CoverageTable, coverage, probit
+from .intervals import CoverageTable, coverage
 from .io import DumpFormatError, load_artifact, load_dump, save_artifact, save_dump
-from .likelihood import batch_nll
+from .likelihood import batch_nll, probit
 from .metrics import UceReport, calibration_diagram, mse, uce, uncertainty_records
 from .toymodel import (
     ToyModel,

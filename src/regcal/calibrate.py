@@ -1,20 +1,16 @@
 """Fit and apply recalibration of predictive uncertainty.
 
-Two families are supported:
-
-* sigma scaling: a single scalar s multiplies the predictive standard
-  deviation, i.e. variances are multiplied by s^2. s depends only on m and
-  the sum of error/scale ratios, and is fitted in closed form or by gradient
-  descent over rho = log s at the objective's own curvature, which stops once
-  |delta rho| < SIGMA_GD_TOLERANCE and raises if it runs out of iterations;
-  both routes agree. A ratio sum that is not finite or is 0 fits no s > 0.
+* sigma scaling: one scalar s multiplies the predictive standard deviation
+  (variances by s^2). s depends only on m and the sum of error/scale ratios,
+  both read from the likelihood's family record (:mod:`regcal.likelihood`),
+  and is fitted in closed form or by gradient descent over rho = log s; both
+  routes agree. A ratio sum that is not finite or is 0 fits no s > 0.
 * aux scaling: a small two-layer ReLU network mapping log(uncertainty) to
   log(recalibrated uncertainty), fitted by gradient descent on the Gaussian
   NLL with the predictions held fixed at the MC mean.
 
-Both fit on, and apply to, the columnar :class:`Uncertainties` of a set.
-Neither method touches predicted means, so accuracy (MSE) is conserved
-bit-for-bit by construction.
+Both fit on, and apply to, the columnar :class:`Uncertainties` of a set and
+leave predicted means untouched, so accuracy (MSE) is conserved bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LIKELIHOOD_KINDS, CalibrationArtifact, Uncertainties
+from .core import CalibrationArtifact, Uncertainties
+from .likelihood import GAUSSIAN, LAPLACE, family
 
 
 class CalibrationError(ValueError):
@@ -32,6 +29,7 @@ class CalibrationError(ValueError):
 
 
 SIGMA_GD_TOLERANCE = 1e-8  # on the step |delta rho| of the gradient-descent sigma fit
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)  # exp of anything larger overflows
 
 
 @dataclass
@@ -66,9 +64,6 @@ class AuxConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-_SCALE_NAMES = {"gaussian": "variances", "laplace": "sigmas"}
-
-
 def _ratio_sum(errors, scales, scale_name: str) -> tuple[int, float]:
     """m and the checked sum of errors / scales, the only statistics s depends on.
 
@@ -100,46 +95,26 @@ def _ratio_sum(errors, scales, scale_name: str) -> tuple[int, float]:
     return errors.size, ratio_sum
 
 
-def _closed_form(m: int, ratio_sum: float, kind: str) -> float:
-    return math.sqrt(ratio_sum / m) if kind == "gaussian" else ratio_sum / m
-
-
 def sigma_closed_form_gaussian(errors_sq, variances) -> float:
-    """Closed-form scale for the Gaussian objective.
-
-    s = sqrt( mean_i errors_sq_i / variances_i ); the positive root. Returns
-    exactly 1 when errors_sq == variances elementwise (already calibrated).
-    """
-    return _closed_form(*_ratio_sum(errors_sq, variances, "variances"), "gaussian")
+    """Closed-form scale for the Gaussian objective, s = sqrt(mean(errors_sq / variances));
+    exactly 1 when errors_sq == variances elementwise (already calibrated)."""
+    return GAUSSIAN.closed_form(*_ratio_sum(errors_sq, variances, GAUSSIAN.scale_name))
 
 
 def sigma_closed_form_laplace(abs_errors, sigmas) -> float:
     """Closed-form scale for the Laplacian objective: mean of |err|/sigma."""
-    return _closed_form(*_ratio_sum(abs_errors, sigmas, "sigmas"), "laplace")
+    return LAPLACE.closed_form(*_ratio_sum(abs_errors, sigmas, LAPLACE.scale_name))
 
 
-def _sigma_objective(s: float, m: int, ratio_sum: float, kind: str) -> float:
-    if kind == "gaussian":
-        return m * math.log(s) + 0.5 * ratio_sum / (s * s)
-    return m * math.log(s) + ratio_sum / s
-
-
-def sigma_fit_gd(
-    errors,
-    scales,
-    kind: str = "gaussian",
-    opts: SigmaFitOptions | None = None,
-):
+def sigma_fit_gd(errors, scales, kind: str = "gaussian", opts: SigmaFitOptions | None = None):
     """Fit the scalar s by gradient descent on the scaled-NLL objective.
 
-    ``errors``/``scales`` are squared errors and variances for the Gaussian
-    kind, absolute errors and sigmas for the Laplacian kind. The search runs
-    over rho = log(s) from rho = 0, which keeps s positive without
-    constraints. Per record the objective is ``rho + (r / p) exp(-p rho)``
-    (r the mean ratio, p = 2 Gaussian or 1 Laplace), whose curvature at the
-    minimum is p, so each step is ``(1 - exp(log r - p * rho)) / p``,
-    clipped to 0.5 so far-off starts cannot overshoot; near the optimum the
-    error shrinks quadratically. The fit stops once |delta rho| <
+    ``errors``/``scales`` are those of the ``kind`` family: squared errors and
+    variances, or absolute errors and sigmas. The search runs over rho = log s
+    from 0. Per record the objective is ``rho + (r / p) exp(-p rho)`` (r the
+    mean ratio), whose curvature at the minimum is the family's p, so each
+    step is ``(1 - exp(log r - p * rho)) / p``, clipped to 0.5 so far-off
+    starts cannot overshoot. The fit stops once |delta rho| <
     ``SIGMA_GD_TOLERANCE``. Running out of ``opts.max_iters`` steps, a zero
     or non-finite ratio sum and an overflowing exp(rho) raise
     ``CalibrationError``.
@@ -148,12 +123,11 @@ def sigma_fit_gd(
         (s, fit_meta) with fit_meta holding iterations, final objective and
         a converged flag, always true.
     """
-    if kind not in LIKELIHOOD_KINDS:
-        raise ValueError(f"unknown likelihood kind {kind!r}")
+    fam = family(kind)
     opts = opts or SigmaFitOptions()
-    m, ratio_sum = _ratio_sum(errors, scales, _SCALE_NAMES[kind])
+    m, ratio_sum = _ratio_sum(errors, scales, fam.scale_name)
     log_ratio_mean = math.log(ratio_sum / m)
-    p = 2.0 if kind == "gaussian" else 1.0  # s enters the objective as s^p
+    p = fam.p
     rho = 0.0
     for iters in range(1, opts.max_iters + 1):
         step = max(-0.5, min(0.5, (1.0 - math.exp(log_ratio_mean - p * rho)) / p))
@@ -168,17 +142,12 @@ def sigma_fit_gd(
         s = math.exp(rho)
     except OverflowError:
         raise CalibrationError("sigma fit diverged to a non-finite scale") from None
-    objective = _sigma_objective(s, m, ratio_sum, kind)
-    return s, {"iterations": iters, "final_objective": objective, "converged": True}
+    return s, {"iterations": iters, "final_objective": fam.objective(s, m, ratio_sum),
+               "converged": True}
 
 
-def fit_sigma(
-    unc: Uncertainties,
-    likelihood: str = "gaussian",
-    target: str = "predictive",
-    opts: SigmaFitOptions | None = None,
-    use_gd: bool = False,
-) -> CalibrationArtifact:
+def fit_sigma(unc: Uncertainties, likelihood: str = "gaussian", target: str = "predictive",
+              opts: SigmaFitOptions | None = None, use_gd: bool = False) -> CalibrationArtifact:
     """Fit a sigma-scaling artifact on a calibration set.
 
     Uses the exact closed form by default; ``use_gd`` switches to the
@@ -189,13 +158,11 @@ def fit_sigma(
         s, fit_meta = sigma_fit_gd(errors, scales, kind=likelihood, opts=opts)
         fit_meta = {"fit": "gd", **fit_meta}
     else:
-        m, ratio_sum = _ratio_sum(errors, scales, _SCALE_NAMES[likelihood])
-        s = _closed_form(m, ratio_sum, likelihood)
-        fit_meta = {
-            "fit": "closed_form",
-            "iterations": 0,
-            "final_objective": _sigma_objective(s, m, ratio_sum, likelihood),
-        }
+        fam = family(likelihood)
+        m, ratio_sum = _ratio_sum(errors, scales, fam.scale_name)
+        s = fam.closed_form(m, ratio_sum)
+        fit_meta = {"fit": "closed_form", "iterations": 0,
+                    "final_objective": fam.objective(s, m, ratio_sum)}
     fit_meta["m"] = len(errors)
     return CalibrationArtifact(
         method="sigma", likelihood=likelihood, target=target, s=s, fit_meta=fit_meta
@@ -231,9 +198,9 @@ def aux_fit(
     The network is trained full-batch by gradient descent to minimize the
     Gaussian NLL (constants dropped) of the calibration set with predictions
     fixed at the MC mean and the variance replaced by exp(R(log u)). The
-    returned weights are the best seen during training, so the training NLL
-    at the artifact is never above the NLL of the near-identity init. The
-    network is evaluated once per epoch, plus once for the last update.
+    returned weights are the best seen whose variance stays finite on the set, so the
+    training NLL at the artifact is never above the NLL of the near-identity init.
+    The network is evaluated once per epoch, plus once for the last update.
     """
     cfg = cfg or AuxConfig()
     err_sq, u = unc.errors_and_scales("gaussian", target)
@@ -275,7 +242,8 @@ def aux_fit(
         params["b2"] -= lr * grad_b2
         # The loss of the updated weights is also where the next epoch starts.
         z, a, g, loss = evaluate()
-        if math.isfinite(loss) and loss < best_loss:
+        # Weights whose variance exp(g) overflows on the set itself cannot be applied to it.
+        if math.isfinite(loss) and loss < best_loss and g.max() <= _LOG_MAX_FLOAT:
             best_loss = loss
             best_params = {k: v.copy() for k, v in params.items()}
 

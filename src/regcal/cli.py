@@ -26,7 +26,7 @@ from .calibrate import (
 )
 from .core import identity_artifact
 from .intervals import DEFAULT_LEVELS, coverage
-from .likelihood import batch_nll
+from .likelihood import FAMILIES, batch_nll
 from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
 from .toymodel import ToyModelConfig, generate, mc_predict, train
 
@@ -116,7 +116,7 @@ def cmd_evaluate(args) -> int:
         "d": pset.d,
         "n_samples": pset.n_samples,
         "mse": mse(unc),
-        "nll": batch_nll(unc, kind="gaussian"),
+        "nll": batch_nll(unc, calib.likelihood),
         "uce_predictive": rep_pred.to_dict(),
         "uce_aleatoric_only": uce(unc, k=args.bins, mode="aleatoric_only").to_dict(),
         "provenance": {
@@ -137,8 +137,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_intervals(args) -> int:
     levels = _floats(args.levels, "levels")
-    unc = _uncertainties(args.input, _load_calib(args.calib))
-    rio.coverage_to_csv(coverage(unc, levels), args.out)
+    calib = _load_calib(args.calib)
+    rio.coverage_to_csv(coverage(_uncertainties(args.input, calib), levels, calib.likelihood), args.out)
     return 0
 
 
@@ -174,7 +174,7 @@ def cmd_toy(args) -> int:
     rio.trace_to_csv(trace, out_dir / "trace.csv")
 
     val = uncertainty_records(dumps["val"])
-    sigma_calib = fit_sigma(val, likelihood="gaussian", target="predictive")
+    sigma_calib = fit_sigma(val, target="predictive")
     aux_calib = aux_fit(val, AuxConfig(seed=cfg.seed), target="predictive")
     rio.save_artifact(sigma_calib, out_dir / "calib_sigma.json")
     rio.save_artifact(aux_calib, out_dir / "calib_aux.json")
@@ -189,10 +189,10 @@ def cmd_toy(args) -> int:
     }
     for name, calib in (("none", identity_artifact()), ("sigma", sigma_calib), ("aux", aux_calib)):
         unc = apply_calibration(test, calib)
-        table = coverage(unc, DEFAULT_LEVELS)
+        table = coverage(unc, DEFAULT_LEVELS, calib.likelihood)
         entry = {
             "mse": mse(unc),
-            "nll": batch_nll(unc, kind="gaussian"),
+            "nll": batch_nll(unc, calib.likelihood),
             "uce_predictive": uce(unc, k=DEFAULT_BINS, mode="predictive").uce,
             "uce_aleatoric_only": uce(unc, k=DEFAULT_BINS, mode="aleatoric_only").uce,
             "coverage": {repr(g): obs for g, obs in zip(table.levels, table.observed)},
@@ -211,7 +211,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="fit a recalibration artifact on a dump")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True, choices=["sigma", "aux"])
-    p.add_argument("--likelihood", default="gaussian", choices=["gaussian", "laplace"])
+    p.add_argument("--likelihood", default="gaussian", choices=list(FAMILIES))
     p.add_argument("--target", default="predictive", choices=["predictive", "aleatoric"])
     p.add_argument("--out", required=True)
     p.add_argument("--h", type=int, help="aux hidden width")

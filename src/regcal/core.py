@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .likelihood import family
+
 CALIBRATION_METHODS = ("sigma", "aux", "identity")
-LIKELIHOOD_KINDS = ("gaussian", "laplace")
 CALIBRATION_TARGETS = ("predictive", "aleatoric_only")
 
 
@@ -115,22 +116,19 @@ class Uncertainties:
         return np.mean((self.y - self.y_mean) ** 2, axis=1)
 
     def errors_and_scales(self, likelihood: str, target: str):
-        """Per-record error of the MC mean and predicted scale of a likelihood.
-
-        Squared errors against variances (Gaussian) or absolute errors against
-        b = sqrt(variance) (Laplacian), averaged across output dimensions. The
-        variance is the total for the predictive target, else the aleatoric
-        part; a zero one raises ``ValueError`` naming its record.
-        """
+        """Per-record error of the MC mean and the likelihood family's scale of the
+        targeted variance: the total, or the aleatoric part for ``aleatoric_only``.
+        An unknown family or target, or a zero variance, raises ``ValueError``."""
+        fam = family(likelihood)
+        if target not in CALIBRATION_TARGETS:
+            raise ValueError(f"unknown calibration target {target!r}")
         u = self.total if target == "predictive" else self.aleatoric
         degenerate = np.flatnonzero(u <= 0.0)
         if degenerate.size:
             i = degenerate[0]
             raise ValueError(f"degenerate uncertainty: record '{self.ids[i]}' has {target} "
                              f"variance {u[i]}")
-        if likelihood == "gaussian":
-            return self.err_sq, u
-        return np.mean(np.abs(self.y - self.y_mean), axis=1), np.sqrt(u)
+        return fam.error_and_scale(self, u)
 
 
 @dataclass
@@ -152,8 +150,7 @@ class CalibrationArtifact:
     def __post_init__(self):
         if self.method not in CALIBRATION_METHODS:
             raise ValueError(f"unknown calibration method {self.method!r}")
-        if self.likelihood not in LIKELIHOOD_KINDS:
-            raise ValueError(f"unknown likelihood {self.likelihood!r}")
+        family(self.likelihood)  # refuses an unknown name
         if self.target not in CALIBRATION_TARGETS:
             raise ValueError(f"unknown calibration target {self.target!r}")
         if self.method == "sigma":

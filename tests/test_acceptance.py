@@ -15,8 +15,8 @@ import pytest
 from regcal.calibrate import SigmaFitOptions, AuxConfig, aux_fit, fit_sigma, sigma_closed_form_gaussian, sigma_closed_form_laplace, sigma_fit_gd
 from regcal.cli import main
 from regcal.core import McPredictionSet, identity_artifact
-from regcal.intervals import coverage, probit
-from regcal.likelihood import batch_nll
+from regcal.intervals import coverage
+from regcal.likelihood import batch_nll, probit
 from regcal.metrics import mse, uce, uncertainty_records
 from regcal.calibrate import apply_calibration
 from regcal.io import load_dump, save_dump

@@ -18,12 +18,13 @@ from regcal.calibrate import (
 )
 from regcal.core import (
     CALIBRATION_TARGETS,
-    LIKELIHOOD_KINDS,
     CalibrationArtifact,
     McPredictionSet,
     identity_artifact,
 )
-from regcal.likelihood import batch_nll
+from regcal.analysis import rejection_curve
+from regcal.intervals import coverage
+from regcal.likelihood import FAMILIES, GAUSSIAN, batch_nll, family
 from regcal.metrics import mse, uce, uncertainty_records
 
 from conftest import calibrated, make_record, make_set, random_set
@@ -109,29 +110,25 @@ class TestSigmaFitGd:
         assert s == pytest.approx(0.2333333333333333, abs=1e-4)
 
     def test_objective_never_above_init(self, rng):
-        from regcal.calibrate import _sigma_objective
-
         for trial in range(5):
             gen = np.random.default_rng(trial)
             e = gen.uniform(0.01, 2.0, size=200)
             v = gen.uniform(0.05, 1.0, size=200)
             s, meta = sigma_fit_gd(e, v, kind="gaussian")
-            at_one = _sigma_objective(1.0, 200, float(np.sum(e / v)), "gaussian")
+            at_one = GAUSSIAN.objective(1.0, 200, float(np.sum(e / v)))
             assert meta["final_objective"] <= at_one
 
     def test_closed_form_is_stationary_point(self, rng):
         # Numeric derivative of the objective vanishes at the closed form.
-        from regcal.calibrate import _sigma_objective
-
         e = rng.uniform(0.01, 1.0, size=100)
         v = rng.uniform(0.1, 2.0, size=100)
         m = len(e)
         ratio = float(np.sum(e / v))
         s_star = sigma_closed_form_gaussian(e, v)
         eps = 1e-6
-        up = _sigma_objective(s_star + eps, m, ratio, "gaussian")
-        down = _sigma_objective(s_star - eps, m, ratio, "gaussian")
-        here = _sigma_objective(s_star, m, ratio, "gaussian")
+        up = GAUSSIAN.objective(s_star + eps, m, ratio)
+        down = GAUSSIAN.objective(s_star - eps, m, ratio)
+        here = GAUSSIAN.objective(s_star, m, ratio)
         assert (up - down) / (2 * eps) == pytest.approx(0.0, abs=1e-4)
         assert here <= min(up, down)
 
@@ -210,7 +207,7 @@ def small_sets(draw):
 
 
 # (likelihood, target, use_gd) of every sigma fit
-SIGMA_FITS = [(lik, target, gd) for lik in LIKELIHOOD_KINDS
+SIGMA_FITS = [(lik, target, gd) for lik in FAMILIES
               for target in CALIBRATION_TARGETS for gd in (False, True)]
 
 
@@ -293,6 +290,50 @@ class TestSigmaProperties:
             assert mse(apply_calibration(unc, art)) == mse(unc)
 
 
+def _mean_abs_nll_term(unc, kind):
+    return np.mean(np.abs(family(kind).nll_terms(*unc.errors_and_scales(kind, "predictive"))))
+
+
+class TestEvaluationProperties:
+    """NLL, coverage and the rejection curve under a change of units and of
+    record order, for both likelihood families. Each bound is about four times
+    the worst of 20,000 generated sets; coverage never moved."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets(), k=st.integers(-8, 8))
+    def test_change_of_units_shifts_nll_by_log_c(self, pset, k):
+        # y and means times c = 2^k (exact) and variances times c^2
+        c = 2.0**k
+        scaled = McPredictionSet(pset.ids, c * pset.y, c * pset.means,
+                                 pset.log_vars + 2 * math.log(c))
+        unc, unc_scaled = uncertainty_records(pset), uncertainty_records(scaled)
+        # exp(log_var + 2 ln c) is c^2 exp(log_var) only to about eps |log_var|
+        # relative, so the shift misses ln c by up to that times the terms'
+        # size: at worst 2.2 eps (mean |term| + |ln c|) (1 + max |log_var|).
+        cond = 1 + np.max(np.abs(scaled.log_vars))
+        for kind in FAMILIES:
+            size = _mean_abs_nll_term(unc, kind) + abs(math.log(c))
+            shift = batch_nll(unc_scaled, kind) - batch_nll(unc, kind)
+            assert abs(shift - math.log(c)) <= 9 * np.finfo(float).eps * size * cond
+            assert coverage(unc_scaled, kind=kind).observed == coverage(unc, kind=kind).observed
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets(), data=st.data())
+    def test_record_order_leaves_nll_coverage_and_rejection(self, pset, data):
+        order = data.draw(st.permutations(range(pset.m)))
+        shuffled = McPredictionSet([pset.ids[i] for i in order], pset.y[order],
+                                   pset.means[order], pset.log_vars[order])
+        unc, unc_shuffled = uncertainty_records(pset), uncertainty_records(shuffled)
+        for kind in FAMILIES:
+            # Summing the terms in another order: at worst 2.5 eps mean |term|.
+            move = abs(batch_nll(unc_shuffled, kind) - batch_nll(unc, kind))
+            assert move <= 10 * np.finfo(float).eps * _mean_abs_nll_term(unc, kind)
+            assert coverage(unc_shuffled, kind=kind).observed == coverage(unc, kind=kind).observed
+        # The same records are kept at every threshold; their mean moved by at worst 2.2 eps.
+        np.testing.assert_allclose(rejection_curve(unc_shuffled).mse_kept,
+                                   rejection_curve(unc).mse_kept, rtol=9 * np.finfo(float).eps, atol=0)
+
+
 def _constant_uncertainty_set(rng, m, err_scale, total_factor):
     """Records whose per-record squared error of the MC mean is known and
     whose total uncertainty is err_sq * total_factor (built from N=1 dumps,
@@ -320,6 +361,15 @@ class TestAuxFit:
         assert art.hidden_width == 2
         shapes = {name: layer.shape for name, layer in art.aux.items()}
         assert shapes == {"w1": (2,), "b1": (2,), "w2": (2,), "b2": (1,)}
+
+    def test_artifact_applies_to_its_own_set(self):
+        # Five steps from an error 2500x its variance overshoot to log-variances
+        # near 1000, where the NLL is finite and lower but exp overflows.
+        pset = make_set([make_record("r0", [1.05311575], [[2.82960706]], [-7.55329184])])
+        unc = uncertainty_records(pset)
+        for target in CALIBRATION_TARGETS:
+            art = aux_fit(unc, AuxConfig(epochs=5), target)
+            assert mse(apply_calibration(unc, art)) == mse(unc)
 
     def test_underestimated_set_improves(self, rng):
         # Uncertainties uniformly 4x too small.

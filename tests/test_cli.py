@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 import regcal
+from regcal.calibrate import apply_calibration
 from regcal.cli import main
 from regcal.io import load_artifact, load_dump
+from regcal.likelihood import batch_nll
 from regcal.metrics import uncertainty_records
 
 QUICK_TOY = ["--epochs", "40", "--mc-passes", "5"]
@@ -160,6 +163,23 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "level,z,observed"
         assert len(lines) == 3
+
+    def test_laplace_artifact_sets_interval_z_and_nll(self, toy_dir, tmp_path):
+        calib, test = tmp_path / "laplace.json", toy_dir / "test.jsonl"
+        assert main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", "sigma",
+                     "--likelihood", "laplace", "--out", str(calib)]) == 0
+        out = tmp_path / "cov.csv"
+        assert main(["intervals", "--input", str(test), "--calib", str(calib),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        # The Laplacian's central half-width per unit b = sqrt(total) is ln(1 / (1 - level)).
+        assert [float(z) for _, z, _ in rows] == pytest.approx(
+            [math.log(2.0), math.log(10.0), math.log(20.0), math.log(100.0)], rel=1e-15)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--input", str(test), "--calib", str(calib),
+                     "--out", str(report)]) == 0
+        unc = apply_calibration(uncertainty_records(load_dump(test)), load_artifact(calib))
+        assert json.loads(report.read_text())["nll"] == batch_nll(unc, "laplace")
 
     def test_reject_csv(self, toy_dir, tmp_path):
         out = tmp_path / "rej.csv"

@@ -111,8 +111,9 @@ class TestCalibrationArtifact:
     def test_unknown_enums_rejected(self):
         with pytest.raises(ValueError):
             CalibrationArtifact(method="platt")
-        with pytest.raises(ValueError):
-            CalibrationArtifact(method="identity", likelihood="student-t")
+        for likelihood in ("student-t", ["gaussian"]):
+            with pytest.raises(ValueError):
+                CalibrationArtifact(method="identity", likelihood=likelihood)
         with pytest.raises(ValueError):
             CalibrationArtifact(method="identity", target="everything")
 

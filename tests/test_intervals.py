@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regcal.core import CalibrationArtifact
-from regcal.intervals import coverage, probit
+from regcal.intervals import coverage
+from regcal.likelihood import probit
 
 from conftest import calibrated, make_record, make_set, make_uncertainties
 
@@ -104,6 +105,19 @@ class TestCoverage:
             y = gen.normal(mu, math.sqrt(total))
             records.append(_record(y, mu, total, rid=f"r{i}"))
         table = coverage(make_uncertainties(records), [0.5, 0.9, 0.95, 0.99])
+        for level, obs in zip(table.levels, table.observed):
+            assert obs == pytest.approx(level, abs=0.02)
+
+    def test_calibrated_laplace_simulation(self):
+        # Residuals drawn from a Laplacian with scale b = sqrt(total).
+        gen = np.random.default_rng(7)
+        records = []
+        for i in range(10_000):
+            mu = gen.uniform(-1, 1)
+            total = gen.uniform(0.01, 0.09)
+            y = gen.laplace(mu, math.sqrt(total))
+            records.append(_record(y, mu, total, rid=f"r{i}"))
+        table = coverage(make_uncertainties(records), [0.5, 0.9, 0.95, 0.99], "laplace")
         for level, obs in zip(table.levels, table.observed):
             assert obs == pytest.approx(level, abs=0.02)
 

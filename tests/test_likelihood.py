@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from regcal.calibrate import apply_calibration, fit_sigma
+from regcal.calibrate import apply_calibration, aux_fit, fit_sigma
+from regcal.intervals import coverage
 from regcal.likelihood import HALF_LOG_2PI, batch_nll
 from regcal.metrics import uncertainty_records
 
-from conftest import calibrated, make_record, make_set, random_set
+from conftest import calibrated, make_record, make_set, make_uncertainties, random_set
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -122,3 +123,20 @@ class TestBatchNll:
     def test_laplace_kind_runs(self, rng):
         value = batch_nll(uncertainty_records(random_set(rng, m=20, n=3)), kind="laplace")
         assert math.isfinite(value)
+
+
+# One record with zero error and zero variance: any fit or NLL that starts work
+# on it fails with another message than the unknown name's.
+@pytest.mark.parametrize("call", [
+    lambda unc: fit_sigma(unc, likelihood="cauchy"),
+    lambda unc: fit_sigma(unc, likelihood="cauchy", use_gd=True),
+    lambda unc: fit_sigma(unc, target="everything"),
+    lambda unc: fit_sigma(unc, target="everything", use_gd=True),
+    lambda unc: aux_fit(unc, target="everything"),
+    lambda unc: batch_nll(unc, "cauchy"),
+    lambda unc: coverage(unc, kind="cauchy"),
+], ids=["sigma", "sigma-gd", "sigma-target", "sigma-gd-target", "aux-target", "nll", "coverage"])
+def test_unknown_family_or_target_refused_before_work(call):
+    unc = make_uncertainties([("a", 0.5, 0.5, 0.0)])
+    with pytest.raises(ValueError, match="^unknown (likelihood 'cauchy'|calibration target 'everything')$"):
+        call(unc)
