@@ -4,14 +4,18 @@ Dumps are JSON Lines, one record per line:
 
     {"id": "...", "y": [d reals], "samples": [{"mean": [d reals], "log_var": r}, ...]}
 
-:func:`load_dump` checks each line with one record parser and reports the
-first problem of every invalid line in one :class:`DumpFormatError`. The
-parser checks each sample with a few inline tests on JSON's own lists and
-numbers and formats a message only when a test fails, so a valid dump
-loads at little more than the cost of ``json.loads``. The file is read
-line by line into three flat lists of numbers (y, sample-mean entries and
-log_vars), each converted with one ``np.array`` call and a reshape, so no
-per-record list is kept. Records are separated at ``\n`` only, as JSON
+:func:`load_dump` reports the first problem of every invalid line in one
+:class:`DumpFormatError`, and only its checked record parser makes those
+messages: it tests each sample inline on JSON's own lists and numbers and
+formats a message only when a test fails. Once a valid line has fixed d and
+N, a line written exactly as :func:`save_dump` writes it (compact
+separators, an id with no escape or control character) skips that parser:
+plain string operations check its layout, and one ``json.loads`` of a flat
+array reads all its numbers without building the sample objects. Any other
+line goes to the checked parser and loads the same values. The file is
+read line by line into three flat lists of numbers (y, sample-mean entries
+and log_vars), each converted with one ``np.array`` call and a reshape, so
+no per-record list is kept. Records are separated at ``\n`` only, as JSON
 Lines specifies; a trailing ``\r`` is JSON whitespace. Reals are serialized
 with full round-trip precision (shortest repr), so a load/save cycle is
 byte-stable. Calibration artifacts are JSON documents in which every real
@@ -115,6 +119,66 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
     ys += y
 
 
+# The fixed text of a line in save_dump's shape, around y, the sample body and
+# inside it. In the body, each sample separator becomes ";" and each separator
+# between a mean and its log_var "|", so that deleting the number characters
+# leaves a skeleton that only a record of the fixed d and N has.
+_ID_OPEN, _Y_OPEN, _SAMPLES_OPEN, _CLOSE = '{"id":"', '","y":[', '],"samples":[{"mean":[', "}]}"
+_NEXT_SAMPLE, _LOG_VAR = '},{"mean":[', '],"log_var":'
+_DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+
+
+def _skeletons(d: int, n: int) -> tuple[int, str, str]:
+    """d and what y and the marked sample body of a (d, N) record keep once
+    the number characters are deleted."""
+    return d, "," * (d - 1), ";".join(["," * (d - 1) + "|"] * n)
+
+
+def _flat_record(line: str, lineno: int, first_line: dict[str, int],
+                 skeletons: tuple[int, str, str], ys: list, means: list, log_vars: list) -> bool:
+    """Append a valid line written in save_dump's shape to the three flat
+    columns and claim its id, reading all its numbers as one JSON array.
+
+    Any other line, duplicate ids included, returns False and changes
+    nothing, so that :func:`_record` checks it and makes its message.
+    """
+    d, y_skeleton, skeleton = skeletons
+    if not line.startswith(_ID_OPEN) or not line.endswith(_CLOSE):
+        return False
+    id_end = line.find('"', len(_ID_OPEN))
+    if id_end < 0 or not line.startswith(_Y_OPEN, id_end):
+        return False
+    # Without a backslash and with no control or line-break character the
+    # raw text is the decoded id.
+    rid = line[len(_ID_OPEN):id_end]
+    if "\\" in rid or not rid.isprintable() or rid in first_line:
+        return False
+    y_start = id_end + len(_Y_OPEN)
+    y_end = line.find("]", y_start)
+    if y_end < 0 or not line.startswith(_SAMPLES_OPEN, y_end):
+        return False
+    y = line[y_start:y_end]
+    body = line[y_end + len(_SAMPLES_OPEN):-len(_CLOSE)]
+    if y.translate(_DROP_NUMBER_CHARS) != y_skeleton or ";" in body or "|" in body:
+        return False
+    body = body.replace(_NEXT_SAMPLE, ";").replace(_LOG_VAR, "|")
+    if body.translate(_DROP_NUMBER_CHARS) != skeleton:
+        return False
+    # Only number tokens are left, so JSON's grammar reads each as _record would.
+    try:
+        numbers = json.loads(f"[{y},{body.replace(';', ',').replace('|', ',')}]")
+        if not all(map(isfinite, numbers)):
+            return False
+    except (ValueError, OverflowError):  # a malformed number, or an integer too large for a float
+        return False
+    first_line[rid] = lineno
+    ys += numbers[:d]
+    log_vars += numbers[2 * d::d + 1]
+    del numbers[2 * d::d + 1]
+    means += numbers[d:]
+    return True
+
+
 def load_dump(path) -> McPredictionSet:
     """Parse and validate a JSONL prediction dump.
 
@@ -134,22 +198,34 @@ def load_dump(path) -> McPredictionSet:
     d; log_var a finite number. The file is read line by line into three
     flat columns of numbers (y, mean entries, log_vars), and each column
     becomes its array with one conversion and a reshape.
+
+    After the first valid line, a line in :func:`save_dump`'s compact shape
+    with an id of no escape, control or line-break character is read as one
+    flat JSON array of its numbers. Every other line, and every duplicate id,
+    goes through the checked parser, which makes every message.
     """
     errors: list[str] = []
     first_line: dict[str, int] = {}
     shape: dict[str, int] = {}
     ys, means, log_vars = [], [], []
+    skeletons = None  # set once a valid line has fixed d and N
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                # Parsed without its "\n", which inside an unterminated
+                # string would be reported as an invalid control character.
+                line = line.removesuffix("\n")
+                if skeletons and _flat_record(line, lineno, first_line, skeletons,
+                                              ys, means, log_vars):
+                    continue
                 try:
-                    # Parsed without its "\n", which inside an unterminated
-                    # string would be reported as an invalid control character.
-                    _record(line.removesuffix("\n"), lineno, first_line, shape, ys, means, log_vars)
+                    _record(line, lineno, first_line, shape, ys, means, log_vars)
                 except _BadLine as exc:
                     errors += (f"line {lineno}: {msg}" for msg in exc.args)
+                if skeletons is None and "N" in shape:
+                    skeletons = _skeletons(shape["d"], shape["N"])
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's read buffer, not from the file.
         raise DumpFormatError(

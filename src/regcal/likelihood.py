@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -21,8 +20,6 @@ if TYPE_CHECKING:
     from .core import Uncertainties
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-_NORMAL = NormalDist()
 
 
 def probit(p: float) -> float:
@@ -35,11 +32,15 @@ def probit(p: float) -> float:
         raise ValueError(f"probit domain is [0, 1): got {p}")
     if p >= 1.0:
         raise ValueError(f"unbounded quantile: probit requires p < 1 (got {p})")
+    # Imported here: only coverage tables call probit, and statistics pulls in
+    # fractions and decimal, which every command would otherwise load at start.
+    from statistics import NormalDist
+
     if p < 0.5:
-        return _NORMAL.inv_cdf((1.0 + p) / 2.0)
+        return NormalDist().inv_cdf((1.0 + p) / 2.0)
     # (1+p)/2 would round to 1.0 for p within an ulp of 1; 1-p is exact on
     # [0.5, 1), so go through the mirrored lower tail instead.
-    return -_NORMAL.inv_cdf((1.0 - p) / 2.0)
+    return -NormalDist().inv_cdf((1.0 - p) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from regcal import io as regcal_io
 from regcal.calibrate import AuxConfig, aux_fit, fit_sigma
 from regcal.core import McPredictionSet, identity_artifact
 from regcal.io import (
@@ -473,29 +474,165 @@ def _outcome(load, path):
     )
 
 
+# What a character mutation of a compact line writes: one character of the
+# line's grammar or a token of a number JSON reads differently, as a Python
+# float refuses or as no JSON number at all. "\r" is written only before the
+# "\n" of a line left whole: the reference parser, like str.splitlines, ends
+# a line at a lone "\r", and drops one before "\n", so that a string left
+# unterminated by a mutation gets another message there than in load_dump.
+_CHARS = list('{}[],:"\\-+.eE0123456789 ;|')
+_TOKENS = ["-0", "01", "1e400", "1" + "0" * 400, "true", "NaN"]
+
+
+def _mutate_chars(line, rnd):
+    """Insert, delete or replace one character of a line, or write a token."""
+    i = rnd.randrange(len(line) + 1)
+    piece = rnd.choice([rnd.choice(_CHARS), rnd.choice(_TOKENS)])
+    kind = rnd.choice(["insert", "delete", "replace"])
+    if kind == "insert":
+        return line[:i] + piece + line[i:]
+    return line[:i] + ("" if kind == "delete" else piece) + line[i + 1:]
+
+
+def _records(rnd):
+    """1 to 8 valid records of a drawn N and d, with their d."""
+    m, n, d = rnd.randint(1, 8), rnd.randint(1, 3), rnd.randint(1, 3)
+
+    def vector():
+        return [_finite(rnd) for _ in range(d)]
+
+    return [
+        {"id": f"r{i}", "y": vector(),
+         "samples": [{"mean": vector(), "log_var": _finite(rnd)} for _ in range(n)]}
+        for i in range(m)
+    ], d
+
+
 class TestParserEquivalence:
     """load_dump gives the reference parser's exact error text, or bit-identical
-    arrays, on valid dumps with a few values replaced, reshaped or dropped."""
+    arrays, on valid dumps with a few values replaced, reshaped or dropped, and
+    on compact dumps with a few characters changed."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rnd=st.randoms(use_true_random=True))
     def test_mutated_dumps_match_reference_parser(self, tmp_path, rnd):
-        m, n, d = rnd.randint(1, 8), rnd.randint(1, 3), rnd.randint(1, 3)
-
-        def vector():
-            return [_finite(rnd) for _ in range(d)]
-
-        records = [
-            {"id": f"r{i}", "y": vector(),
-             "samples": [{"mean": vector(), "log_var": _finite(rnd)} for _ in range(n)]}
-            for i in range(m)
-        ]
-        for _ in range(rnd.randint(0, 2 * m)):
+        records, d = _records(rnd)
+        for _ in range(rnd.randint(0, 2 * len(records))):
             _mutate(records, rnd, d)
+        # Compact lines are in save_dump's shape; default separators never are.
+        separators = rnd.choice([(",", ":"), None])
         path = tmp_path / "d.jsonl"
-        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        path.write_text("".join(json.dumps(rec, separators=separators) + "\n" for rec in records))
         assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rnd=st.randoms(use_true_random=True))
+    def test_character_mutations_match_reference_parser(self, tmp_path, rnd):
+        records, _ = _records(rnd)
+        lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
+        mutated = set()
+        for _ in range(rnd.randint(1, 3)):
+            k = rnd.randrange(len(lines))
+            lines[k] = _mutate_chars(lines[k], rnd)
+            mutated.add(k)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes("".join(
+            line + ("\n" if k in mutated else rnd.choice(["\n"] * 3 + ["\r\n"]))
+            for k, line in enumerate(lines)).encode("utf-8"))
+        assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
+
+
+def _compact(rid="b", **fields):
+    """A line in save_dump's shape with the id's text written as it is."""
+    return _line(**fields).replace('"a"', f'"{rid}"', 1)
+
+
+class TestFlatRoute:
+    """Lines in save_dump's shape, once a valid line has fixed d and N, are
+    read without the checked parser; every other line goes to it, and the
+    result is the reference parser's either way."""
+
+    @pytest.fixture
+    def checked_lines(self, monkeypatch):
+        """The numbers of the lines that reach the checked record parser."""
+        linenos = []
+        record = regcal_io._record
+
+        def counting(line, lineno, *args):
+            linenos.append(lineno)
+            return record(line, lineno, *args)
+
+        monkeypatch.setattr(regcal_io, "_record", counting)
+        return linenos
+
+    def test_saved_dump_is_checked_at_its_first_line_only(self, tmp_path, rng, checked_lines):
+        pset = random_set(rng, m=800, n=25, d=1)
+        path = tmp_path / "d.jsonl"
+        save_dump(pset, path)
+        loaded = load_dump(path)
+        assert checked_lines == [1]
+        assert loaded.ids == pset.ids
+        for name in ("y", "means", "log_vars"):
+            assert getattr(loaded, name).tobytes() == getattr(pset, name).tobytes(), name
+
+    def test_negative_zero_loads_as_positive_zero(self, tmp_path, checked_lines):
+        path = tmp_path / "d.jsonl"
+        negative_zeros = _compact(y="[-0]", samples='[{"mean":[-0],"log_var":-0}]')
+        path.write_text(_line() + "\n" + negative_zeros + "\n")
+        pset = load_dump(path)
+        assert checked_lines == [1]
+        for a in (pset.y, pset.means, pset.log_vars):
+            assert a.ravel()[1] == 0.0 and not np.signbit(a.ravel()[1])
+        assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
+
+    @pytest.mark.parametrize(
+        "lines, checked",
+        [
+            ([_line(), _compact('b\\"c')], [1, 2]),
+            ([_line(), _compact("b\\\\")], [1, 2]),
+            ([_line(), _compact("\u00e9")], [1]),
+            ([_line(), _compact("b\u2028c")], [1, 2]),
+            ([_line(y="[NaN]"), _compact("b"), _compact("c")], [1, 2]),
+            ([_line(), _compact("b"), _compact("a")], [1, 3]),
+            ([_line(), _compact(y="[0.5,0.5]", samples='[{"mean":[0.4,0.4],"log_var":-2.0}]')],
+             [1, 2]),
+            ([_line(), _compact(samples=TWO_SAMPLES)], [1, 2]),
+            ([_line(), _compact(samples='[{"mean":[0.4],"log_var":1' + "0" * 400 + "}]")], [1, 2]),
+            ([_line(), _compact(samples='[{"mean":[0.4|-2.0}]')], [1, 2]),
+            ([_line(samples=TWO_SAMPLES),
+              _compact(samples='[{"mean":[0.4],"log_var":-2.0;0.5],"log_var":-2.5}]')], [1, 2]),
+        ],
+        ids=["escaped-quote-id", "escaped-backslash-id", "raw-e-acute-id", "raw-U+2028-id",
+             "N-fixed-by-line-2", "duplicate-id", "other-d", "other-N", "huge-integer-log_var",
+             "raw-bar-in-samples", "raw-semicolon-in-samples"],
+    )
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_declined_lines_reach_the_checked_parser(self, tmp_path, checked_lines, monkeypatch,
+                                                     lines, checked, ending):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+        got = _outcome(load_dump, path)
+        # A CRLF line is not in save_dump's shape, so each one is checked.
+        assert checked_lines == (checked if ending == "\n" else list(range(1, len(lines) + 1)))
+        if "\u2028" not in path.read_text(encoding="utf-8"):  # the reference would split there
+            assert got == _outcome(_reference_load_dump, path)
+        monkeypatch.setattr(regcal_io, "_flat_record", lambda *args: False)
+        assert got == _outcome(load_dump, path)
+
+    def test_messages_of_declined_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(line + "\n" for line in [
+            _line(), _compact("b"), _compact("a"), _compact("c", samples=TWO_SAMPLES),
+            _compact("d", samples='[{"mean":[0.4],"log_var":1' + "0" * 400 + "}]"),
+        ]))
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        assert str(err.value) == (
+            "line 3: duplicate id 'a' (first on line 1); "
+            "line 4: inconsistent N (expected 1, got 2); "
+            "line 5: non-finite log_var in sample 0")
 
 
 class TestArtifactPersistence:
