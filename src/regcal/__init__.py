@@ -36,6 +36,7 @@ from .toymodel import (
     ToyModel,
     ToyModelConfig,
     TrainingTrace,
+    experiment,
     generate,
     mc_predict,
     simulate_unbiasedness,
@@ -66,6 +67,7 @@ __all__ = [
     "batch_nll",
     "calibration_diagram",
     "coverage",
+    "experiment",
     "fit_sigma",
     "generate",
     "identity_artifact",

@@ -28,7 +28,7 @@ from .core import identity_artifact
 from .intervals import DEFAULT_LEVELS, coverage
 from .likelihood import FAMILIES, batch_nll
 from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
-from .toymodel import ToyModelConfig, generate, mc_predict, train
+from .toymodel import ToyModelConfig, experiment
 
 
 class CliError(Exception):
@@ -159,48 +159,15 @@ def cmd_ood(args) -> int:
 
 def cmd_toy(args) -> int:
     cfg = ToyModelConfig(**_given(seed=args.seed, epochs=args.epochs, mc_passes=args.mc_passes))
-    data = generate(cfg.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model, trace = train(data, cfg)
-
-    dumps = {}
-    for i, (name, split) in enumerate(
-        (("train", data.train), ("val", data.val), ("test", data.test)), start=1
-    ):
-        pset = mc_predict(model, split, n_passes=cfg.mc_passes, seed=cfg.seed + i, id_prefix=name)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad --out-dir fails fast
+    result = experiment(cfg)
+    for name, pset in result.dumps.items():
         rio.save_dump(pset, out_dir / f"{name}.jsonl")
-        dumps[name] = pset
-    rio.trace_to_csv(trace, out_dir / "trace.csv")
-
-    val = uncertainty_records(dumps["val"])
-    sigma_calib = fit_sigma(val, target="predictive")
-    aux_calib = aux_fit(val, AuxConfig(seed=cfg.seed), target="predictive")
-    rio.save_artifact(sigma_calib, out_dir / "calib_sigma.json")
-    rio.save_artifact(aux_calib, out_dir / "calib_aux.json")
-
-    test = uncertainty_records(dumps["test"])
-    summary = {
-        "seed": cfg.seed,
-        "epochs": cfg.epochs,
-        "mc_passes": cfg.mc_passes,
-        "interval_membership": "joint",
-        "test": {},
-    }
-    for name, calib in (("none", identity_artifact()), ("sigma", sigma_calib), ("aux", aux_calib)):
-        unc = apply_calibration(test, calib)
-        table = coverage(unc, DEFAULT_LEVELS, calib.likelihood)
-        entry = {
-            "mse": mse(unc),
-            "nll": batch_nll(unc, calib.likelihood),
-            "uce_predictive": uce(unc, k=DEFAULT_BINS, mode="predictive").uce,
-            "uce_aleatoric_only": uce(unc, k=DEFAULT_BINS, mode="aleatoric_only").uce,
-            "coverage": {repr(g): obs for g, obs in zip(table.levels, table.observed)},
-        }
-        if name == "sigma":
-            entry["s"] = sigma_calib.s
-        summary["test"][name] = entry
-    _write_json(summary, out_dir / "summary.json")
+    rio.trace_to_csv(result.trace, out_dir / "trace.csv")
+    rio.save_artifact(result.sigma, out_dir / "calib_sigma.json")
+    rio.save_artifact(result.aux, out_dir / "calib_aux.json")
+    _write_json(result.summary, out_dir / "summary.json")
     return 0
 
 

@@ -16,7 +16,7 @@ line goes to the checked parser and loads the same values. The file is
 read line by line into three flat lists of numbers (y, sample-mean entries
 and log_vars), each converted with one ``np.array`` call and a reshape, so
 no per-record list is kept. Records are separated at ``\n`` only, as JSON
-Lines specifies; a trailing ``\r`` is JSON whitespace. Reals are serialized
+Lines specifies; one ``\r`` ending a line is dropped with it. Reals are serialized
 with full round-trip precision (shortest repr), so a load/save cycle is
 byte-stable. Calibration artifacts are JSON documents in which every real
 is a decimal string of full precision.
@@ -70,8 +70,8 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise _BadLine(f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int_max_str_digits limit
+        raise _BadLine(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(obj, dict):
         raise _BadLine("record must be a JSON object")
     missing = [f"missing field {name}" for name in ("id", "y", "samples") if name not in obj]
@@ -188,7 +188,8 @@ def load_dump(path) -> McPredictionSet:
     first valid record. Every invalid line adds its first problem, as
     ``line <n>: ...``, to one :class:`DumpFormatError`; blank lines are
     skipped but counted. Lines end at ``\n`` only, so a U+2028 or U+0085
-    inside an id is kept, and a CRLF file loads like its LF twin. A file
+    inside an id is kept; one ``\r`` ending a line is dropped, so a CRLF
+    file loads, and fails, like its LF twin. A file
     that is not UTF-8 raises one :class:`DumpFormatError` without a line.
 
     Each sample is tested in this order, and the first failing test gives
@@ -214,9 +215,9 @@ def load_dump(path) -> McPredictionSet:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                # Parsed without its "\n", which inside an unterminated
+                # Parsed without its "\n" or "\r\n", which inside an unterminated
                 # string would be reported as an invalid control character.
-                line = line.removesuffix("\n")
+                line = line.removesuffix("\n").removesuffix("\r")
                 if skeletons and _flat_record(line, lineno, first_line, skeletons,
                                               ys, means, log_vars):
                     continue

@@ -18,8 +18,10 @@ Adam buffers once and runs every step and evaluation pass in them, and
 Nothing returned is a view of a reused buffer.
 
 Data, architecture and optimiser are module constants; :class:`ToyModelConfig`
-holds the four settings a run varies. Everything is deterministic given the
-data seed and the config.
+holds the four settings a run varies. :func:`experiment` runs the whole toy
+experiment of ``regcal toy`` once: train, MC-predict, fit sigma scaling and
+the auxiliary network, and score the test dump. Everything is deterministic
+given the data seed and the config.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import sigma_closed_form_gaussian
-from .core import McPredictionSet
-from .metrics import uncertainty_records
+from .calibrate import AuxConfig, apply_calibration, aux_fit, fit_sigma, sigma_closed_form_gaussian
+from .core import CalibrationArtifact, McPredictionSet, identity_artifact
+from .intervals import DEFAULT_LEVELS, coverage
+from .likelihood import batch_nll
+from .metrics import DEFAULT_BINS, mse, uce, uncertainty_records
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wm", "bm", "Wv", "bv")
 
@@ -379,6 +383,60 @@ def mc_predict(
         means=all_mu.T[:, :, None],
         log_vars=all_lv.T,
     )
+
+
+@dataclass
+class ToyExperiment:
+    """What :func:`experiment` computed: the trained model and its trace, the
+    MC dumps keyed ``train``/``val``/``test``, the sigma and aux artifacts
+    fitted on the val dump, and the summary ``regcal toy`` writes as
+    ``summary.json``."""
+
+    model: ToyModel
+    trace: TrainingTrace
+    dumps: dict[str, McPredictionSet]
+    sigma: CalibrationArtifact
+    aux: CalibrationArtifact
+    summary: dict
+
+
+def experiment(cfg: ToyModelConfig) -> ToyExperiment:
+    """The toy experiment: train on the config's seed, MC-predict each split
+    (pass seeds ``seed + 1``..``seed + 3`` for train/val/test), fit sigma
+    scaling and the aux network on the val dump, and score the test dump
+    under no, sigma and aux calibration.
+
+    Each summary entry holds the test MSE, the NLL under the artifact's
+    family, the UCE over ``DEFAULT_BINS`` bins in both modes and the joint
+    coverage at ``DEFAULT_LEVELS`` keyed by ``repr(level)``; the sigma entry
+    adds ``s``.
+    """
+    data = generate(cfg.seed)
+    model, trace = train(data, cfg)
+    splits = (("train", data.train), ("val", data.val), ("test", data.test))
+    dumps = {name: mc_predict(model, split, cfg.mc_passes, seed=cfg.seed + i, id_prefix=name)
+             for i, (name, split) in enumerate(splits, start=1)}
+
+    val = uncertainty_records(dumps["val"])
+    sigma = fit_sigma(val, target="predictive")
+    aux = aux_fit(val, AuxConfig(seed=cfg.seed), target="predictive")
+
+    test = uncertainty_records(dumps["test"])
+    scores = {}
+    for name, calib in (("none", identity_artifact()), ("sigma", sigma), ("aux", aux)):
+        unc = apply_calibration(test, calib)
+        table = coverage(unc, DEFAULT_LEVELS, calib.likelihood)
+        scores[name] = {
+            "mse": mse(unc),
+            "nll": batch_nll(unc, calib.likelihood),
+            "uce_predictive": uce(unc, k=DEFAULT_BINS, mode="predictive").uce,
+            "uce_aleatoric_only": uce(unc, k=DEFAULT_BINS, mode="aleatoric_only").uce,
+            "coverage": {repr(g): obs for g, obs in zip(table.levels, table.observed)},
+        }
+    scores["sigma"]["s"] = sigma.s
+    summary = {"seed": cfg.seed, "epochs": cfg.epochs, "mc_passes": cfg.mc_passes,
+               "interval_membership": "joint", "test": scores}
+    return ToyExperiment(model, trace, dumps, sigma, aux, summary)
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The end-to-end synthetic experiment (5 seeds) is executed once and
-shared by the criteria that consume it.
+lines. The toy experiment runs once per seed (5 seeds) through
+`regcal.toymodel.experiment`, the function `regcal toy` runs, and its results
+are shared by the criteria that consume them.
 """
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,18 +17,16 @@ from regcal.cli import main
 from regcal.core import McPredictionSet, identity_artifact
 from regcal.intervals import coverage
 from regcal.likelihood import batch_nll, probit
-from regcal.metrics import mse, uce, uncertainty_records
+from regcal.metrics import uce, uncertainty_records
 from regcal.calibrate import apply_calibration
 from regcal.io import load_dump, save_dump
 from regcal.toymodel import (
     ToyModelConfig,
     draw_masks,
-    generate,
+    experiment,
     init_params,
     loss_and_grads,
-    mc_predict,
     simulate_unbiasedness,
-    train,
 )
 
 from conftest import calibrated, make_record, make_set, make_uncertainties, random_set
@@ -40,60 +38,17 @@ def report(num, ok, detail):
     return ok
 
 
-@dataclass
-class ToyRun:
-    seed: int
-    s: float
-    final_test_sigma2: float
-    final_test_mse: float
-    best_epoch_test_sigma2: float
-    best_epoch_test_mse: float
-    intra_s_final: float
-    uce_before: float
-    uce_after: float
-    cov99_before: float
-    cov99_after: float
-    mse_before: float
-    mse_after: float
-    val_dump: McPredictionSet
-    test_dump: McPredictionSet
-
-
 @pytest.fixture(scope="module")
 def toy_runs():
-    runs = []
+    """The toy experiment of `regcal toy` at seeds 0-4, and the seconds it took."""
     t0 = time.perf_counter()
-    for seed in range(5):
-        data = generate(seed)
-        cfg = ToyModelConfig(seed=seed)
-        model, trace = train(data, cfg)
-        val = mc_predict(model, data.val, cfg.mc_passes, seed=seed + 2, id_prefix="val")
-        test = mc_predict(model, data.test, cfg.mc_passes, seed=seed + 3, id_prefix="test")
-        calib = fit_sigma(uncertainty_records(val), likelihood="gaussian", target="predictive")
-        rec_before = calibrated(test, identity_artifact())
-        rec_after = calibrated(test, calib)
-        best = int(np.argmin(trace.test_mse))
-        runs.append(
-            ToyRun(
-                seed=seed,
-                s=calib.s,
-                final_test_sigma2=trace.test_sigma2[-1],
-                final_test_mse=trace.test_mse[-1],
-                best_epoch_test_sigma2=trace.test_sigma2[best],
-                best_epoch_test_mse=trace.test_mse[best],
-                intra_s_final=trace.s[-1],
-                uce_before=uce(rec_before, k=10, mode="predictive").uce,
-                uce_after=uce(rec_after, k=10, mode="predictive").uce,
-                cov99_before=coverage(rec_before, [0.99]).observed[0],
-                cov99_after=coverage(rec_after, [0.99]).observed[0],
-                mse_before=mse(rec_before),
-                mse_after=mse(rec_after),
-                val_dump=val,
-                test_dump=test,
-            )
-        )
-    elapsed = time.perf_counter() - t0
-    return runs, elapsed
+    runs = [experiment(ToyModelConfig(seed=seed)) for seed in range(5)]
+    return runs, time.perf_counter() - t0
+
+
+def scores(run, calib):
+    """The test-dump entry of a run's summary under ``calib`` (none, sigma or aux)."""
+    return run.summary["test"][calib]
 
 
 def test_criterion_1_closed_form_gd_agreement():
@@ -170,8 +125,10 @@ def test_criterion_4_uce_oracle_equivalence():
 
 def test_criterion_5_end_to_end_recalibration(toy_runs):
     runs, elapsed = toy_runs
-    improved = sum(r.uce_after < r.uce_before for r in runs)
-    mse_identical = all(r.mse_after == r.mse_before for r in runs)
+    improved = sum(
+        scores(r, "sigma")["uce_predictive"] < scores(r, "none")["uce_predictive"] for r in runs
+    )
+    mse_identical = all(scores(r, "sigma")["mse"] == scores(r, "none")["mse"] for r in runs)
     ok = improved >= 4 and mse_identical and elapsed < 600.0
     assert report(
         5, ok,
@@ -182,15 +139,17 @@ def test_criterion_5_end_to_end_recalibration(toy_runs):
 
 def test_criterion_6_underestimation_phenomenon(toy_runs):
     runs, _ = toy_runs
+    s_values = [scores(r, "sigma")["s"] for r in runs]
     both = sum(
-        r.final_test_sigma2 < r.final_test_mse and r.s > 1.0 for r in runs
+        r.trace.test_sigma2[-1] < r.trace.test_mse[-1] and s > 1.0 for r, s in zip(runs, s_values)
     )
-    at_best = sum(r.best_epoch_test_sigma2 < r.best_epoch_test_mse for r in runs)
+    best = [int(np.argmin(r.trace.test_mse)) for r in runs]
+    at_best = sum(r.trace.test_sigma2[b] < r.trace.test_mse[b] for r, b in zip(runs, best))
     ok = both >= 4
     assert report(
         6, ok,
         f"test sigma^2 < test MSE with fitted s > 1 in {both}/5 seeds "
-        f"(s values {[round(r.s, 3) for r in runs]}; "
+        f"(s values {[round(s, 3) for s in s_values]}; "
         f"underestimation at best-MSE epoch in {at_best}/5)",
     )
 
@@ -223,7 +182,10 @@ def test_criterion_8_coverage(toy_runs):
     worst_gap = max(abs(obs - lvl) for lvl, obs in zip(table.levels, table.observed))
 
     runs, _ = toy_runs
-    widened = sum(r.cov99_after >= r.cov99_before for r in runs)
+    widened = sum(
+        scores(r, "sigma")["coverage"]["0.99"] >= scores(r, "none")["coverage"]["0.99"]
+        for r in runs
+    )
     ok = worst_gap <= 0.02 and widened >= 4
     assert report(
         8, ok,
@@ -297,14 +259,15 @@ def test_criterion_12_aux_overfitting_direction(toy_runs):
     runs, _ = toy_runs
     aux_worse = 0
     for r in runs:
-        val = r.val_dump
+        val, test = r.dumps["val"], r.dumps["test"]
         subset = uncertainty_records(
             McPredictionSet(val.ids[:50], val.y[:50], val.means[:50], val.log_vars[:50])
         )
         sigma_art = fit_sigma(subset, likelihood="gaussian", target="predictive")
-        aux_art = aux_fit(subset, AuxConfig(hidden_width=16, seed=r.seed), target="predictive")
-        sigma_uce = uce(calibrated(r.test_dump, sigma_art), k=10, mode="predictive").uce
-        aux_uce = uce(calibrated(r.test_dump, aux_art), k=10, mode="predictive").uce
+        aux_art = aux_fit(subset, AuxConfig(hidden_width=16, seed=r.summary["seed"]),
+                          target="predictive")
+        sigma_uce = uce(calibrated(test, sigma_art), k=10, mode="predictive").uce
+        aux_uce = uce(calibrated(test, aux_art), k=10, mode="predictive").uce
         if aux_uce >= sigma_uce:
             aux_worse += 1
     ok = aux_worse >= 3

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,30 @@ class TestDumpErrors:
         with pytest.raises(DumpFormatError) as err:
             load_dump(path)
         assert str(err.value) == "line 1: invalid JSON (Unterminated string starting at)"
+
+    def test_crlf_unterminated_string_gets_the_lf_message(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"id":"a\r\n')
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        assert str(err.value) == "line 1: invalid JSON (Unterminated string starting at)"
+
+    def test_over_long_integer_names_its_line(self, tmp_path):
+        # CPython refuses to convert an integer of over 4,300 digits with a
+        # plain ValueError; Pythons without that limit read it as non-finite.
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id":"a","y":[1%s],"samples":[{"mean":[0.4],"log_var":-2.0}]}\n' % ("0" * 5000)
+            + '{"id":"b","y":[0.5]}\n'
+        )
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        msg = str(err.value)
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert msg.startswith("line 1: invalid JSON (Exceeds the limit (4300 digits)")
+        else:
+            assert msg.startswith("line 1: non-finite y")
+        assert msg.count("line ") == 2 and msg.endswith("; line 2: missing field samples")
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
     @pytest.mark.parametrize("text", ['{"id":"a","y":[0.5],"samples":[{"mean":[0.4],"log_var":-2}]}\n',
@@ -476,10 +501,7 @@ def _outcome(load, path):
 
 # What a character mutation of a compact line writes: one character of the
 # line's grammar or a token of a number JSON reads differently, as a Python
-# float refuses or as no JSON number at all. "\r" is written only before the
-# "\n" of a line left whole: the reference parser, like str.splitlines, ends
-# a line at a lone "\r", and drops one before "\n", so that a string left
-# unterminated by a mutation gets another message there than in load_dump.
+# float refuses or as no JSON number at all.
 _CHARS = list('{}[],:"\\-+.eE0123456789 ;|')
 _TOKENS = ["-0", "01", "1e400", "1" + "0" * 400, "true", "NaN"]
 
@@ -532,15 +554,13 @@ class TestParserEquivalence:
     def test_character_mutations_match_reference_parser(self, tmp_path, rnd):
         records, _ = _records(rnd)
         lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
-        mutated = set()
         for _ in range(rnd.randint(1, 3)):
             k = rnd.randrange(len(lines))
             lines[k] = _mutate_chars(lines[k], rnd)
-            mutated.add(k)
+        # The reference, like str.splitlines, drops the "\r" of a "\r\n".
         path = tmp_path / "d.jsonl"
         path.write_bytes("".join(
-            line + ("\n" if k in mutated else rnd.choice(["\n"] * 3 + ["\r\n"]))
-            for k, line in enumerate(lines)).encode("utf-8"))
+            line + rnd.choice(["\n"] * 3 + ["\r\n"]) for line in lines).encode("utf-8"))
         assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
 
 
@@ -614,8 +634,8 @@ class TestFlatRoute:
         path = tmp_path / "d.jsonl"
         path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
         got = _outcome(load_dump, path)
-        # A CRLF line is not in save_dump's shape, so each one is checked.
-        assert checked_lines == (checked if ending == "\n" else list(range(1, len(lines) + 1)))
+        # The "\r" of a CRLF line is dropped first, so it takes the LF line's route.
+        assert checked_lines == checked
         if "\u2028" not in path.read_text(encoding="utf-8"):  # the reference would split there
             assert got == _outcome(_reference_load_dump, path)
         monkeypatch.setattr(regcal_io, "_flat_record", lambda *args: False)

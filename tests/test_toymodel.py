@@ -1,11 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from regcal.calibrate import sigma_closed_form_gaussian
-from regcal.io import dump_lines
+from regcal.cli import main
+from regcal.io import dump_lines, load_dump
 from regcal.metrics import uncertainty_records
 from regcal.toymodel import (
     ADAM_BETA1,
@@ -25,6 +27,7 @@ from regcal.toymodel import (
     ToyModelConfig,
     TrainingTrace,
     draw_masks,
+    experiment,
     forward,
     generate,
     init_params,
@@ -316,6 +319,21 @@ class TestMcPredict:
         table = coverage(unc, [0.5, 0.99])
         assert report.m == pset.m
         assert len(table.observed) == 2
+
+
+class TestExperiment:
+    def test_toy_command_writes_what_experiment_returns(self, tmp_path):
+        result = experiment(ToyModelConfig(seed=1, epochs=5, mc_passes=3))
+        out = tmp_path / "run"
+        argv = ["toy", "--seed", "1", "--epochs", "5", "--mc-passes", "3", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "summary.json").read_text()) == result.summary
+        assert list(result.dumps) == ["train", "val", "test"]
+        for split, pset in result.dumps.items():
+            loaded = load_dump(out / f"{split}.jsonl")
+            assert loaded.ids == pset.ids, split
+            for name in ("y", "means", "log_vars"):
+                assert getattr(loaded, name).tobytes() == getattr(pset, name).tobytes(), (split, name)
 
 
 class TestWorkspacePath:
