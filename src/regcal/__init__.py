@@ -7,84 +7,77 @@ through the uncertainty calibration error, negative log-likelihood,
 prediction-interval coverage, rejection curves, and out-of-distribution
 comparisons. A self-contained MC-dropout toy regressor reproduces the
 underestimation phenomenon on synthetic data.
+
+Importing the package imports none of its modules: each exported name
+resolves on first use (PEP 562), importing only the module that defines it,
+so a command loads only what it runs. Reading ``__all__`` imports every
+module. ``from regcal import *`` needs every name, and a tool that reads
+``__all__`` and then walks ``sys.modules`` for the package's modules, as a
+tracer patching each module's references does, must find all of them there.
 """
 
-from .analysis import OodComparison, RejectionCurve, UncertaintyHistogram, ood_compare, rejection_curve
-from .calibrate import (
-    AuxConfig,
-    CalibrationError,
-    SigmaFitOptions,
-    apply_calibration,
-    aux_fit,
-    fit_sigma,
-    sigma_closed_form_gaussian,
-    sigma_closed_form_laplace,
-    sigma_fit_gd,
-)
-from .core import (
-    BinStats,
-    CalibrationArtifact,
-    McPredictionSet,
-    Uncertainties,
-    identity_artifact,
-)
-from .intervals import CoverageTable, coverage
-from .io import DumpFormatError, load_artifact, load_dump, save_artifact, save_dump
-from .likelihood import batch_nll, probit
-from .metrics import UceReport, calibration_diagram, mse, uce, uncertainty_records
-from .toymodel import (
-    ToyModel,
-    ToyModelConfig,
-    TrainingTrace,
-    experiment,
-    generate,
-    mc_predict,
-    simulate_unbiasedness,
-    train,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxConfig",
-    "BinStats",
-    "CalibrationArtifact",
-    "CalibrationError",
-    "CoverageTable",
-    "DumpFormatError",
-    "McPredictionSet",
-    "OodComparison",
-    "RejectionCurve",
-    "SigmaFitOptions",
-    "ToyModel",
-    "ToyModelConfig",
-    "TrainingTrace",
-    "UceReport",
-    "UncertaintyHistogram",
-    "Uncertainties",
-    "apply_calibration",
-    "aux_fit",
-    "batch_nll",
-    "calibration_diagram",
-    "coverage",
-    "experiment",
-    "fit_sigma",
-    "generate",
-    "identity_artifact",
-    "load_artifact",
-    "load_dump",
-    "mc_predict",
-    "mse",
-    "ood_compare",
-    "probit",
-    "rejection_curve",
-    "save_artifact",
-    "save_dump",
-    "sigma_closed_form_gaussian",
-    "sigma_closed_form_laplace",
-    "sigma_fit_gd",
-    "simulate_unbiasedness",
-    "train",
-    "uce",
-    "uncertainty_records",
-]
+# Exported name -> the module that defines it.
+_EXPORTS = {
+    "AuxConfig": "calibrate",
+    "BinStats": "core",
+    "CalibrationArtifact": "core",
+    "CalibrationError": "calibrate",
+    "CoverageTable": "intervals",
+    "DumpFormatError": "io",
+    "McPredictionSet": "core",
+    "OodComparison": "analysis",
+    "RejectionCurve": "analysis",
+    "SigmaFitOptions": "calibrate",
+    "ToyModel": "toymodel",
+    "ToyModelConfig": "toymodel",
+    "TrainingTrace": "toymodel",
+    "UceReport": "metrics",
+    "UncertaintyHistogram": "analysis",
+    "Uncertainties": "core",
+    "apply_calibration": "calibrate",
+    "aux_fit": "calibrate",
+    "batch_nll": "likelihood",
+    "calibration_diagram": "metrics",
+    "coverage": "intervals",
+    "experiment": "toymodel",
+    "fit_sigma": "calibrate",
+    "generate": "toymodel",
+    "identity_artifact": "core",
+    "load_artifact": "io",
+    "load_dump": "io",
+    "mc_predict": "toymodel",
+    "mse": "metrics",
+    "ood_compare": "analysis",
+    "probit": "likelihood",
+    "rejection_curve": "analysis",
+    "save_artifact": "io",
+    "save_dump": "io",
+    "sigma_closed_form_gaussian": "calibrate",
+    "sigma_closed_form_laplace": "calibrate",
+    "sigma_fit_gd": "calibrate",
+    "simulate_unbiasedness": "toymodel",
+    "train": "toymodel",
+    "uce": "metrics",
+    "uncertainty_records": "metrics",
+}
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        for module in dict.fromkeys(_EXPORTS.values()):
+            import_module(f".{module}", __name__)
+        value = list(_EXPORTS)
+    elif name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -25,7 +25,7 @@ from .likelihood import GAUSSIAN, LAPLACE, family
 
 
 class CalibrationError(ValueError):
-    pass
+    code = "calibration"  # the CLI's error code
 
 
 SIGMA_GD_TOLERANCE = 1e-8  # on the step |delta rho| of the gradient-descent sigma fit

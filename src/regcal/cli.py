@@ -14,21 +14,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import io as rio
-from .analysis import ood_compare, rejection_curve
-from .calibrate import (
-    AuxConfig,
-    CalibrationError,
-    SigmaFitOptions,
-    apply_calibration,
-    aux_fit,
-    fit_sigma,
-)
-from .core import identity_artifact
-from .intervals import DEFAULT_LEVELS, coverage
-from .likelihood import FAMILIES, batch_nll
-from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
-from .toymodel import ToyModelConfig, experiment
+# Each command imports the modules it runs, after the refusals it makes
+# itself: building the parser, --help and a flag error load no numpy, and
+# only toy loads the toy model.
 
 
 class CliError(Exception):
@@ -44,8 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_calib(path):
     if path is None:
+        from .core import identity_artifact
+
         return identity_artifact()
-    return rio.load_artifact(path)
+    from .io import load_artifact
+
+    return load_artifact(path)
 
 
 def _target(flag: str) -> str:
@@ -70,7 +62,11 @@ def _floats(text: str, flag: str) -> list[float]:
 
 def _uncertainties(path, calib):
     """The decomposed uncertainties of the dump at ``path``, recalibrated by ``calib``."""
-    return apply_calibration(uncertainty_records(rio.load_dump(path)), calib)
+    from .calibrate import apply_calibration
+    from .io import load_dump
+    from .metrics import uncertainty_records
+
+    return apply_calibration(uncertainty_records(load_dump(path)), calib)
 
 
 # The optional flags each calibrate route reads; it refuses any other one.
@@ -85,6 +81,10 @@ def cmd_calibrate(args) -> int:
         raise CliError("invalid-flag", f"--{unread[0]} is not read by calibrate --method {route}")
     if route == "aux" and args.likelihood != "gaussian":
         raise CliError("invalid-flag", "aux calibration supports the gaussian likelihood only")
+    from . import io as rio
+    from .calibrate import AuxConfig, SigmaFitOptions, aux_fit, fit_sigma
+    from .metrics import uncertainty_records
+
     unc = uncertainty_records(rio.load_dump(args.input))
     target = _target(args.target)
     if args.method == "sigma":
@@ -107,10 +107,16 @@ def _write_json(doc: dict, path) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    from . import io as rio
+    from .calibrate import apply_calibration
+    from .likelihood import batch_nll
+    from .metrics import DEFAULT_BINS, calibration_diagram, mse, uce, uncertainty_records
+
+    bins = DEFAULT_BINS if args.bins is None else args.bins
     pset = rio.load_dump(args.input)
     calib = _load_calib(args.calib)
     unc = apply_calibration(uncertainty_records(pset), calib)
-    rep_pred = uce(unc, k=args.bins, mode="predictive")
+    rep_pred = uce(unc, k=bins, mode="predictive")
     report = {
         "m": pset.m,
         "d": pset.d,
@@ -118,10 +124,10 @@ def cmd_evaluate(args) -> int:
         "mse": mse(unc),
         "nll": batch_nll(unc, calib.likelihood),
         "uce_predictive": rep_pred.to_dict(),
-        "uce_aleatoric_only": uce(unc, k=args.bins, mode="aleatoric_only").to_dict(),
+        "uce_aleatoric_only": uce(unc, k=bins, mode="aleatoric_only").to_dict(),
         "provenance": {
             "input": args.input,
-            "bins": args.bins,
+            "bins": bins,
             "calibration": rio.artifact_to_json(calib),
             "bin_range": "equal-width bins over [min, max] of evaluated uncertainties",
         },
@@ -136,14 +142,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_intervals(args) -> int:
-    levels = _floats(args.levels, "levels")
+    levels = None if args.levels is None else _floats(args.levels, "levels")
+    from . import io as rio
+    from .intervals import coverage
+
     calib = _load_calib(args.calib)
-    rio.coverage_to_csv(coverage(_uncertainties(args.input, calib), levels, calib.likelihood), args.out)
+    unc = _uncertainties(args.input, calib)
+    rio.coverage_to_csv(coverage(unc, kind=calib.likelihood, **_given(levels=levels)), args.out)
     return 0
 
 
 def cmd_reject(args) -> int:
     thresholds = None if args.thresholds is None else _floats(args.thresholds, "thresholds")
+    from . import io as rio
+    from .analysis import rejection_curve
+
     unc = _uncertainties(args.input, _load_calib(args.calib))
     curve = rejection_curve(unc, thresholds=thresholds, **_given(steps=args.steps))
     rio.rejection_to_csv(curve, args.out)
@@ -151,6 +164,9 @@ def cmd_reject(args) -> int:
 
 
 def cmd_ood(args) -> int:
+    from . import io as rio
+    from .analysis import ood_compare
+
     calib = _load_calib(args.calib)
     in_dist, shifted = _uncertainties(args.in_dist, calib), _uncertainties(args.shifted, calib)
     rio.ood_to_csv(ood_compare(in_dist, shifted, **_given(k=args.bins)), args.out)
@@ -158,6 +174,9 @@ def cmd_ood(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    from . import io as rio
+    from .toymodel import ToyModelConfig, experiment
+
     cfg = ToyModelConfig(**_given(seed=args.seed, epochs=args.epochs, mc_passes=args.mc_passes))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad --out-dir fails fast
@@ -178,7 +197,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="fit a recalibration artifact on a dump")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True, choices=["sigma", "aux"])
-    p.add_argument("--likelihood", default="gaussian", choices=list(FAMILIES))
+    # likelihood.FAMILIES, spelled out so that the parser loads no numpy
+    p.add_argument("--likelihood", default="gaussian", choices=["gaussian", "laplace"])
     p.add_argument("--target", default="predictive", choices=["predictive", "aleatoric"])
     p.add_argument("--out", required=True)
     p.add_argument("--h", type=int, help="aux hidden width")
@@ -191,7 +211,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="MSE/NLL/UCE report for a dump")
     p.add_argument("--input", required=True)
     p.add_argument("--calib")
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--diagram", help="write calibration-diagram CSV here")
     p.add_argument("--svg", help="write a minimal SVG calibration diagram here")
@@ -200,7 +220,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("intervals", help="prediction-interval coverage table")
     p.add_argument("--input", required=True)
     p.add_argument("--calib")
-    p.add_argument("--levels", default=",".join(str(g) for g in DEFAULT_LEVELS))
+    p.add_argument("--levels")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_intervals)
 
@@ -238,17 +258,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2
-    except rio.DumpFormatError as exc:
-        print(f"error: dump-format: {exc}", file=sys.stderr)
-        return 1
-    except CalibrationError as exc:
-        print(f"error: calibration: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: invalid-input: {exc}", file=sys.stderr)
+    except ValueError as exc:  # DumpFormatError and CalibrationError name their own code
+        print(f"error: {getattr(exc, 'code', 'invalid-input')}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -33,7 +33,7 @@ from .core import CalibrationArtifact, McPredictionSet
 
 
 class DumpFormatError(ValueError):
-    pass
+    code = "dump-format"  # the CLI's error code
 
 
 class _BadLine(Exception):
@@ -70,7 +70,9 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
     """
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int_max_str_digits limit
+    # JSONDecodeError, an integer past the int_max_str_digits limit, or arrays
+    # and objects nested past the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise _BadLine(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(obj, dict):
         raise _BadLine("record must be a JSON object")
@@ -360,7 +362,10 @@ def save_artifact(calib: CalibrationArtifact, path) -> None:
 
 def load_artifact(path) -> CalibrationArtifact:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # nested past the decoder's recursion limit
+            raise ValueError(f"invalid JSON ({exc})") from None
     return artifact_from_json(doc)
 
 

@@ -216,8 +216,9 @@ class TestSigmaProperties:
 
     The tolerances are about four times the worst of 20,000 generated sets
     (idempotence 8.9e-16, equivariance 1.1e-15) and of 4,500 for record
-    order (s 8.9e-16); UCE under record order and s under pass duplication
-    are bounded by their conditioning (see there)."""
+    order (s 8.9e-16); UCE under record order and under a change of units,
+    and s under pass duplication, are bounded by their conditioning (see
+    there)."""
 
     @settings(max_examples=100, deadline=None)
     @given(pset=small_sets())
@@ -260,6 +261,26 @@ class TestSigmaProperties:
                               for b in report.bins)
             assert abs(uce(unc_shuffled, mode=mode).uce - report.uce) <= (
                 8 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets(), k=st.integers(-8, 8))
+    def test_change_of_units_scales_uce_by_c_squared(self, pset, k):
+        # y and means times c = 2^k (exact) and variances times c^2. The
+        # epistemic part scales exactly; exp(log_var + 2 ln c) is c^2 exp(log_var)
+        # only to about eps |log_var| relative, which |var_obs - uncert_mean|
+        # can magnify: relative to c^2 UCE the gap reached 6.9e-13, relative
+        # to the bins' scale times (1 + max |log_var|) 2.3 eps.
+        c = 2.0**k
+        scaled = McPredictionSet(pset.ids, c * pset.y, c * pset.means,
+                                 pset.log_vars + 2 * math.log(c))
+        unc, unc_scaled = uncertainty_records(pset), uncertainty_records(scaled)
+        cond = 1 + np.max(np.abs(scaled.log_vars))
+        for mode in CALIBRATION_TARGETS:
+            report = uce(unc, mode=mode)
+            scale = 100 * c * c * sum(b.count / report.m * (b.var_obs + b.uncert_mean)
+                                      for b in report.bins)
+            assert abs(uce(unc_scaled, mode=mode).uce - c * c * report.uce) <= (
+                9 * np.finfo(float).eps * scale * cond)
 
     @settings(max_examples=100, deadline=None)
     @given(pset=small_sets())

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -9,12 +11,13 @@ import pytest
 
 import regcal
 from regcal.calibrate import apply_calibration
-from regcal.cli import main
+from regcal.cli import build_parser, main
 from regcal.io import load_artifact, load_dump
-from regcal.likelihood import batch_nll
+from regcal.likelihood import FAMILIES, batch_nll
 from regcal.metrics import uncertainty_records
 
 QUICK_TOY = ["--epochs", "40", "--mc-passes", "5"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,13 @@ class TestCalibrateEvaluate:
         assert "bin_range" in doc["provenance"]
         assert doc["uce_predictive"]["num_bins"] == 7
 
+    def test_evaluate_default_bins_in_provenance(self, toy_dir, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--input", str(toy_dir / "test.jsonl"), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["provenance"]["bins"] == 10
+        assert doc["uce_predictive"]["num_bins"] == 10
+
     def test_diagram_and_svg_outputs(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
         diag = tmp_path / "d.csv"
@@ -153,6 +163,85 @@ class TestDecomposeOnce:
         assert main(argv) == 0
         assert len(decomposed) == dumps
         assert len(loaded) == dumps
+
+
+def fresh_modules(statement: str, *args: str) -> tuple[set[str], str]:
+    """The modules loaded after ``statement`` runs in a fresh interpreter
+    with ``src`` on the path and ``args`` as ``sys.argv[1:]``, and its stderr."""
+    code = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+            f"try:\n    {statement}\nexcept SystemExit:\n    pass\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1])), proc.stderr
+
+
+MAIN = "from regcal.cli import main; main(sys.argv[1:])"
+
+
+class TestImports:
+    """A command imports only the modules it runs."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--help"], ""),
+        (["evaluate", "--help"], ""),
+        (["calibrate", "--method", "sigma"], "error: usage: "),
+        (["calibrate", "--input", "d.jsonl", "--method", "sigma", "--gd", "--lr", "0.5",
+          "--out", "c.json"], "error: invalid-flag: --lr is not read by calibrate"),
+    ], ids=["help", "evaluate-help", "usage-error", "invalid-flag"])
+    def test_parser_and_flag_errors_load_no_numpy(self, argv, err):
+        modules, stderr = fresh_modules(MAIN, *argv)
+        assert stderr.startswith(err) and stderr.count("\n") == bool(err)
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        "calibrate --input {toy}/val.jsonl --method sigma --out {out}/c.json",
+        "evaluate --input {toy}/test.jsonl --out {out}/r.json",
+        "intervals --input {toy}/test.jsonl --out {out}/cov.csv",
+        "reject --input {toy}/test.jsonl --out {out}/rej.csv",
+        "ood --in-dist {toy}/val.jsonl --shifted {toy}/test.jsonl --out {out}/ood.csv",
+    ], ids=["calibrate", "evaluate", "intervals", "reject", "ood"])
+    def test_dump_commands_skip_the_toy_model(self, toy_dir, tmp_path, argv):
+        argv = argv.format(toy=toy_dir, out=tmp_path).split()
+        modules, stderr = fresh_modules(MAIN, *argv)
+        assert stderr == "" and Path(argv[-1]).exists()
+        assert "regcal.toymodel" not in modules
+        assert ("regcal.analysis" in modules) == (argv[0] in ("reject", "ood"))
+
+    def test_import_loads_no_module(self):
+        modules, _ = fresh_modules("import regcal")
+        assert {name for name in modules if name.startswith("regcal")} == {"regcal"}
+        assert "numpy" not in modules
+
+    def test_reading_all_loads_every_module(self):
+        modules, _ = fresh_modules("import regcal; regcal.__all__")
+        names = "analysis calibrate core intervals io likelihood metrics toymodel".split()
+        assert {name for name in modules if name.startswith("regcal.")} == {
+            f"regcal.{name}" for name in names}
+
+
+class TestPublicApi:
+    def test_exports_resolve_to_their_definitions(self):
+        for name in regcal.__all__:
+            value = getattr(regcal, name)
+            assert value.__name__ == name and value.__module__.startswith("regcal.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_star_import_and_dir_list_every_export(self):
+        namespace = {}
+        exec("from regcal import *", namespace)
+        assert set(regcal.__all__) <= set(namespace)
+        assert set(regcal.__all__) <= set(dir(regcal))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="has no attribute 'not_an_export'"):
+            regcal.not_an_export
+
+    def test_likelihood_choices_are_the_families(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        likelihood = next(a for a in commands["calibrate"]._actions if a.dest == "likelihood")
+        assert tuple(likelihood.choices) == tuple(FAMILIES)
 
 
 class TestOtherCommands:
@@ -244,12 +333,15 @@ class TestErrorReporting:
         assert err.startswith("error: dump-format:")
         assert "line 1" in err
 
-    def test_bad_flags_single_line(self, capsys):
-        rc = main(["calibrate", "--method", "sigma"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: usage:")
-        assert err.count("\n") == 1
+    def test_bad_flags_single_line(self, capsys, tmp_path):
+        for argv in (["calibrate", "--method", "sigma"],
+                     ["calibrate", "--input", "d.jsonl", "--method", "sigma",
+                      "--likelihood", "foo", "--out", str(tmp_path / "c.json")]):
+            rc = main(argv)
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage:")
+            assert err.count("\n") == 1
 
     def test_aux_laplace_rejected(self, capsys, toy_dir, tmp_path):
         rc = main(["calibrate", "--input", str(toy_dir / "val.jsonl"), "--method", "aux",
@@ -363,6 +455,19 @@ class TestErrorReporting:
         rc = main(["evaluate", "--input", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: dump-format: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("as_calib, code", [(False, "dump-format: line 1"),
+                                                (True, "invalid-input")], ids=["dump", "calib"])
+    def test_deep_nesting_single_error_line(self, capsys, toy_dir, tmp_path, as_calib, code):
+        nested = tmp_path / "nested"
+        nested.write_text(
+            '{"id":"a","y":[0.5],"samples":[{"mean":%s,"log_var":-2.0}]}\n' % ("[" * 100_000))
+        dump, calib = (toy_dir / "val.jsonl", ["--calib", str(nested)]) if as_calib else (nested, [])
+        assert main(["evaluate", "--input", str(dump), *calib, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {code}: invalid JSON (maximum recursion depth exceeded")
+        assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
     AUX = '{"method": "aux", "aux": {"h": 2, "w1": %s, "b1": %s, "w2": %s, "b2": "0.0"}}'

@@ -180,6 +180,22 @@ class TestDumpErrors:
             assert msg.startswith("line 1: non-finite y")
         assert msg.count("line ") == 2 and msg.endswith("; line 2: missing field samples")
 
+    @pytest.mark.parametrize("opener", ["[", '{"a":'], ids=["arrays", "objects"])
+    def test_deep_nesting_names_its_line(self, tmp_path, opener):
+        # Past the decoder's recursion limit json.loads raises RecursionError,
+        # which is one invalid-JSON message like any other decoding failure.
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id":"a","y":[0.5],"samples":[{"mean":[0.4],"log_var":-2.0}]}\n'
+            '{"id":"b","y":[0.5],"samples":[{"mean":%s,"log_var":-2.0}]}\n' % (opener * 100_000)
+            + '{"id":"c","y":[0.5]}\n'
+        )
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        first, second = str(err.value).split("; ")
+        assert first.startswith("line 2: invalid JSON (maximum recursion depth exceeded")
+        assert second == "line 3: missing field samples"
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
     @pytest.mark.parametrize("text", ['{"id":"a","y":[0.5],"samples":[{"mean":[0.4],"log_var":-2}]}\n',
                                       "not json\n"], ids=["valid", "invalid"])
@@ -704,6 +720,12 @@ class TestArtifactPersistence:
         save_artifact(identity_artifact(), path)
         loaded = load_artifact(path)
         assert loaded.method == "identity"
+
+    def test_deep_nesting_is_a_value_error(self, tmp_path):
+        path = tmp_path / "calib.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match=r"^invalid JSON \(maximum recursion depth exceeded"):
+            load_artifact(path)
 
     def test_artifact_file_is_valid_json(self, tmp_path, rng):
         art = fit_sigma(uncertainty_records(random_set(rng, m=10, n=2)))
