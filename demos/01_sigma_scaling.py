@@ -9,7 +9,8 @@ gradient descent, and shows the likelihood improving.
 
 import numpy as np
 
-from regcal import sigma_closed_form_gaussian, sigma_closed_form_laplace, sigma_fit_gd
+from regcal import sigma_closed_form, sigma_fit_gd
+from regcal.likelihood import GAUSSIAN
 
 rng = np.random.default_rng(0)
 m = 2000
@@ -26,7 +27,7 @@ print("mean squared residual:", errors_sq.mean().round(5))
 print("mean predicted variance:", predicted_var.mean().round(5))
 
 # Closed form: s = sqrt(mean(err^2 / var)). Expect s close to 2.
-s_closed = sigma_closed_form_gaussian(errors_sq, predicted_var)
+s_closed, _ = sigma_closed_form(errors_sq, predicted_var, kind="gaussian")
 print(f"\nclosed-form s = {s_closed:.4f} (expected about 2)")
 
 # Gradient descent on the same objective lands on the same scalar.
@@ -39,13 +40,13 @@ print(f"|closed - gd| = {abs(s_closed - s_gd):.2e}")
 # watch it dip at the fitted s.
 ratio = float(np.sum(errors_sq / predicted_var))
 for s in (0.5, 1.0, s_closed, 4.0):
-    objective = m * np.log(s) + 0.5 * ratio / (s * s)
+    objective = GAUSSIAN.objective(s, m, ratio)
     marker = "  <- fitted" if s == s_closed else ""
     print(f"objective at s={s:.3f}: {objective:10.1f}{marker}")
 
 # The Laplacian variant works on absolute errors and scale parameters.
 abs_errors = np.abs(residuals)
 predicted_scale = true_sd / 2.0
-s_laplace = sigma_closed_form_laplace(abs_errors, predicted_scale)
+s_laplace, _ = sigma_closed_form(abs_errors, predicted_scale, kind="laplace")
 print(f"\nLaplacian closed-form s = {s_laplace:.4f} "
       "(roughly sqrt(2/pi) * 2 for Gaussian residuals)")

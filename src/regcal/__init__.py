@@ -31,7 +31,6 @@ _EXPORTS = {
     "McPredictionSet": "core",
     "OodComparison": "analysis",
     "RejectionCurve": "analysis",
-    "SigmaFitOptions": "calibrate",
     "ToyModel": "toymodel",
     "ToyModelConfig": "toymodel",
     "TrainingTrace": "toymodel",
@@ -56,8 +55,7 @@ _EXPORTS = {
     "rejection_curve": "analysis",
     "save_artifact": "io",
     "save_dump": "io",
-    "sigma_closed_form_gaussian": "calibrate",
-    "sigma_closed_form_laplace": "calibrate",
+    "sigma_closed_form": "calibrate",
     "sigma_fit_gd": "calibrate",
     "simulate_unbiasedness": "toymodel",
     "train": "toymodel",

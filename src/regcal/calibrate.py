@@ -3,8 +3,10 @@
 * sigma scaling: one scalar s multiplies the predictive standard deviation
   (variances by s^2). s depends only on m and the sum of error/scale ratios,
   both read from the likelihood's family record (:mod:`regcal.likelihood`),
-  and is fitted in closed form or by gradient descent over rho = log s; both
-  routes agree. A ratio sum that is not finite or is 0 fits no s > 0.
+  and is fitted exactly by :func:`sigma_closed_form` or by gradient descent
+  over rho = log s in :func:`sigma_fit_gd`. Both take a family's raw errors
+  and scales, return (s, fit_meta) and agree; :func:`fit_sigma` runs either
+  on a set. A ratio sum that is not finite or is 0 fits no s > 0.
 * aux scaling: a small two-layer ReLU network mapping log(uncertainty) to
   log(recalibrated uncertainty), fitted by gradient descent on the Gaussian
   NLL with the predictions held fixed at the MC mean.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CalibrationArtifact, Uncertainties
-from .likelihood import GAUSSIAN, LAPLACE, family
+from .likelihood import family
 
 
 class CalibrationError(ValueError):
@@ -29,19 +31,10 @@ class CalibrationError(ValueError):
 
 
 SIGMA_GD_TOLERANCE = 1e-8  # on the step |delta rho| of the gradient-descent sigma fit
+# Iteration cap of the gradient-descent sigma fit. The default covers every
+# ratio mean a double can hold (at most about 1,500 steps).
+SIGMA_GD_MAX_ITERS = 2000
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)  # exp of anything larger overflows
-
-
-@dataclass
-class SigmaFitOptions:
-    """Iteration cap of the gradient-descent sigma fit. The default covers
-    every ratio mean a double can hold (at most about 1,500 steps)."""
-
-    max_iters: int = 2000
-
-    def __post_init__(self):
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -95,48 +88,54 @@ def _ratio_sum(errors, scales, scale_name: str) -> tuple[int, float]:
     return errors.size, ratio_sum
 
 
-def sigma_closed_form_gaussian(errors_sq, variances) -> float:
-    """Closed-form scale for the Gaussian objective, s = sqrt(mean(errors_sq / variances));
-    exactly 1 when errors_sq == variances elementwise (already calibrated)."""
-    return GAUSSIAN.closed_form(*_ratio_sum(errors_sq, variances, GAUSSIAN.scale_name))
+def sigma_closed_form(errors, scales, kind: str = "gaussian"):
+    """Fit the scalar s exactly: the minimiser of the ``kind`` family's objective.
+
+    ``errors``/``scales`` are those of the family: squared errors and
+    variances (s = sqrt(mean(errors / scales)), exactly 1 when they are equal)
+    or absolute errors and sigmas (s = mean(errors / scales)).
+
+    Returns:
+        (s, fit_meta) with fit_meta holding iterations (0) and the final objective.
+    """
+    fam = family(kind)
+    m, ratio_sum = _ratio_sum(errors, scales, fam.scale_name)
+    s = fam.closed_form(m, ratio_sum)
+    return s, {"iterations": 0, "final_objective": fam.objective(s, m, ratio_sum)}
 
 
-def sigma_closed_form_laplace(abs_errors, sigmas) -> float:
-    """Closed-form scale for the Laplacian objective: mean of |err|/sigma."""
-    return LAPLACE.closed_form(*_ratio_sum(abs_errors, sigmas, LAPLACE.scale_name))
-
-
-def sigma_fit_gd(errors, scales, kind: str = "gaussian", opts: SigmaFitOptions | None = None):
+def sigma_fit_gd(errors, scales, kind: str = "gaussian", max_iters: int = SIGMA_GD_MAX_ITERS):
     """Fit the scalar s by gradient descent on the scaled-NLL objective.
 
-    ``errors``/``scales`` are those of the ``kind`` family: squared errors and
-    variances, or absolute errors and sigmas. The search runs over rho = log s
-    from 0. Per record the objective is ``rho + (r / p) exp(-p rho)`` (r the
-    mean ratio), whose curvature at the minimum is the family's p, so each
-    step is ``(1 - exp(log r - p * rho)) / p``, clipped to 0.5 so far-off
-    starts cannot overshoot. The fit stops once |delta rho| <
-    ``SIGMA_GD_TOLERANCE``. Running out of ``opts.max_iters`` steps, a zero
-    or non-finite ratio sum and an overflowing exp(rho) raise
-    ``CalibrationError``.
+    ``errors``/``scales`` are those of the ``kind`` family, as in
+    :func:`sigma_closed_form`. The search runs over rho = log s from 0. Per
+    record the objective is ``rho + (r / p) exp(-p rho)`` (r the mean ratio),
+    whose curvature at the minimum is the family's p, so each step is
+    ``(1 - exp(log r - p * rho)) / p``, clipped to 0.5 so far-off starts
+    cannot overshoot. The fit stops once |delta rho| <
+    ``SIGMA_GD_TOLERANCE``. A ``max_iters`` below 1 raises ``ValueError``;
+    running out of ``max_iters`` steps, a zero or non-finite ratio sum and an
+    overflowing exp(rho) raise ``CalibrationError``.
 
     Returns:
         (s, fit_meta) with fit_meta holding iterations, final objective and
         a converged flag, always true.
     """
+    if max_iters <= 0:
+        raise ValueError("max_iters must be positive")
     fam = family(kind)
-    opts = opts or SigmaFitOptions()
     m, ratio_sum = _ratio_sum(errors, scales, fam.scale_name)
     log_ratio_mean = math.log(ratio_sum / m)
     p = fam.p
     rho = 0.0
-    for iters in range(1, opts.max_iters + 1):
+    for iters in range(1, max_iters + 1):
         step = max(-0.5, min(0.5, (1.0 - math.exp(log_ratio_mean - p * rho)) / p))
         rho -= step
         if abs(step) < SIGMA_GD_TOLERANCE:
             break
     else:
         raise CalibrationError(
-            f"sigma fit did not converge in {opts.max_iters} iterations; raise --iters"
+            f"sigma fit did not converge in {max_iters} iterations; raise --iters"
         )
     try:
         s = math.exp(rho)
@@ -147,23 +146,19 @@ def sigma_fit_gd(errors, scales, kind: str = "gaussian", opts: SigmaFitOptions |
 
 
 def fit_sigma(unc: Uncertainties, likelihood: str = "gaussian", target: str = "predictive",
-              opts: SigmaFitOptions | None = None, use_gd: bool = False) -> CalibrationArtifact:
+              use_gd: bool = False, max_iters: int = SIGMA_GD_MAX_ITERS) -> CalibrationArtifact:
     """Fit a sigma-scaling artifact on a calibration set.
 
     Uses the exact closed form by default; ``use_gd`` switches to the
-    gradient-descent route (the two agree to the fit tolerance).
+    gradient-descent route (the two agree to the fit tolerance), capped at
+    ``max_iters`` steps.
     """
     errors, scales = unc.errors_and_scales(likelihood, target)
     if use_gd:
-        s, fit_meta = sigma_fit_gd(errors, scales, kind=likelihood, opts=opts)
-        fit_meta = {"fit": "gd", **fit_meta}
+        s, fit_meta = sigma_fit_gd(errors, scales, kind=likelihood, max_iters=max_iters)
     else:
-        fam = family(likelihood)
-        m, ratio_sum = _ratio_sum(errors, scales, fam.scale_name)
-        s = fam.closed_form(m, ratio_sum)
-        fit_meta = {"fit": "closed_form", "iterations": 0,
-                    "final_objective": fam.objective(s, m, ratio_sum)}
-    fit_meta["m"] = len(errors)
+        s, fit_meta = sigma_closed_form(errors, scales, kind=likelihood)
+    fit_meta = {"fit": "gd" if use_gd else "closed_form", **fit_meta, "m": len(errors)}
     return CalibrationArtifact(
         method="sigma", likelihood=likelihood, target=target, s=s, fit_meta=fit_meta
     )

@@ -9,7 +9,6 @@ exit code is nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -45,7 +44,7 @@ def _target(flag: str) -> str:
 
 
 def _given(**flags) -> dict:
-    """The flags the user set; the rest keep their defaults in the options class."""
+    """The flags the user set; the rest keep the defaults of the function or class they go to."""
     return {name: value for name, value in flags.items() if value is not None}
 
 
@@ -82,28 +81,20 @@ def cmd_calibrate(args) -> int:
     if route == "aux" and args.likelihood != "gaussian":
         raise CliError("invalid-flag", "aux calibration supports the gaussian likelihood only")
     from . import io as rio
-    from .calibrate import AuxConfig, SigmaFitOptions, aux_fit, fit_sigma
+    from .calibrate import AuxConfig, aux_fit, fit_sigma
     from .metrics import uncertainty_records
 
     unc = uncertainty_records(rio.load_dump(args.input))
     target = _target(args.target)
     if args.method == "sigma":
-        opts = SigmaFitOptions(**_given(max_iters=args.iters))
-        calib = fit_sigma(unc, likelihood=args.likelihood, target=target,
-                          opts=opts, use_gd=args.gd)
+        calib = fit_sigma(unc, likelihood=args.likelihood, target=target, use_gd=args.gd,
+                          **_given(max_iters=args.iters))
     else:
         cfg = AuxConfig(**_given(hidden_width=args.h, seed=args.seed,
                                  epochs=args.iters, step_size=args.lr))
         calib = aux_fit(unc, cfg, target=target)
     rio.save_artifact(calib, args.out)
     return 0
-
-
-def _write_json(doc: dict, path) -> None:
-    """Write strict JSON; a non-finite value raises ``ValueError`` before the file opens."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
 
 
 def cmd_evaluate(args) -> int:
@@ -132,7 +123,7 @@ def cmd_evaluate(args) -> int:
             "bin_range": "equal-width bins over [min, max] of evaluated uncertainties",
         },
     }
-    _write_json(report, args.out)
+    rio.write_json(report, args.out)
     points = calibration_diagram(rep_pred)
     if args.diagram:
         rio.diagram_to_csv(points, args.diagram)
@@ -186,7 +177,7 @@ def cmd_toy(args) -> int:
     rio.trace_to_csv(result.trace, out_dir / "trace.csv")
     rio.save_artifact(result.sigma, out_dir / "calib_sigma.json")
     rio.save_artifact(result.aux, out_dir / "calib_aux.json")
-    _write_json(result.summary, out_dir / "summary.json")
+    rio.write_json(result.summary, out_dir / "summary.json")
     return 0
 
 

@@ -19,7 +19,9 @@ no per-record list is kept. Records are separated at ``\n`` only, as JSON
 Lines specifies; one ``\r`` ending a line is dropped with it. Reals are serialized
 with full round-trip precision (shortest repr), so a load/save cycle is
 byte-stable. Calibration artifacts are JSON documents in which every real
-is a decimal string of full precision.
+is a decimal string of full precision. Every JSON file (artifacts, the
+``evaluate`` report, the toy summary) goes through :func:`write_json`, which
+refuses a non-finite number.
 """
 
 from __future__ import annotations
@@ -282,12 +284,13 @@ def _meta_to_json(meta: dict) -> dict:
 
 
 def _meta_from_json(meta: dict) -> dict:
+    """Read back the reals :func:`_meta_to_json` wrote; every other string stays as spelled."""
     out = {}
     for key, v in meta.items():
         if isinstance(v, str):
             try:
-                out[key] = float(v)
-                continue
+                if _real(v) == v:
+                    v = float(v)
             except ValueError:
                 pass
         out[key] = v
@@ -354,10 +357,15 @@ def artifact_from_json(doc) -> CalibrationArtifact:
     return CalibrationArtifact(**kwargs)
 
 
-def save_artifact(calib: CalibrationArtifact, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """Write strict JSON; a non-finite value raises ``ValueError`` before the file opens."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(artifact_to_json(calib), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def save_artifact(calib: CalibrationArtifact, path) -> None:
+    write_json(artifact_to_json(calib), path)
 
 
 def load_artifact(path) -> CalibrationArtifact:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import AuxConfig, apply_calibration, aux_fit, fit_sigma, sigma_closed_form_gaussian
+from .calibrate import AuxConfig, apply_calibration, aux_fit, fit_sigma, sigma_closed_form
 from .core import CalibrationArtifact, McPredictionSet, identity_artifact
 from .intervals import DEFAULT_LEVELS, coverage
 from .likelihood import batch_nll
@@ -339,7 +339,7 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
         _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(ws, params, data.train)
         _, _, te_mse, te_s2, te_nll = _epoch_eval(ws, params, data.test)
         va_err, va_s2_arr, _, _, _ = _epoch_eval(ws, params, data.val)
-        s = sigma_closed_form_gaussian(va_err, va_s2_arr)
+        s, _ = sigma_closed_form(va_err, va_s2_arr)
         trace.train_mse.append(tr_mse)
         trace.test_mse.append(te_mse)
         trace.train_sigma2.append(tr_s2)

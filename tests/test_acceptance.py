@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from regcal.calibrate import SigmaFitOptions, AuxConfig, aux_fit, fit_sigma, sigma_closed_form_gaussian, sigma_closed_form_laplace, sigma_fit_gd
+from regcal.calibrate import AuxConfig, aux_fit, fit_sigma, sigma_closed_form, sigma_fit_gd
 from regcal.cli import main
 from regcal.core import McPredictionSet, identity_artifact
 from regcal.intervals import coverage
@@ -55,7 +55,6 @@ def test_criterion_1_closed_form_gd_agreement():
     gen = np.random.default_rng(2024)
     worst = 0.0
     slowest = 0.0
-    opts = SigmaFitOptions(max_iters=20_000)
     for trial in range(100):
         m = int(gen.integers(1, 10_001))
         target = float(gen.uniform(0.2, 5.0))
@@ -66,14 +65,16 @@ def test_criterion_1_closed_form_gd_agreement():
         abs_errors = np.sqrt(variances) * np.abs(target * noise) + 1e-12
 
         t0 = time.perf_counter()
-        s_gd, _ = sigma_fit_gd(errors_sq, variances, kind="gaussian", opts=opts)
+        s_gd, _ = sigma_fit_gd(errors_sq, variances, kind="gaussian", max_iters=20_000)
         slowest = max(slowest, time.perf_counter() - t0)
-        worst = max(worst, abs(s_gd - sigma_closed_form_gaussian(errors_sq, variances)))
+        s_closed, _ = sigma_closed_form(errors_sq, variances, kind="gaussian")
+        worst = max(worst, abs(s_gd - s_closed))
 
         t0 = time.perf_counter()
-        s_gd, _ = sigma_fit_gd(abs_errors, np.sqrt(variances), kind="laplace", opts=opts)
+        s_gd, _ = sigma_fit_gd(abs_errors, np.sqrt(variances), kind="laplace", max_iters=20_000)
         slowest = max(slowest, time.perf_counter() - t0)
-        worst = max(worst, abs(s_gd - sigma_closed_form_laplace(abs_errors, np.sqrt(variances))))
+        s_closed, _ = sigma_closed_form(abs_errors, np.sqrt(variances), kind="laplace")
+        worst = max(worst, abs(s_gd - s_closed))
     ok = worst <= 1e-4 and slowest < 1.0
     assert report(1, ok, f"max |gd - closed| = {worst:.2e}, slowest fit {slowest * 1e3:.1f} ms")
 

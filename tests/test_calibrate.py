@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from regcal.calibrate import (
     AuxConfig,
     CalibrationError,
-    SigmaFitOptions,
     apply_calibration,
     aux_fit,
     aux_forward,
     fit_sigma,
-    sigma_closed_form_gaussian,
-    sigma_closed_form_laplace,
+    sigma_closed_form,
     sigma_fit_gd,
 )
 from regcal.core import (
@@ -33,65 +31,73 @@ from conftest import calibrated, make_record, make_set, random_set
 class TestClosedForms:
     def test_gaussian_calibrated_input_gives_exactly_one(self):
         e = np.array([0.3, 1.7, 0.02])
-        assert sigma_closed_form_gaussian(e, e) == 1.0
+        assert sigma_closed_form(e, e)[0] == 1.0
 
     def test_gaussian_uniform_scale(self):
-        assert sigma_closed_form_gaussian([4.0, 4.0], [1.0, 1.0]) == 2.0
+        assert sigma_closed_form([4.0, 4.0], [1.0, 1.0])[0] == 2.0
 
     def test_gaussian_hand_evaluated(self):
         # mean(1/1, 1/4) = 0.625, sqrt = 0.7905694150420949
-        s = sigma_closed_form_gaussian([1.0, 1.0], [1.0, 4.0])
+        s = sigma_closed_form([1.0, 1.0], [1.0, 4.0])[0]
         assert s == pytest.approx(0.7905694150420949, abs=1e-15)
 
     def test_laplace_unit_ratios(self):
-        assert sigma_closed_form_laplace([1.0, 1.0], [1.0, 1.0]) == 1.0
+        assert sigma_closed_form([1.0, 1.0], [1.0, 1.0], "laplace")[0] == 1.0
 
     def test_laplace_mean_of_ratios(self):
-        assert sigma_closed_form_laplace([1.0, 3.0], [1.0, 1.0]) == 2.0
+        assert sigma_closed_form([1.0, 3.0], [1.0, 1.0], "laplace")[0] == 2.0
 
     def test_laplace_hand_evaluated(self):
         # (0.2/1 + 0.4/2 + 0.9/3)/3 = 0.7/3
-        s = sigma_closed_form_laplace([0.2, 0.4, 0.9], [1.0, 2.0, 3.0])
+        s = sigma_closed_form([0.2, 0.4, 0.9], [1.0, 2.0, 3.0], "laplace")[0]
         assert s == pytest.approx(0.2333333333333333, abs=1e-15)
 
-    @pytest.mark.parametrize("fn", [sigma_closed_form_gaussian, sigma_closed_form_laplace])
-    def test_error_on_nonpositive_scales(self, fn):
-        with pytest.raises(ValueError, match="> 0"):
-            fn([1.0], [0.0])
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_fit_meta_is_the_objective_at_s(self, kind):
+        errors, scales = [0.2, 0.4, 0.9], [1.0, 2.0, 3.0]
+        s, meta = sigma_closed_form(errors, scales, kind)
+        ratio_sum = float(np.sum(np.divide(errors, scales)))
+        assert meta == {"iterations": 0,
+                        "final_objective": FAMILIES[kind].objective(s, 3, ratio_sum)}
 
-    @pytest.mark.parametrize("fn", [sigma_closed_form_gaussian, sigma_closed_form_laplace])
-    def test_error_on_empty_input(self, fn):
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_error_on_nonpositive_scales(self, kind):
+        with pytest.raises(ValueError, match="> 0"):
+            sigma_closed_form([1.0], [0.0], kind)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_error_on_empty_input(self, kind):
         with pytest.raises(ValueError, match="empty"):
-            fn([], [])
+            sigma_closed_form([], [], kind)
 
     def test_error_on_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            sigma_closed_form_gaussian([1.0, 2.0], [1.0])
+            sigma_closed_form([1.0, 2.0], [1.0])
 
     # One ratio overflows (a subnormal scale), or two finite ratios overflow
     # their sum; no finite s fits either.
-    @pytest.mark.parametrize("fn", [sigma_closed_form_gaussian, sigma_closed_form_laplace,
-                                    sigma_fit_gd])
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("fn", [sigma_closed_form, sigma_fit_gd])
     @pytest.mark.parametrize("errors, scales", [([0.01, 0.5], [4e-322, 1.0]),
                                                 ([1e8, 1e8], [1e-300, 1e-300])])
-    def test_error_on_non_finite_ratio_sum(self, fn, errors, scales):
+    def test_error_on_non_finite_ratio_sum(self, fn, kind, errors, scales):
         with pytest.raises(CalibrationError, match="finite sum"):
-            fn(errors, scales)
+            fn(errors, scales, kind)
 
     # Every error 0 (or ratios whose mean underflows to 0): no s > 0 fits.
-    @pytest.mark.parametrize("fn", [sigma_closed_form_gaussian, sigma_closed_form_laplace,
-                                    sigma_fit_gd])
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("fn", [sigma_closed_form, sigma_fit_gd])
     @pytest.mark.parametrize("errors", [[0.0, 0.0], [5e-324, 0.0]])
-    def test_error_on_zero_ratio_mean(self, fn, errors):
+    def test_error_on_zero_ratio_mean(self, fn, kind, errors):
         with pytest.raises(CalibrationError, match="mean 0"):
-            fn(errors, [1.0, 1.0])
+            fn(errors, [1.0, 1.0], kind)
 
     @given(c=st.floats(min_value=0.1, max_value=10))
     def test_gaussian_scale_equivariance(self, c):
         e = np.array([0.5, 2.0, 0.9])
         v = np.array([1.0, 0.5, 2.0])
-        scaled = sigma_closed_form_gaussian(c * c * e, v)
-        assert scaled == pytest.approx(c * sigma_closed_form_gaussian(e, v), rel=1e-12)
+        scaled, _ = sigma_closed_form(c * c * e, v)
+        assert scaled == pytest.approx(c * sigma_closed_form(e, v)[0], rel=1e-12)
 
 
 class TestSigmaFitGd:
@@ -124,7 +130,7 @@ class TestSigmaFitGd:
         v = rng.uniform(0.1, 2.0, size=100)
         m = len(e)
         ratio = float(np.sum(e / v))
-        s_star = sigma_closed_form_gaussian(e, v)
+        s_star = sigma_closed_form(e, v)[0]
         eps = 1e-6
         up = GAUSSIAN.objective(s_star + eps, m, ratio)
         down = GAUSSIAN.objective(s_star - eps, m, ratio)
@@ -137,7 +143,7 @@ class TestSigmaFitGd:
         e, v = [1e-320] * 5, [1.0] * 5
         s, meta = sigma_fit_gd(e, v)
         assert meta["converged"]
-        assert s == pytest.approx(sigma_closed_form_gaussian(e, v), rel=1e-6, abs=0)
+        assert s == pytest.approx(sigma_closed_form(e, v)[0], rel=1e-6, abs=0)
 
     # One Laplace ratio of 1.76e308, next to the largest double.
     NEAR_MAX = ([1.3e154], [math.exp(-354.9)])
@@ -145,7 +151,7 @@ class TestSigmaFitGd:
     def test_near_max_scale_converges_to_closed_form(self):
         s, meta = sigma_fit_gd(*self.NEAR_MAX, kind="laplace")
         assert meta["converged"]
-        assert s == pytest.approx(sigma_closed_form_laplace(*self.NEAR_MAX), rel=1e-6)
+        assert s == pytest.approx(sigma_closed_form(*self.NEAR_MAX, "laplace")[0], rel=1e-6)
 
     def test_overflowing_scale_refused(self, monkeypatch):
         # A loose tolerance stops the fit of the largest double's ratio just
@@ -156,34 +162,44 @@ class TestSigmaFitGd:
 
     def test_too_few_iterations_raise(self):
         with pytest.raises(CalibrationError, match="did not converge in 2 iterations"):
-            sigma_fit_gd([1.0, 2.0], [1.0, 1.0], opts=SigmaFitOptions(max_iters=2))
+            sigma_fit_gd([1.0, 2.0], [1.0, 1.0], max_iters=2)
 
     # The default cap reaches the fit from s = 1 at both ends of the float range.
     @pytest.mark.parametrize("kind", ["gaussian", "laplace"])
     @pytest.mark.parametrize("ratio", [5e-324, 1.7976931348623157e308], ids=["min", "max"])
     def test_float_range_ends_converge_at_default(self, kind, ratio):
-        closed = sigma_closed_form_gaussian if kind == "gaussian" else sigma_closed_form_laplace
         s, meta = sigma_fit_gd([ratio], [1.0], kind=kind)
         assert meta["converged"]
-        assert s == pytest.approx(closed([ratio], [1.0]), rel=1e-12, abs=0)
+        assert s == pytest.approx(sigma_closed_form([ratio], [1.0], kind)[0], rel=1e-12, abs=0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown likelihood"):
             sigma_fit_gd([1.0], [1.0], kind="cauchy")
 
     def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            SigmaFitOptions(max_iters=0)
+        for max_iters in (0, -5):
+            with pytest.raises(ValueError, match="^max_iters must be positive$"):
+                sigma_fit_gd([1.0, 2.0], [1.0, 1.0], max_iters=max_iters)
 
 
 class TestFitSigmaOnSets:
     def test_gd_route_agrees_with_closed_form_route(self, rng):
         unc = uncertainty_records(random_set(rng, m=80, n=5))
         closed = fit_sigma(unc)
-        gd = fit_sigma(unc, use_gd=True, opts=SigmaFitOptions(max_iters=5000))
+        gd = fit_sigma(unc, use_gd=True, max_iters=5000)
         assert gd.s == pytest.approx(closed.s, abs=1e-4)
         assert closed.fit_meta["fit"] == "closed_form"
         assert gd.fit_meta["fit"] == "gd"
+
+    def test_set_fit_is_the_raw_array_fit(self, rng):
+        unc = uncertainty_records(random_set(rng, m=40, n=5, d=2))
+        for lik, target, gd in SIGMA_FITS:
+            art = fit_sigma(unc, lik, target, use_gd=gd)
+            errors, scales = unc.errors_and_scales(lik, target)
+            s, meta = (sigma_fit_gd if gd else sigma_closed_form)(errors, scales, lik)
+            assert (art.method, art.likelihood, art.target) == ("sigma", lik, target)
+            assert art.s == s
+            assert art.fit_meta == {"fit": "gd" if gd else "closed_form", **meta, "m": 40}
 
     def test_laplace_target_aleatoric(self, rng):
         unc = uncertainty_records(random_set(rng, m=40, n=5))

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -29,6 +30,16 @@ def toy_dir(tmp_path_factory):
 
 def read_tree(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def dump_text(records) -> str:
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+# Five records every command answers; error tests add a bad one.
+GOOD_RECORDS = [{"id": f"r{i}", "y": [0.2], "samples": [
+    {"mean": [0.1], "log_var": -2.0 + 0.1 * i}, {"mean": [0.3], "log_var": -1.5}]}
+    for i in range(5)]
 
 
 class TestToyCommand:
@@ -109,6 +120,15 @@ class TestCalibrateEvaluate:
         assert doc["provenance"]["calibration"]["method"] == "identity"
         assert "bin_range" in doc["provenance"]
         assert doc["uce_predictive"]["num_bins"] == 7
+
+    def test_evaluate_provenance_keeps_artifact_strings(self, toy_dir, tmp_path):
+        calib, out = tmp_path / "calib.json", tmp_path / "r.json"
+        meta = {"fit": "Infinity", "iterations": 3, "m": "12", "note": "1e3", "objective": "0.25",
+                "tag": " 7 "}
+        calib.write_text(json.dumps({"method": "sigma", "s": "1.5", "fit_meta": meta}))
+        assert main(["evaluate", "--input", str(toy_dir / "test.jsonl"), "--calib", str(calib),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["calibration"]["fit_meta"] == meta
 
     def test_evaluate_default_bins_in_provenance(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
@@ -433,24 +453,25 @@ class TestErrorReporting:
         assert rc == 1
         assert "error: dump-format:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ('{"id":"a","y":[1' + "0" * 400 + '],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
-             "line 2: non-finite y"),
-            ('{"id":"a","y":[0.1],"samples":[{"mean":[0.1],"log_var":1' + "0" * 400 + '}]}',
-             "line 2: non-finite log_var in sample 0"),
-            ('{"id":"b","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
-             "line 2: duplicate id 'b' (first on line 1)"),
-            # written as the raw byte 0xff, which no UTF-8 text holds
-            ('{"id":"\udcff","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
-             "not UTF-8 text (invalid start byte, byte 0xff)"),
-        ],
-        ids=["huge-int-y", "huge-int-log-var", "duplicate-id", "not-utf8"],
-    )
+    # The second line of a dump whose first line is FIRST_LINE, and its error.
+    FIRST_LINE = '{"id":"b","y":[0.2],"samples":[{"mean":[0.1],"log_var":-2.0}]}'
+    BAD_SECOND_LINES = [
+        ('{"id":"a","y":[1' + "0" * 400 + '],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
+         "line 2: non-finite y"),
+        ('{"id":"a","y":[0.1],"samples":[{"mean":[0.1],"log_var":1' + "0" * 400 + '}]}',
+         "line 2: non-finite log_var in sample 0"),
+        ('{"id":"b","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
+         "line 2: duplicate id 'b' (first on line 1)"),
+        # written as the raw byte 0xff, which no UTF-8 text holds
+        ('{"id":"\udcff","y":[0.1],"samples":[{"mean":[0.1],"log_var":-2.0}]}',
+         "not UTF-8 text (invalid start byte, byte 0xff)"),
+    ]
+    BAD_SECOND_LINE_IDS = ["huge-int-y", "huge-int-log-var", "duplicate-id", "not-utf8"]
+
+    @pytest.mark.parametrize("record, message", BAD_SECOND_LINES, ids=BAD_SECOND_LINE_IDS)
     def test_bad_dump_single_error_line(self, capsys, tmp_path, record, message):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"id":"b","y":[0.2],"samples":[{"mean":[0.1],"log_var":-2.0}]}\n' + record + "\n",
+        bad.write_text(self.FIRST_LINE + "\n" + record + "\n",
                        encoding="utf-8", errors="surrogateescape")
         rc = main(["evaluate", "--input", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 1
@@ -472,32 +493,32 @@ class TestErrorReporting:
 
     AUX = '{"method": "aux", "aux": {"h": 2, "w1": %s, "b1": %s, "w2": %s, "b2": "0.0"}}'
 
-    @pytest.mark.parametrize(
-        "artifact, message",
-        [
-            ('{"method": "sigma"}', "sigma artifact is missing field 's'"),
-            ('{"method": "sigma", "s": "inf"}', "requires a finite s > 0"),
-            ('{"method": "sigma", "s": "nan"}', "requires a finite s > 0"),
-            ('["sigma", "1.0"]', "artifact must be a JSON object"),
-            # 3 + 1 + 2 entries: the total matches h=2, each field does not
-            (AUX % ('["1", "2", "3"]', '["0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
-            (AUX % ('"12"', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
-            (AUX % ('["1", "2"]', '["0", "0"]', '["0", "inf"]'), "requires finite weights"),
-            ('{"method": "sigma", "s": true}', "s must be a real, got true"),
-            ('{"method": "aux", "aux": {"h": true, "w1": [true], "b1": ["0"], "w2": [false],'
-             ' "b2": true}}', "aux field h must be an integer, got true"),
-            (AUX.replace('"h": 2', '"h": 2.0') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
-             "aux field h must be an integer, got 2.0"),
-            (AUX.replace('"h": 2', '"h": "2"') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
-             'aux field h must be an integer, got "2"'),
-            (AUX % ('["1", true]', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a real, got true"),
-            (AUX.replace('"b2": "0.0"', '"b2": false') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
-             "aux field b2 must be a real, got false"),
-        ],
-        ids=["sigma-without-s", "infinite-s", "nan-s", "not-an-object", "aux-field-length",
-             "aux-field-string", "infinite-aux-weight", "boolean-s", "boolean-aux", "float-h",
-             "string-h", "boolean-aux-weight", "boolean-b2"],
-    )
+    BAD_ARTIFACTS = [
+        ('{"method": "sigma"}', "sigma artifact is missing field 's'"),
+        ('{"method": "sigma", "s": "inf"}', "requires a finite s > 0"),
+        ('{"method": "sigma", "s": "nan"}', "requires a finite s > 0"),
+        ('["sigma", "1.0"]', "artifact must be a JSON object"),
+        # 3 + 1 + 2 entries: the total matches h=2, each field does not
+        (AUX % ('["1", "2", "3"]', '["0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
+        (AUX % ('"12"', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a list of h=2"),
+        (AUX % ('["1", "2"]', '["0", "0"]', '["0", "inf"]'), "requires finite weights"),
+        ('{"method": "sigma", "s": true}', "s must be a real, got true"),
+        ('{"method": "aux", "aux": {"h": true, "w1": [true], "b1": ["0"], "w2": [false],'
+         ' "b2": true}}', "aux field h must be an integer, got true"),
+        (AUX.replace('"h": 2', '"h": 2.0') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+         "aux field h must be an integer, got 2.0"),
+        (AUX.replace('"h": 2', '"h": "2"') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+         'aux field h must be an integer, got "2"'),
+        (AUX % ('["1", true]', '["0", "0"]', '["0", "0"]'), "aux field w1 must be a real, got true"),
+        (AUX.replace('"b2": "0.0"', '"b2": false') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
+         "aux field b2 must be a real, got false"),
+    ]
+    BAD_ARTIFACT_IDS = [
+        "sigma-without-s", "infinite-s", "nan-s", "not-an-object", "aux-field-length",
+        "aux-field-string", "infinite-aux-weight", "boolean-s", "boolean-aux", "float-h",
+        "string-h", "boolean-aux-weight", "boolean-b2"]
+
+    @pytest.mark.parametrize("artifact, message", BAD_ARTIFACTS, ids=BAD_ARTIFACT_IDS)
     def test_bad_artifact_single_error_line(self, capsys, toy_dir, tmp_path, artifact, message):
         calib = tmp_path / "calib.json"
         calib.write_text(artifact)
@@ -509,10 +530,12 @@ class TestErrorReporting:
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("artifact", [
+    OVERFLOWING_ARTIFACTS = [
         '{"method": "sigma", "s": "1e200"}',
         AUX.replace('"b2": "0.0"', '"b2": "800"') % ('["1", "2"]', '["0", "0"]', '["0", "0"]'),
-    ], ids=["sigma-s-1e200", "aux-b2-800"])
+    ]
+
+    @pytest.mark.parametrize("artifact", OVERFLOWING_ARTIFACTS, ids=["sigma-s-1e200", "aux-b2-800"])
     @pytest.mark.parametrize("command", [
         ["evaluate", "--input", "{test}", "--out", "{out}.json"],
         ["intervals", "--input", "{test}", "--out", "{out}.csv"],
@@ -560,6 +583,12 @@ class TestErrorReporting:
                                     "--target", "aleatoric", "--out", "{out}.json"],
     }
 
+    @classmethod
+    def non_finite_record(cls, dump: str) -> dict:
+        log_vars, means = cls.NON_FINITE_DUMPS[dump]
+        return {"id": "r9", "y": [0.2], "samples": [
+            {"mean": [m], "log_var": lv} for m, lv in zip(means, log_vars)]}
+
     @pytest.mark.parametrize("dump, command", [
         *[("log-var-800", command) for command in NON_FINITE_COMMANDS],
         ("log-var-minus-740", "evaluate"),
@@ -571,17 +600,9 @@ class TestErrorReporting:
         ("log-var-minus-800", "calibrate-aux-aleatoric"),
     ])
     def test_non_finite_values_single_error_line(self, capsys, tmp_path, dump, command):
-        def write(path, records):
-            path.write_text("".join(json.dumps(r) + "\n" for r in records))
-
-        good = [{"id": f"r{i}", "y": [0.2], "samples": [
-            {"mean": [0.1], "log_var": -2.0 + 0.1 * i}, {"mean": [0.3], "log_var": -1.5}]}
-            for i in range(5)]
-        log_vars, means = self.NON_FINITE_DUMPS[dump]
-        bad = {"id": "r9", "y": [0.2], "samples": [
-            {"mean": [m], "log_var": lv} for m, lv in zip(means, log_vars)]}
-        write(tmp_path / "good.jsonl", good)
-        write(tmp_path / "bad.jsonl", good + [bad])
+        (tmp_path / "good.jsonl").write_text(dump_text(GOOD_RECORDS))
+        (tmp_path / "bad.jsonl").write_text(
+            dump_text(GOOD_RECORDS + [self.non_finite_record(dump)]))
         out = tmp_path / "out"
         argv = [a.format(bad=tmp_path / "bad.jsonl", good=tmp_path / "good.jsonl", out=out)
                 for a in self.NON_FINITE_COMMANDS[command]]
@@ -610,17 +631,15 @@ class TestSigmaFitExtremes:
 
     def calibrate(self, tmp_path, records, name, *flags):
         dump, out = tmp_path / "dump.jsonl", tmp_path / name
-        dump.write_text("".join(json.dumps(r) + "\n" for r in records))
+        dump.write_text(dump_text(records))
         rc = main(["calibrate", "--input", str(dump), "--method", "sigma", *flags,
                    "--out", str(out)])
         return rc, out
 
     # Five records of TestErrorReporting's good dump plus one whose variance,
     # exp(-740) in both passes, is subnormal: the Laplace ratio is near 1e159.
-    SUBNORMAL = [{"id": f"r{i}", "y": [0.2], "samples": [
-        {"mean": [0.1], "log_var": -2.0 + 0.1 * i}, {"mean": [0.3], "log_var": -1.5}]}
-        for i in range(5)] + [{"id": "r9", "y": [0.2], "samples": [
-            {"mean": [0.1], "log_var": -740.0}, {"mean": [0.1], "log_var": -740.0}]}]
+    SUBNORMAL = GOOD_RECORDS + [{"id": "r9", "y": [0.2], "samples": [
+        {"mean": [0.1], "log_var": -740.0}, {"mean": [0.1], "log_var": -740.0}]}]
 
     @pytest.mark.parametrize("records, likelihood", [
         (TINY, "gaussian"), (NEAR_MAX, "laplace"),
@@ -650,3 +669,138 @@ class TestSigmaFitExtremes:
         err = capsys.readouterr().err
         assert err.startswith("error: calibration: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestCliFuzz:
+    """Any dump and artifact, valid or not, give an answer or one error line.
+
+    Every command exits 0, 1 or 2. A failure writes exactly one ``error:``
+    line to stderr and no output file; a success writes nothing to stderr,
+    and each JSON file it writes parses with strict constants. The inputs are
+    TestErrorReporting's cases, a few extreme records, and seeded mutations
+    of a good dump and of good artifacts."""
+
+    COMMANDS = [
+        ["calibrate", "--input", "{dump}", "--method", "sigma", "--out", "{out}.json"],
+        ["calibrate", "--input", "{dump}", "--method", "sigma", "--gd", "--likelihood",
+         "laplace", "--target", "aleatoric", "--out", "{out}.json"],
+        ["calibrate", "--input", "{dump}", "--method", "aux", "--h", "2", "--iters", "5",
+         "--out", "{out}.json"],
+        ["evaluate", "--input", "{dump}", "--calib", "{calib}", "--out", "{out}.json"],
+        ["intervals", "--input", "{dump}", "--calib", "{calib}", "--out", "{out}.csv"],
+        ["reject", "--input", "{dump}", "--calib", "{calib}", "--out", "{out}.csv"],
+        ["ood", "--in-dist", "{good}", "--shifted", "{dump}", "--calib", "{calib}",
+         "--out", "{out}.csv"],
+    ]
+    # A dump every command answers; unlike GOOD_RECORDS' its errors are not 0.
+    RECORDS = [{"id": f"r{i}", "y": [0.1 * i], "samples": [
+        {"mean": [0.1 * i + 0.05], "log_var": -2.0 + 0.1 * i}, {"mean": [0.2], "log_var": -1.5}]}
+        for i in range(5)]
+    SIGMA = {"method": "sigma", "likelihood": "laplace", "target": "predictive", "s": "1.5",
+             "fit_meta": {"fit": "closed_form", "iterations": 0, "m": 5}}
+    AUX = {"method": "aux", "target": "aleatoric_only", "aux": {
+        "h": 2, "w1": ["0.5", "-0.3"], "b1": ["0.0", "0.1"], "w2": ["0.01", "0.02"], "b2": "0.0"}}
+    # What a mutation puts in place of a node of the JSON tree.
+    VALUES = [0.5, -2.0, 700.0, -700.0, 1e154, 1e-300, 1e300, 5e-324, 1e308, -1e308, 0.0, -0.0,
+              0, -1, 800.0, -800.0, 10**400, math.nan, math.inf, -math.inf, True, None, "",
+              "0.5", "-2.0", "1e-300", "nan", "1e200", "Infinity", " 7 ", "a\u2028b",
+              [], [math.nan], {}, [0.1, 0.2]]
+    # What a mutation inserts into the text; "\udcff" is written as the byte 0xff.
+    CHARS = '[]{}",:\\\r\n\u2028\x00\udcff'
+
+    def run(self, capsys, tmp_path, dump: str, calib: str):
+        """Every command on ``dump`` (text) under the artifact ``calib`` (text)."""
+        for name, text in (("dump.jsonl", dump), ("calib.json", calib),
+                           ("good.jsonl", dump_text(self.RECORDS))):
+            (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+        for i, command in enumerate(self.COMMANDS):
+            argv = [a.format(dump=tmp_path / "dump.jsonl", calib=tmp_path / "calib.json",
+                             good=tmp_path / "good.jsonl", out=tmp_path / f"out{i}")
+                    for a in command]
+            with warnings.catch_warnings(record=True) as caught:  # would print to stderr
+                warnings.simplefilter("always")
+                rc = main(argv)
+            assert [str(w.message) for w in caught] == [], argv
+            err = capsys.readouterr().err
+            out = Path(argv[-1])
+            if rc == 0:
+                assert err == "", argv
+                if out.suffix == ".json":
+                    json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+                out.unlink()
+            else:
+                assert rc in (1, 2), argv
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                assert not out.exists(), argv
+
+    BAD_DUMPS = {
+        **{name: TestErrorReporting.FIRST_LINE + "\n" + line + "\n" for name, (line, _) in zip(
+            TestErrorReporting.BAD_SECOND_LINE_IDS, TestErrorReporting.BAD_SECOND_LINES)},
+        **{name: dump_text(GOOD_RECORDS + [TestErrorReporting.non_finite_record(name)])
+           for name in TestErrorReporting.NON_FINITE_DUMPS},
+        "no-y": '{"id":"a","samples":[]}\n',
+        "nan-y": '{"id":"a","y":[NaN],"samples":[{"mean":[0.1],"log_var":-2.0}]}\n',
+        "deep-nesting": '{"id":"a","y":[0.5],"samples":[{"mean":%s,"log_var":-2.0}]}\n' % (
+            "[" * 100_000),
+        "U+2028-id": "".join(json.dumps({**r, "id": f"{r['id']}\u2028"}, ensure_ascii=False)
+                             + "\n" for r in RECORDS),
+    }
+    BAD_ARTIFACTS = {
+        **dict(zip(TestErrorReporting.BAD_ARTIFACT_IDS,
+                   (text for text, _ in TestErrorReporting.BAD_ARTIFACTS))),
+        **dict(zip(["sigma-s-1e200", "aux-b2-800"], TestErrorReporting.OVERFLOWING_ARTIFACTS)),
+        "deep-nesting": "[" * 100_000,
+        "fit-meta-nan-list": '{"method": "sigma", "s": "1.5", "fit_meta": {"x": [NaN]}}',
+        "fit-meta-real-like-strings": '{"method": "sigma", "s": "1.5", "fit_meta": '
+                                      '{"note": "1e3", "fit": "Infinity", "tag": " 7 "}}',
+    }
+
+    @pytest.mark.parametrize("name", BAD_DUMPS)
+    def test_bad_dump(self, capsys, tmp_path, name):
+        self.run(capsys, tmp_path, self.BAD_DUMPS[name], json.dumps(self.SIGMA))
+
+    @pytest.mark.parametrize("name", BAD_ARTIFACTS)
+    def test_bad_artifact(self, capsys, tmp_path, name):
+        self.run(capsys, tmp_path, dump_text(self.RECORDS), self.BAD_ARTIFACTS[name])
+
+    def mutate(self, rng, value):
+        """``value`` with one node, chosen at random, replaced, dropped or repeated."""
+        if not value or not isinstance(value, (list, dict)) or rng.random() < 0.1:
+            if rng.random() < 0.7:  # a real of any sign and magnitude a double can hold
+                return rng.choice([-1, 1]) * 10 ** rng.uniform(-330, 308)
+            return rng.choice(self.VALUES)
+        value = value.copy()
+        key = rng.randrange(len(value)) if isinstance(value, list) else rng.choice(list(value))
+        action = rng.random()
+        if action < 0.1:
+            del value[key]
+        elif action < 0.2 and isinstance(value, list):
+            value.append(value[key])
+        else:
+            value[key] = self.mutate(rng, value[key])
+        return value
+
+    def mutate_text(self, rng, text: str) -> str:
+        """``text`` cut short, or with one character dropped or inserted, a third of the time."""
+        at = rng.randrange(len(text) + 1)
+        return rng.choice([text] * 6 + [text[:at], text[:at] + text[at + 1:],
+                           text[:at] + rng.choice(self.CHARS) + text[at:]])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_inputs(self, capsys, tmp_path, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            records, calib = self.RECORDS, rng.choice([self.SIGMA, self.AUX])
+            which = rng.choice(["dump", "dump", "artifact", "artifact", "both"])
+            if which != "artifact":
+                records = self.mutate(rng, records)
+            if which != "dump":
+                calib = self.mutate(rng, calib)
+            dump = (dump_text(records) if isinstance(records, list)
+                    else json.dumps(records) + "\n")
+            self.run(capsys, tmp_path, self.mutate_text(rng, dump),
+                     self.mutate_text(rng, json.dumps(calib)))

@@ -681,6 +681,9 @@ class TestArtifactPersistence:
         assert loaded.s == art.s  # repr round-trips doubles exactly
         assert loaded.likelihood == art.likelihood
         assert loaded.target == art.target
+        assert loaded.fit_meta == art.fit_meta
+        assert {k: type(v) for k, v in loaded.fit_meta.items()} == {
+            k: type(v) for k, v in art.fit_meta.items()}
 
     def test_reals_stored_as_decimal_strings(self, tmp_path, rng):
         art = fit_sigma(uncertainty_records(random_set(rng, m=10, n=3)))
@@ -688,6 +691,16 @@ class TestArtifactPersistence:
         assert isinstance(doc["s"], str)
         assert float(doc["s"]) == art.s
         assert isinstance(doc["fit_meta"]["final_objective"], str)
+
+    def test_fit_meta_reads_back_only_the_reals_it_writes(self, tmp_path):
+        # float() reads every string here but "word"; of them, _real writes only "0.25" and "inf".
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps({"method": "sigma", "s": "1.5", "fit_meta": {
+            "a": "0.25", "b": "inf", "c": "1e3", "d": "Infinity", "e": " 7 ", "f": "0.250",
+            "g": "1", "h": "+0.25", "i": "NaN", "j": "word"}}))
+        assert load_artifact(path).fit_meta == {
+            "a": 0.25, "b": math.inf, "c": "1e3", "d": "Infinity", "e": " 7 ", "f": "0.250",
+            "g": "1", "h": "+0.25", "i": "NaN", "j": "word"}
 
     def test_aux_round_trip_bit_exact(self, tmp_path, rng):
         art = aux_fit(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from regcal.calibrate import sigma_closed_form_gaussian
+from regcal.calibrate import sigma_closed_form
 from regcal.cli import main
 from regcal.io import dump_lines, load_dump
 from regcal.metrics import uncertainty_records
@@ -231,7 +231,7 @@ def _reference_train(data, cfg):
             mu, lv, _ = forward(params, split.x)
             err_sq, sigma2 = (split.y - mu) ** 2, np.exp(lv)
             if name == "val":
-                trace.s.append(sigma_closed_form_gaussian(err_sq, sigma2))
+                trace.s.append(sigma_closed_form(err_sq, sigma2)[0])
                 continue
             getattr(trace, f"{name}_mse").append(float(err_sq.mean()))
             getattr(trace, f"{name}_sigma2").append(float(sigma2.mean()))
@@ -365,7 +365,7 @@ class TestWorkspacePath:
             expected[f"{name}_sigma2"] = float(sigma2.mean())
             expected[f"{name}_nll"] = float(np.mean(err_sq / sigma2 + lv))
         mu, lv, _ = forward(model.params, data.val.x)
-        expected["s"] = sigma_closed_form_gaussian((data.val.y - mu) ** 2, np.exp(lv))
+        expected["s"], _ = sigma_closed_form((data.val.y - mu) ** 2, np.exp(lv))
         for key, value in expected.items():
             assert np.array_equal(getattr(trace, key)[-1], value), key
 
@@ -409,7 +409,7 @@ class TestIntraTrainingCalibrate:
         data = generate(1)
         model, trace = train(data, QUICK)
         mu, lv, _ = forward(model.params, data.val.x)
-        s = sigma_closed_form_gaussian((data.val.y - mu) ** 2, np.exp(lv))
+        s, _ = sigma_closed_form((data.val.y - mu) ** 2, np.exp(lv))
         assert trace.s[-1] == s
 
     def test_fit_on_test_itself_minimizes_test_nll(self):
@@ -417,7 +417,7 @@ class TestIntraTrainingCalibrate:
         model, _ = train(data, QUICK)
         mu, lv, _ = forward(model.params, data.test.x)
         te_err, te_s2 = (data.test.y - mu) ** 2, np.exp(lv)
-        s = sigma_closed_form_gaussian(te_err, te_s2)
+        s, _ = sigma_closed_form(te_err, te_s2)
         scaled = te_s2 * s * s
         nll_cal = float(np.mean(te_err / scaled + np.log(scaled)))
         nll_raw = float(np.mean(te_err / te_s2 + np.log(te_s2)))
