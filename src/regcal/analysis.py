@@ -49,6 +49,27 @@ class OodComparison:
     auroc: float  # of thresholding uncertainty to separate the two sets
 
 
+def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, q)`` for q in [0, 1], bit for bit, by numpy's
+    default "linear" rule written out: ``np.quantile`` calls ``np.unique``,
+    which imports ``numpy.ma``.
+
+    The q-quantile sits at the virtual index (n - 1) q of the sorted values,
+    between the two values around it, at the fraction t of the way. numpy
+    interpolates as ``a + (b - a) t``, and from t = 0.5 on as
+    ``b - (b - a)(1 - t)``. At the last index it takes index -1 for both
+    values, so that there t is the virtual index plus 1.
+    """
+    ordered = np.sort(values)
+    index = (len(ordered) - 1) * q
+    last = index >= len(ordered) - 1
+    below = np.where(last, -1, np.floor(index)).astype(np.intp)
+    a, b = ordered[below], ordered[np.where(last, -1, below + 1)]
+    t = index - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def rejection_curve(
     unc: Uncertainties,
     steps: int = 50,
@@ -68,8 +89,7 @@ def rejection_curve(
     if thresholds is None:
         if steps < 2:
             raise ValueError(f"steps must be >= 2 (got {steps})")
-        fractions = np.arange(1, steps + 1) / steps
-        thresholds = np.quantile(totals, fractions)
+        thresholds = _quantiles(totals, np.arange(1, steps + 1) / steps)
         sweep = "quantile"
     else:
         thresholds = np.asarray(thresholds, dtype=float)

@@ -7,21 +7,26 @@ Dumps are JSON Lines, one record per line:
 :func:`load_dump` reports the first problem of every invalid line in one
 :class:`DumpFormatError`, and only its checked record parser makes those
 messages: it tests each sample inline on JSON's own lists and numbers and
-formats a message only when a test fails. Once a valid line has fixed d and
-N, a line written exactly as :func:`save_dump` writes it (compact
-separators, an id with no escape or control character) skips that parser:
-plain string operations check its layout, and one ``json.loads`` of a flat
-array reads all its numbers without building the sample objects. Any other
-line goes to the checked parser and loads the same values. The file is
-read line by line into three flat lists of numbers (y, sample-mean entries
-and log_vars), each converted with one ``np.array`` call and a reshape, so
-no per-record list is kept. Records are separated at ``\n`` only, as JSON
-Lines specifies; one ``\r`` ending a line is dropped with it. Reals are serialized
-with full round-trip precision (shortest repr), so a load/save cycle is
-byte-stable. Calibration artifacts are JSON documents in which every real
-is a decimal string of full precision. Every JSON file (artifacts, the
-``evaluate`` report, the toy summary) goes through :func:`write_json`, which
-refuses a non-finite number.
+formats a message only when a test fails. The file is read in blocks of
+whole lines (about ``_BLOCK_BYTES`` characters; one line at a time until a
+valid line has fixed d and N), and each block becomes its y, means and
+log_vars arrays at once, so no per-record list is kept; the blocks' arrays
+are concatenated column by column. A block whose every line is a new
+record written exactly as :func:`save_dump` writes it (compact separators,
+an id with no escape or control character) skips the checked parser: plain
+string operations check each id, one comparison checks the number-free
+skeleton of the whole block, and one ``json.loads`` of a flat array reads
+all its numbers without building the sample objects. A block with any
+other line is declined as a whole, and each of its lines goes to the
+checked parser, which loads the same values. Records are separated at
+``\n`` only, as JSON Lines specifies; one ``\r`` ending a line is dropped
+with it. Reals are serialized with full round-trip precision (shortest
+repr), so a load/save cycle is byte-stable. Calibration artifacts are JSON
+documents in which every real is a decimal string of full precision.
+Every JSON file (artifacts, the ``evaluate`` report, the toy summary) goes
+through :func:`write_json`, which refuses a non-finite number, and every
+artifact is read through :func:`read_json`, which refuses a non-finite
+constant and names the file in its one message for any decoding failure.
 """
 
 from __future__ import annotations
@@ -123,64 +128,110 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
     ys += y
 
 
-# The fixed text of a line in save_dump's shape, around y, the sample body and
-# inside it. In the body, each sample separator becomes ";" and each separator
-# between a mean and its log_var "|", so that deleting the number characters
-# leaves a skeleton that only a record of the fixed d and N has.
-_ID_OPEN, _Y_OPEN, _SAMPLES_OPEN, _CLOSE = '{"id":"', '","y":[', '],"samples":[{"mean":[', "}]}"
-_NEXT_SAMPLE, _LOG_VAR = '},{"mean":[', '],"log_var":'
+# A dump is read in blocks of about this many characters of whole lines: 16 to 64 KiB
+# read alike, while larger blocks were slower on lines of 12 KB.
+_BLOCK_BYTES = 1 << 16
+
+# The fixed text of a line in save_dump's shape around its id, y and samples, and
+# between the numbers of its body: y, then each sample's mean and log_var. In the body
+# each fixed text becomes a one-character mark, so that deleting the number
+# characters leaves a skeleton that only records of the fixed d and N have; a number
+# character inserted into a fixed text leaves it unmarked, so that it fails.
+_ID_OPEN, _Y_OPEN, _CLOSE = '{"id":"', '","y":[', "}]}"
+_MARKS = {'],"samples":[{"mean":[': "/", '},{"mean":[': ";", '],"log_var":': "|"}
 _DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+_MARKS_TO_COMMAS = str.maketrans("/;|\n", ",,,,")
 
 
-def _skeletons(d: int, n: int) -> tuple[int, str, str]:
-    """d and what y and the marked sample body of a (d, N) record keep once
-    the number characters are deleted."""
-    return d, "," * (d - 1), ";".join(["," * (d - 1) + "|"] * n)
+def _flat_block(lines: list, first_line: dict[str, int], d: int, n: int):
+    """The y, means and log_vars arrays of ``lines``, pairs of a line number
+    and a non-blank line, when every line is a valid record in save_dump's
+    shape with a new id and the fixed d and N; its ids are then claimed.
 
-
-def _flat_record(line: str, lineno: int, first_line: dict[str, int],
-                 skeletons: tuple[int, str, str], ys: list, means: list, log_vars: list) -> bool:
-    """Append a valid line written in save_dump's shape to the three flat
-    columns and claim its id, reading all its numbers as one JSON array.
-
-    Any other line, duplicate ids included, returns False and changes
-    nothing, so that :func:`_record` checks it and makes its message.
+    Each line's id is checked by plain string operations. The number-free
+    skeleton of all the bodies is compared once, and all their numbers are
+    read with one ``json.loads`` of a flat array. Any other block returns
+    None and claims nothing, so that :func:`_record` checks each line and
+    makes its message.
     """
-    d, y_skeleton, skeleton = skeletons
-    if not line.startswith(_ID_OPEN) or not line.endswith(_CLOSE):
-        return False
-    id_end = line.find('"', len(_ID_OPEN))
-    if id_end < 0 or not line.startswith(_Y_OPEN, id_end):
-        return False
-    # Without a backslash and with no control or line-break character the
-    # raw text is the decoded id.
-    rid = line[len(_ID_OPEN):id_end]
-    if "\\" in rid or not rid.isprintable() or rid in first_line:
-        return False
-    y_start = id_end + len(_Y_OPEN)
-    y_end = line.find("]", y_start)
-    if y_end < 0 or not line.startswith(_SAMPLES_OPEN, y_end):
-        return False
-    y = line[y_start:y_end]
-    body = line[y_end + len(_SAMPLES_OPEN):-len(_CLOSE)]
-    if y.translate(_DROP_NUMBER_CHARS) != y_skeleton or ";" in body or "|" in body:
-        return False
-    body = body.replace(_NEXT_SAMPLE, ";").replace(_LOG_VAR, "|")
-    if body.translate(_DROP_NUMBER_CHARS) != skeleton:
-        return False
+    ids: dict[str, int] = {}
+    bodies = []
+    for lineno, line in lines:
+        id_end = line.find('"', len(_ID_OPEN))
+        if (id_end < 0 or not line.startswith(_ID_OPEN) or not line.startswith(_Y_OPEN, id_end)
+                or not line.endswith(_CLOSE)):
+            return None
+        # Without a backslash and with no control or line-break character the
+        # raw text is the decoded id.
+        rid = line[len(_ID_OPEN):id_end]
+        if "\\" in rid or not rid.isprintable() or rid in first_line or rid in ids:
+            return None
+        ids[rid] = lineno
+        bodies.append(line[id_end + len(_Y_OPEN):-len(_CLOSE)])
+    text = "\n".join(bodies)
+    if any(mark in text for mark in _MARKS.values()):
+        return None
+    for fixed, mark in _MARKS.items():
+        text = text.replace(fixed, mark)
+    skeleton = "," * (d - 1) + "/" + ";".join(["," * (d - 1) + "|"] * n)
+    if text.translate(_DROP_NUMBER_CHARS) != "\n".join([skeleton] * len(lines)):
+        return None
     # Only number tokens are left, so JSON's grammar reads each as _record would.
     try:
-        numbers = json.loads(f"[{y},{body.replace(';', ',').replace('|', ',')}]")
-        if not all(map(isfinite, numbers)):
-            return False
+        values = np.array(json.loads(f"[{text.translate(_MARKS_TO_COMMAS)}]"), dtype=float)
     except (ValueError, OverflowError):  # a malformed number, or an integer too large for a float
-        return False
-    first_line[rid] = lineno
-    ys += numbers[:d]
-    log_vars += numbers[2 * d::d + 1]
-    del numbers[2 * d::d + 1]
-    means += numbers[d:]
-    return True
+        return None
+    if not np.isfinite(values).all():
+        return None
+    first_line.update(ids)
+    values = values.reshape(len(lines), -1)
+    samples = values[:, d:].reshape(len(lines), n, d + 1)
+    return values[:, :d], samples[:, :, :d], samples[:, :, d]
+
+
+def _checked(lines: list, first_line: dict[str, int], shape: dict[str, int], errors: list[str]):
+    """Parse ``lines``, pairs of a line number and a non-blank line, one at a
+    time with :func:`_record`, adding each failing line's messages to
+    ``errors``; the arrays of their records, or None when a line of the file
+    has failed or none of these is a record."""
+    ys, means, log_vars = [], [], []
+    for lineno, line in lines:
+        try:
+            _record(line, lineno, first_line, shape, ys, means, log_vars)
+        except _BadLine as exc:
+            errors += (f"line {lineno}: {msg}" for msg in exc.args)
+    if errors or not ys:
+        return None
+    d, n = shape["d"], shape["N"]
+    return (np.array(ys, dtype=float).reshape(-1, d),
+            np.array(means, dtype=float).reshape(-1, n, d),
+            np.array(log_vars, dtype=float).reshape(-1, n))
+
+
+def _blocks(fh, first_line: dict[str, int], shape: dict[str, int], errors: list[str]):
+    """Yield the (k, d) y, (k, N, d) means and (k, N) log_vars arrays of
+    each block of k records of the dump open as ``fh``, in file order.
+
+    Until a valid line has fixed d and N, a block is one line. After that a
+    block is the whole lines of about ``_BLOCK_BYTES`` characters, read
+    first by :func:`_flat_block` and, when that declines, line by line by
+    :func:`_record`. Every failing line adds its messages to ``errors``;
+    from the first one on, nothing more is yielded.
+    """
+    lineno = 0
+    while block := fh.readlines(_BLOCK_BYTES if "N" in shape else 1):
+        # Parsed without its "\n" or "\r\n", which inside an unterminated
+        # string would be reported as an invalid control character.
+        lines = [(i, line.removesuffix("\n").removesuffix("\r"))
+                 for i, line in enumerate(block, start=lineno + 1) if line.strip()]
+        lineno += len(block)
+        if not lines:
+            continue
+        arrays = _flat_block(lines, first_line, shape["d"], shape["N"]) if "N" in shape else None
+        if arrays is None:
+            arrays = _checked(lines, first_line, shape, errors)
+        if arrays is not None and not errors:
+            yield arrays
 
 
 def load_dump(path) -> McPredictionSet:
@@ -200,37 +251,17 @@ def load_dump(path) -> McPredictionSet:
     its message: an object with mean and log_var; mean a non-empty array
     of numbers (booleans are not numbers); every mean entry finite (an
     integer too large for a float counts as non-finite); mean of length
-    d; log_var a finite number. The file is read line by line into three
-    flat columns of numbers (y, mean entries, log_vars), and each column
-    becomes its array with one conversion and a reshape.
+    d; log_var a finite number.
 
-    After the first valid line, a line in :func:`save_dump`'s compact shape
-    with an id of no escape, control or line-break character is read as one
-    flat JSON array of its numbers. Every other line, and every duplicate id,
-    goes through the checked parser, which makes every message.
+    The file is read a block of lines at a time (:func:`_blocks`), and the
+    blocks' arrays are concatenated column by column.
     """
     errors: list[str] = []
     first_line: dict[str, int] = {}
     shape: dict[str, int] = {}
-    ys, means, log_vars = [], [], []
-    skeletons = None  # set once a valid line has fixed d and N
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                # Parsed without its "\n" or "\r\n", which inside an unterminated
-                # string would be reported as an invalid control character.
-                line = line.removesuffix("\n").removesuffix("\r")
-                if skeletons and _flat_record(line, lineno, first_line, skeletons,
-                                              ys, means, log_vars):
-                    continue
-                try:
-                    _record(line, lineno, first_line, shape, ys, means, log_vars)
-                except _BadLine as exc:
-                    errors += (f"line {lineno}: {msg}" for msg in exc.args)
-                if skeletons is None and "N" in shape:
-                    skeletons = _skeletons(shape["d"], shape["N"])
+            blocks = list(_blocks(fh, first_line, shape, errors))
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's read buffer, not from the file.
         raise DumpFormatError(
@@ -240,13 +271,8 @@ def load_dump(path) -> McPredictionSet:
     if not first_line:
         raise DumpFormatError("empty dump file")
     # With no failed line, first_line holds exactly the records' ids in file order.
-    m, n, d = len(first_line), shape["N"], shape["d"]
-    return McPredictionSet(
-        ids=list(first_line),
-        y=np.array(ys, dtype=float).reshape(m, d),
-        means=np.array(means, dtype=float).reshape(m, n, d),
-        log_vars=np.array(log_vars, dtype=float).reshape(m, n),
-    )
+    y, means, log_vars = (np.concatenate(column) for column in zip(*blocks))
+    return McPredictionSet(ids=list(first_line), y=y, means=means, log_vars=log_vars)
 
 
 def dump_lines(pset: McPredictionSet):
@@ -364,17 +390,31 @@ def write_json(doc: dict, path) -> None:
         fh.write(text + "\n")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite constant {name}")
+
+
+def read_json(path):
+    """Read strict JSON, the counterpart of :func:`write_json`.
+
+    ``NaN``, ``Infinity`` and ``-Infinity`` are refused. Every decoding
+    failure (text that is not UTF-8, malformed JSON, an integer past the
+    int_max_str_digits limit, nesting past the decoder's recursion limit)
+    raises one ``ValueError``: ``invalid JSON (<reason>) in <path>``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.loads(fh.read(), parse_constant=_refuse_constant)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON ({exc}) in {path}") from None
+
+
 def save_artifact(calib: CalibrationArtifact, path) -> None:
     write_json(artifact_to_json(calib), path)
 
 
 def load_artifact(path) -> CalibrationArtifact:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError as exc:  # nested past the decoder's recursion limit
-            raise ValueError(f"invalid JSON ({exc})") from None
-    return artifact_from_json(doc)
+    return artifact_from_json(read_json(path))
 
 
 # -- CSV / SVG exports -------------------------------------------------------

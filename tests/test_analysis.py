@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regcal.analysis import ood_compare, rejection_curve
+from regcal.analysis import _quantiles, ood_compare, rejection_curve
 from regcal.core import CalibrationArtifact
 from regcal.metrics import mse
 
@@ -27,6 +28,17 @@ def brute_force_auroc(neg, pos):
 
 
 class TestRejectionCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([0.0, 1.0, 2.5])), min_size=1, max_size=300),
+           zero=st.sampled_from([0.0, -0.0]), steps=st.integers(2, 100))
+    def test_quantiles_are_numpys_bit_for_bit(self, values, zero, steps):
+        # Every zero takes one sign: 0.0 and -0.0 compare equal, so np.sort and
+        # np.quantile's partition may order them differently.
+        values = np.where(np.array(values) == 0, zero, values)
+        q = np.arange(1, steps + 1) / steps
+        assert _quantiles(values, q).tobytes() == np.quantile(values, q).tobytes()
+
     def test_full_quantile_reproduces_plain_mse(self, rng):
         records = [
             _record(f"r{i}", float(rng.normal()), float(rng.uniform(0.01, 1.0)))

@@ -227,6 +227,7 @@ class TestImports:
         assert stderr == "" and Path(argv[-1]).exists()
         assert "regcal.toymodel" not in modules
         assert ("regcal.analysis" in modules) == (argv[0] in ("reject", "ood"))
+        assert "numpy.ma" not in modules
 
     def test_import_loads_no_module(self):
         modules, _ = fresh_modules("import regcal")
@@ -758,6 +759,25 @@ class TestCliFuzz:
         "fit-meta-real-like-strings": '{"method": "sigma", "s": "1.5", "fit_meta": '
                                       '{"note": "1e3", "fit": "Infinity", "tag": " 7 "}}',
     }
+
+    @pytest.mark.parametrize("artifact, reason", [
+        (BAD_ARTIFACTS["fit-meta-nan-list"], "non-finite constant NaN"),
+        ('{"method": "sigma", "s": "1.', "Unterminated string starting at: line 1 column 26 (char 25)"),
+    ], ids=["fit-meta-nan-list", "truncated"])
+    def test_unreadable_artifact_same_line_from_every_command(self, capsys, tmp_path, artifact,
+                                                              reason):
+        calib = tmp_path / "calib.json"
+        calib.write_text(artifact)
+        (tmp_path / "dump.jsonl").write_text(dump_text(self.RECORDS))
+        for command in self.COMMANDS:
+            if "{calib}" not in command:
+                continue
+            argv = [a.format(dump=tmp_path / "dump.jsonl", calib=calib, good=tmp_path / "dump.jsonl",
+                             out=tmp_path / "out") for a in command]
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (
+                f"error: invalid-input: invalid JSON ({reason}) in {calib}\n"), argv
+            assert not Path(argv[-1]).exists(), argv
 
     @pytest.mark.parametrize("name", BAD_DUMPS)
     def test_bad_dump(self, capsys, tmp_path, name):

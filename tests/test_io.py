@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -214,15 +215,17 @@ class TestDumpErrors:
 
 
 class TestLoadFootprint:
-    """What load_dump holds while it parses: three flat columns of numbers,
-    no per-record list, so neither memory nor the cycle collector grows
-    with anything but the numbers themselves."""
+    """What load_dump holds while it parses: the arrays of the blocks read
+    so far and one block's text and numbers, no per-record list, so neither
+    memory nor the cycle collector grows with anything but the numbers
+    themselves."""
 
-    # A number kept as a float in a list costs 32 bytes against its 8 in the
-    # array, and the flat columns peak at 5.4x (d = 1) and 5.2x (d = 4) of
-    # the array bytes; holding the text, its lines or per-record lists as
-    # well reads 8x and more.
-    PEAK_OVER_ARRAYS = 7.0
+    # The blocks' arrays and their concatenation hold the array bytes twice,
+    # and the reader peaks at 2.4x (d = 1) and 2.1x (d = 4) of them. Three
+    # flat lists of every number as a float (32 bytes against 8) peaked at
+    # 5.4x and 5.1x; holding the text, its lines or per-record lists as well
+    # reads 8x and more.
+    PEAK_OVER_ARRAYS = 3.0
 
     @pytest.fixture(scope="class")
     def dumps(self, tmp_path_factory):
@@ -586,9 +589,10 @@ def _compact(rid="b", **fields):
 
 
 class TestFlatRoute:
-    """Lines in save_dump's shape, once a valid line has fixed d and N, are
-    read without the checked parser; every other line goes to it, and the
-    result is the reference parser's either way."""
+    """Once a valid line has fixed d and N, a block whose every line is a new
+    record in save_dump's shape is read without the checked parser; every
+    line of any other block goes to it, and the result is the reference
+    parser's either way."""
 
     @pytest.fixture
     def checked_lines(self, monkeypatch):
@@ -631,7 +635,7 @@ class TestFlatRoute:
             ([_line(), _compact("\u00e9")], [1]),
             ([_line(), _compact("b\u2028c")], [1, 2]),
             ([_line(y="[NaN]"), _compact("b"), _compact("c")], [1, 2]),
-            ([_line(), _compact("b"), _compact("a")], [1, 3]),
+            ([_line(), _compact("b"), _compact("a")], [1, 2, 3]),
             ([_line(), _compact(y="[0.5,0.5]", samples='[{"mean":[0.4,0.4],"log_var":-2.0}]')],
              [1, 2]),
             ([_line(), _compact(samples=TWO_SAMPLES)], [1, 2]),
@@ -650,11 +654,12 @@ class TestFlatRoute:
         path = tmp_path / "d.jsonl"
         path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
         got = _outcome(load_dump, path)
+        # Each line up to the first valid one is a block; the lines after it form one.
         # The "\r" of a CRLF line is dropped first, so it takes the LF line's route.
         assert checked_lines == checked
         if "\u2028" not in path.read_text(encoding="utf-8"):  # the reference would split there
             assert got == _outcome(_reference_load_dump, path)
-        monkeypatch.setattr(regcal_io, "_flat_record", lambda *args: False)
+        monkeypatch.setattr(regcal_io, "_flat_block", lambda *args: None)
         assert got == _outcome(load_dump, path)
 
     def test_messages_of_declined_lines(self, tmp_path):
@@ -669,6 +674,58 @@ class TestFlatRoute:
             "line 3: duplicate id 'a' (first on line 1); "
             "line 4: inconsistent N (expected 1, got 2); "
             "line 5: non-finite log_var in sample 0")
+
+    @pytest.mark.parametrize("declined", ["spaced", "duplicate-id", "huge-integer"])
+    def test_a_declined_line_sends_only_its_block(self, tmp_path, rng, checked_lines, monkeypatch,
+                                                  declined):
+        pset = random_set(rng, m=60, n=3, d=2)
+        lines = list(dump_lines(pset))
+        k = 30  # line 31
+        if declined == "spaced":
+            lines[k] = json.dumps(json.loads(lines[k]))
+        elif declined == "duplicate-id":
+            lines[k] = lines[k].replace(pset.ids[k], pset.ids[3])
+        else:
+            lines[k] = re.sub(r'"log_var":[^}]+', '"log_var":1' + "0" * 400, lines[k], count=1)
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        size = 5 * len(lines[0])
+        monkeypatch.setattr(regcal_io, "_BLOCK_BYTES", size)
+        # The blocks as load_dump reads them: line 1 alone, then about size characters.
+        blocks = []
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            fh.readline()
+            while block := fh.readlines(size):
+                start = 2 + sum(map(len, blocks))
+                blocks.append(range(start, start + len(block)))
+        (middle,) = [i for i, block in enumerate(blocks) if k + 1 in block]
+        assert 0 < middle < len(blocks) - 1
+        assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
+        assert checked_lines == [1, *blocks[middle]]
+
+
+class TestBlocks:
+    """Reading a dump a block of lines at a time changes nothing."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rnd=st.randoms(use_true_random=True))
+    def test_any_block_size_gives_the_same_outcome(self, tmp_path, monkeypatch, rnd):
+        records, d = _records(rnd)
+        for _ in range(rnd.choice([0, 0, 1, 2])):
+            _mutate(records, rnd, d)
+        lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
+        if rnd.random() < 0.3:
+            k = rnd.randrange(len(lines))
+            lines[k] = _mutate_chars(lines[k], rnd)
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        size = len(path.read_text())
+        outcomes = set()
+        for block_bytes in (1, rnd.randint(1, size), size):
+            monkeypatch.setattr(regcal_io, "_BLOCK_BYTES", block_bytes)
+            outcomes.add(_outcome(load_dump, path))
+        assert outcomes == {_outcome(_reference_load_dump, path)}
 
 
 class TestArtifactPersistence:
@@ -733,6 +790,14 @@ class TestArtifactPersistence:
         save_artifact(identity_artifact(), path)
         loaded = load_artifact(path)
         assert loaded.method == "identity"
+
+    @pytest.mark.parametrize("name", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_refused(self, tmp_path, name):
+        path = tmp_path / "calib.json"
+        path.write_text('{"method": "sigma", "s": "1.5", "fit_meta": {"x": %s}}' % name)
+        with pytest.raises(ValueError) as err:
+            load_artifact(path)
+        assert str(err.value) == f"invalid JSON (non-finite constant {name}) in {path}"
 
     def test_deep_nesting_is_a_value_error(self, tmp_path):
         path = tmp_path / "calib.json"
