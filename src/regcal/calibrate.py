@@ -70,12 +70,12 @@ def _ratio_sum(errors, scales, scale_name: str) -> tuple[int, float]:
         raise ValueError(f"length mismatch: {len(errors)} errors vs {len(scales)} {scale_name}")
     if errors.size == 0:
         raise ValueError("empty input: need at least one record to fit s")
-    if np.any(scales <= 0):
+    if (scales <= 0).any():
         raise ValueError(f"all {scale_name} must be > 0")
-    if np.any(errors < 0):
+    if (errors < 0).any():
         raise ValueError("errors must be >= 0")
     with np.errstate(over="ignore"):
-        ratio_sum = float(np.sum(errors / scales))
+        ratio_sum = float(np.add.reduce(errors / scales, axis=None))
     if not math.isfinite(ratio_sum):
         raise CalibrationError(
             f"error / {scale_name[:-1]} ratios do not have a finite sum "
@@ -166,11 +166,17 @@ def fit_sigma(unc: Uncertainties, likelihood: str = "gaussian", target: str = "p
 
 # -- auxiliary recalibration network ---------------------------------------
 
-def _aux_pass(x: np.ndarray, params: dict[str, np.ndarray]):
-    """Hidden pre-activations z, activations a and output R(x) of the network."""
-    z = np.outer(x, params["w1"]) + params["b1"]  # (m, h)
-    a = np.maximum(z, 0.0)
-    return z, a, x + a @ params["w2"] + params["b2"][0]
+def _aux_pass(x: np.ndarray, params: dict[str, np.ndarray], z, a, g) -> None:
+    """Hidden pre-activations z (m, h), activations a (m, h) and output R(x)
+    (m,) of the network on the m inputs x, computed into the given buffers in
+    the order of the plain expressions ``np.outer(x, w1) + b1``,
+    ``maximum(z, 0)`` and ``x + a @ w2 + b2[0]``."""
+    np.multiply(x[:, None], params["w1"], out=z)
+    np.add(z, params["b1"], out=z)
+    np.maximum(z, 0.0, out=a)
+    np.matmul(a, params["w2"], out=g)
+    np.add(x, g, out=g)
+    np.add(g, params["b2"][0], out=g)
 
 
 def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
@@ -180,7 +186,10 @@ def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     map exactly the identity when w2 and b2 are zero, which is (close to)
     the initialization.
     """
-    return _aux_pass(x, params)[2]
+    shape = (len(x), len(params["w1"]))
+    g = np.empty(len(x))
+    _aux_pass(x, params, np.empty(shape), np.empty(shape), g)
+    return g
 
 
 def aux_fit(
@@ -211,36 +220,45 @@ def aux_fit(
         "b2": np.zeros(1),
     }
 
+    z, a, dz = np.empty((m, h)), np.empty((m, h)), np.empty((m, h))
+    g, fit, dg = np.empty(m), np.empty(m), np.empty(m)
+
     def evaluate():
-        # An overflow makes the loss non-finite, which the loop reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            z, a, g = _aux_pass(x, params)
-            return z, a, g, float(np.mean(np.exp(-g) * err_sq + g))
+        """The loss on the set; leaves the network's pass in z, a and g and
+        exp(-g) * err_sq in fit."""
+        _aux_pass(x, params, z, a, g)
+        np.negative(g, out=fit)
+        np.exp(fit, out=fit)
+        np.multiply(fit, err_sq, out=fit)
+        return float(np.mean(fit + g))
 
     best_params = {k: v.copy() for k, v in params.items()}
-    z, a, g, loss = evaluate()
-    best_loss = init_loss = loss
-
     lr = cfg.step_size
-    for epoch in range(1, cfg.epochs + 1):
-        if not math.isfinite(loss):
-            raise CalibrationError(f"non-finite aux training loss at epoch {epoch}")
-        dg = (1.0 - np.exp(-g) * err_sq) / m  # (m,)
-        grad_w2 = a.T @ dg
-        grad_b2 = np.array([dg.sum()])
-        dz = np.outer(dg, params["w2"]) * (z > 0.0)
-        grad_w1 = x @ dz
-        grad_b1 = dz.sum(axis=0)
-        params["w1"] -= lr * grad_w1
-        params["b1"] -= lr * grad_b1
-        params["w2"] -= lr * grad_w2
-        params["b2"] -= lr * grad_b2
-        # The loss of the updated weights is also where the next epoch starts.
-        z, a, g, loss = evaluate()
-        # Weights whose variance exp(g) overflows on the set itself cannot be applied to it.
-        if math.isfinite(loss) and loss < best_loss and g.max() <= _LOG_MAX_FLOAT:
-            best_loss = loss
-            best_params = {k: v.copy() for k, v in params.items()}
+    # An overflow makes the loss non-finite, which the loop reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = evaluate()
+        best_loss = init_loss = loss
+        for epoch in range(1, cfg.epochs + 1):
+            if not math.isfinite(loss):
+                raise CalibrationError(f"non-finite aux training loss at epoch {epoch}")
+            np.subtract(1.0, fit, out=dg)  # dg = (1 - exp(-g) err_sq) / m
+            np.divide(dg, m, out=dg)
+            grad_w2 = a.T @ dg
+            grad_b2 = np.array([dg.sum()])
+            np.multiply(dg[:, None], params["w2"], out=dz)  # np.outer(dg, w2) * (z > 0)
+            np.multiply(dz, z > 0.0, out=dz)
+            grad_w1 = x @ dz
+            grad_b1 = dz.sum(axis=0)
+            params["w1"] -= lr * grad_w1
+            params["b1"] -= lr * grad_b1
+            params["w2"] -= lr * grad_w2
+            params["b2"] -= lr * grad_b2
+            # The loss of the updated weights is also where the next epoch starts.
+            loss = evaluate()
+            # Weights whose variance exp(g) overflows on the set itself cannot be applied to it.
+            if math.isfinite(loss) and loss < best_loss and g.max() <= _LOG_MAX_FLOAT:
+                best_loss = loss
+                best_params = {k: v.copy() for k, v in params.items()}
 
     return CalibrationArtifact(
         method="aux",

@@ -413,6 +413,10 @@ def load_dump(path) -> McPredictionSet:
     return pset
 
 
+def _non_finite_record(rid: str) -> ValueError:
+    return ValueError(f"record '{rid}': non-finite value, which a dump cannot hold")
+
+
 def dump_lines(pset: McPredictionSet):
     """Yield the JSONL lines (without newline) of a set, one per record.
 
@@ -430,12 +434,22 @@ def dump_lines(pset: McPredictionSet):
         try:
             line = json.dumps(obj, separators=(",", ":"), allow_nan=False)
         except ValueError:
-            raise ValueError(
-                f"record '{rid}': non-finite value, which a dump cannot hold") from None
+            raise _non_finite_record(rid) from None
         yield line
 
 
 def save_dump(pset: McPredictionSet, path) -> None:
+    """Write the set as a JSONL dump, one :func:`dump_lines` line per record.
+
+    A set with a NaN or an infinity raises ``ValueError`` naming the first
+    such record before the file opens, so a refused set leaves no file
+    behind and an existing file unchanged.
+    """
+    finite = (np.isfinite(pset.y).all(axis=1) & np.isfinite(pset.means).all(axis=(1, 2))
+              & np.isfinite(pset.log_vars).all(axis=1))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise _non_finite_record(pset.ids[bad[0]])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in dump_lines(pset):
             fh.write(line + "\n")

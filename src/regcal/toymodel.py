@@ -11,11 +11,16 @@ evaluation passes reuse the raw weights with fresh masks.
 The layer math is written once, in ``_forward_into``, which computes into a
 preallocated workspace, and the backprop math once, in
 ``_loss_and_grads_into``, which writes every gradient into a flat vector
-laid out as the parameters. :func:`forward` and :func:`loss_and_grads` give
-them fresh buffers per call; :func:`train` makes its workspace, gradient and
-Adam buffers once and runs every step and evaluation pass in them, and
-:func:`mc_predict` reuses one workspace, so a 512-row pass maps no new pages.
-Nothing returned is a view of a reused buffer.
+laid out as the parameters. Both take the weights (and gradient views) as a
+tuple in ``PARAM_NAMES`` order, unpacked once by the caller, and inputs as a
+column, so a call is its numpy operations and little else. :func:`forward`
+and :func:`loss_and_grads` give them fresh buffers per call. :func:`train`
+makes its workspaces, gradient and Adam buffers once; each epoch runs its
+minibatch steps and then one deterministic pass over the concatenated
+``[train | test | val]`` inputs, whose per-split means and sigma fit equal
+three separate passes bit for bit. :func:`mc_predict` reuses one workspace,
+so a 512-row pass maps no new pages. Nothing returned is a view of a reused
+buffer.
 
 Data, architecture and optimiser are module constants; :class:`ToyModelConfig`
 holds the four settings a run varies. :func:`experiment` runs the whole toy
@@ -141,36 +146,61 @@ def draw_masks(rng: np.random.Generator, batch: int, hidden: tuple[int, int], p:
     return keep[: batch * h1].reshape(batch, h1), keep[batch * h1 :].reshape(batch, h2)
 
 
-def _workspace(rows: int, params) -> tuple[np.ndarray, ...]:
-    """Uninitialised buffers for a forward pass over up to ``rows`` inputs:
-    (z1, d1, z2, d2, mu, log_var), hidden widths read off the weights."""
+def _workspace(rows: int, params, cache: bool = True) -> tuple[np.ndarray, ...]:
+    """Uninitialised buffers for a forward pass over ``rows`` inputs:
+    (z1, d1, z2, d2, mu, log_var), hidden widths read off the weights.
+    Without ``cache`` each activation shares its pre-activation's buffer, so
+    the ReLU and the dropout run in place: enough for a pass that no
+    backward pass reads, and half the memory."""
     h1, h2 = len(params["b1"]), len(params["b2"])
-    return (np.empty((rows, h1)), np.empty((rows, h1)), np.empty((rows, h2)),
-            np.empty((rows, h2)), np.empty((rows, 1)), np.empty((rows, 1)))
+    z1, z2 = np.empty((rows, h1)), np.empty((rows, h2))
+    d1, d2 = (np.empty((rows, h1)), np.empty((rows, h2))) if cache else (z1, z2)
+    return z1, d1, z2, d2, np.empty((rows, 1)), np.empty((rows, 1))
 
 
-def _forward_into(ws, params, x, masks=None, p: float = 0.0):
-    """The forward pass, computed into the leading rows of workspace ``ws``.
+def _unpack(named) -> tuple[np.ndarray, ...]:
+    """The arrays of a parameter-shaped dict in ``PARAM_NAMES`` order; views
+    of a flat vector keep showing its in-place updates."""
+    return tuple(named[name] for name in PARAM_NAMES)
+
+
+def _forward_into(ws, weights, X, masks=None, p: float = 0.0, parts=(slice(None),)) -> None:
+    """The forward pass of the input column ``X`` (rows, 1) into workspace
+    ``ws``, whose buffers have exactly as many rows; ``weights`` as
+    :func:`_unpack` gives them.
 
     Every step writes into a buffer of ``ws`` in the order of the plain
     expressions (``X @ W1 + b1``, then ``maximum``, then ``a * mask / (1 - p)``),
-    so results are bit-identical to them. mu, log_var and the cache are views
-    of ``ws``: valid until its next use.
+    so results are bit-identical to them. The elementwise steps run once over
+    all rows; each matrix product runs once per row range in ``parts``, on
+    views, since a BLAS product's rounding of a row may depend on how many
+    rows it is given. So every row equals a pass over its part alone.
     """
-    X = np.asarray(x, dtype=float).reshape(-1, 1)
-    z1, d1, z2, d2, mu, log_var = (buf[: len(X)] for buf in ws)
-    for layer, (a, z, d) in enumerate(((X, z1, d1), (d1, z2, d2)), start=1):
-        # X is one column, so X @ W1 is one product per entry: multiply is bit-identical
-        (np.multiply if layer == 1 else np.matmul)(a, params[f"W{layer}"], out=z)
-        np.add(z, params[f"b{layer}"], out=z)
-        np.maximum(z, 0.0, out=d)  # ReLU
-        if masks is not None:  # inverted dropout: d * mask / (1 - p)
-            np.multiply(d, masks[layer - 1], out=d)
-            np.divide(d, 1.0 - p, out=d)
-    for head, out in (("m", mu), ("v", log_var)):
-        np.matmul(d2, params[f"W{head}"], out=out)
-        np.add(out, params[f"b{head}"], out=out)
-    return mu[:, 0], log_var[:, 0], (X, z1, d1, z2, d2)
+    W1, b1, W2, b2, Wm, bm, Wv, bv = weights
+    z1, d1, z2, d2, mu, log_var = ws
+    # X is one column, so X @ W1 is one product per entry: multiply is bit-identical
+    np.multiply(X, W1, out=z1)
+    np.add(z1, b1, out=z1)
+    np.maximum(z1, 0.0, out=d1)  # ReLU
+    if masks is not None:  # inverted dropout: d * mask / (1 - p)
+        np.multiply(d1, masks[0], out=d1)
+        np.divide(d1, 1.0 - p, out=d1)
+    for rows in parts:
+        np.matmul(d1[rows], W2, out=z2[rows])
+    np.add(z2, b2, out=z2)
+    np.maximum(z2, 0.0, out=d2)
+    if masks is not None:
+        np.multiply(d2, masks[1], out=d2)
+        np.divide(d2, 1.0 - p, out=d2)
+    for rows in parts:
+        np.matmul(d2[rows], Wm, out=mu[rows])
+        np.matmul(d2[rows], Wv, out=log_var[rows])
+    np.add(mu, bm, out=mu)
+    np.add(log_var, bv, out=log_var)
+
+
+def _column(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(-1, 1)
 
 
 def forward(params, x: np.ndarray, masks=None, p: float = 0.0):
@@ -179,36 +209,48 @@ def forward(params, x: np.ndarray, masks=None, p: float = 0.0):
     Returns (mu, log_var, cache) with mu/log_var of shape (batch,), all
     computed into a workspace of their own.
     """
-    return _forward_into(_workspace(np.size(x), params), params, x, masks, p)
+    X = _column(x)
+    z1, d1, z2, d2, mu, log_var = ws = _workspace(len(X), params)
+    _forward_into(ws, _unpack(params), X, masks, p)
+    return mu[:, 0], log_var[:, 0], (X, z1, d1, z2, d2)
 
 
-def _loss_and_grads_into(ws, theta, params, g, grads, x, y, masks, p: float, weight_decay: float):
-    """The loss of :func:`loss_and_grads`; the gradients are written into the
-    flat ``g`` through ``grads``, its named views in ``theta``'s layout. The
-    forward pass computes into the leading rows of workspace ``ws``, and the
-    backward pass reuses its hidden-layer buffers once they are read."""
-    mu, lv, (X, z1, d1, z2, d2) = _forward_into(ws, params, x, masks=masks, p=p)
-    batch = len(y)
+def _loss_and_grads_into(ws, theta, weights, g, grads, X, Y, masks, p: float,
+                         weight_decay: float) -> float:
+    """The loss of :func:`loss_and_grads` for the input and target columns
+    ``X`` and ``Y``; the gradients are written into the flat ``g`` through
+    ``grads``, its views in ``theta``'s layout, unpacked as ``weights``. The
+    forward pass computes into workspace ``ws``, and the backward pass reuses
+    its hidden-layer buffers once they are read."""
+    _forward_into(ws, weights, X, masks, p)
+    z1, d1, z2, d2, mu, lv = ws
+    _, _, W2, _, Wm, _, Wv, _ = weights
+    gW1, gb1, gW2, gb2, gWm, gbm, gWv, gbv = grads
+    batch = len(Y)
     inv_var = np.exp(-lv)
-    resid = mu - y
+    resid = mu - Y
     fit = inv_var * resid**2
-    loss = float(np.add.reduce(fit + lv) / batch) + weight_decay * float(theta @ theta)
+    loss = float(np.add.reduce(fit + lv, axis=None) / batch) + weight_decay * float(theta @ theta)
 
-    dmu = (2.0 * inv_var * resid / batch)[:, None]  # (B, 1)
-    dlv = ((1.0 - fit) / batch)[:, None]
-    for head, dout in (("m", dmu), ("v", dlv)):
-        np.matmul(d2.T, dout, out=grads[f"W{head}"])
-        np.add.reduce(dout, axis=0, out=grads[f"b{head}"])
-    dd = np.matmul(dmu, params["Wm"].T, out=d2)  # d2 is read: dd2 takes its place
-    dd += dlv @ params["Wv"].T
-    for layer, (a, z) in ((2, (d1, z2)), (1, (X, z1))):
-        np.multiply(dd, masks[layer - 1], out=dd)  # through the dropout, then the ReLU
-        np.divide(dd, 1.0 - p, out=dd)
-        np.multiply(dd, z > 0.0, out=dd)
-        np.matmul(a.T, dd, out=grads[f"W{layer}"])
-        np.add.reduce(dd, axis=0, out=grads[f"b{layer}"])
-        if layer == 2:  # d1 is read: dd1 takes its place
-            dd = np.matmul(dd, params["W2"].T, out=d1)
+    dmu = 2.0 * inv_var * resid / batch  # (B, 1)
+    dlv = (1.0 - fit) / batch
+    np.matmul(d2.T, dmu, out=gWm)
+    np.add.reduce(dmu, axis=0, out=gbm)
+    np.matmul(d2.T, dlv, out=gWv)
+    np.add.reduce(dlv, axis=0, out=gbv)
+    dd = np.matmul(dmu, Wm.T, out=d2)  # d2 is read: dd2 takes its place
+    dd += dlv @ Wv.T
+    np.multiply(dd, masks[1], out=dd)  # through the dropout, then the ReLU
+    np.divide(dd, 1.0 - p, out=dd)
+    np.multiply(dd, z2 > 0.0, out=dd)
+    np.matmul(d1.T, dd, out=gW2)
+    np.add.reduce(dd, axis=0, out=gb2)
+    dd = np.matmul(dd, W2.T, out=d1)  # d1 is read: dd1 takes its place
+    np.multiply(dd, masks[0], out=dd)
+    np.divide(dd, 1.0 - p, out=dd)
+    np.multiply(dd, z1 > 0.0, out=dd)
+    np.matmul(X.T, dd, out=gW1)
+    np.add.reduce(dd, axis=0, out=gb1)
     g += 2.0 * weight_decay * theta
     return loss
 
@@ -223,8 +265,11 @@ def loss_and_grads(params, x, y, masks, p: float, weight_decay: float):
     """
     theta, _ = _flatten(params)
     g, grads = _flatten(params)
-    ws = _workspace(np.size(x), params)
-    return _loss_and_grads_into(ws, theta, params, g, grads, x, y, masks, p, weight_decay), grads
+    X = _column(x)
+    ws = _workspace(len(X), params)
+    loss = _loss_and_grads_into(ws, theta, _unpack(params), g, _unpack(grads), X, _column(y),
+                                masks, p, weight_decay)
+    return loss, grads
 
 
 @dataclass
@@ -273,13 +318,44 @@ def _flatten(params: dict[str, np.ndarray]):
     return theta, views
 
 
-def _epoch_eval(ws, params, split: LabeledData):
-    mu, lv, _ = _forward_into(ws, params, split.x)
-    n = len(split.x)
-    err_sq = (split.y - mu) ** 2
-    sigma2 = np.exp(lv)
-    nll = float(np.add.reduce(err_sq / sigma2 + lv) / n)  # np.mean without its wrapper
-    return err_sq, sigma2, float(np.add.reduce(err_sq) / n), float(np.add.reduce(sigma2) / n), nll
+def _evaluator(data: SyntheticData, params):
+    """The deterministic evaluation that ends every epoch of :func:`train`.
+
+    Returns a function of no arguments that runs one forward pass of the
+    current ``params`` over the concatenated ``[train | test | val]`` inputs
+    and returns the trace's entries for that epoch, in field order: MSE,
+    mean sigma^2 and NLL term of the train and test splits, and the
+    closed-form sigma scale of the val split. Squared errors, variances and
+    NLL terms are computed once for all rows; each split's mean reduces its
+    contiguous slice, so every value equals the per-split expressions bit
+    for bit. Buffers are made once, here.
+    """
+    splits = (data.train, data.test, data.val)
+    X = _column(np.concatenate([split.x for split in splits]))
+    y = np.concatenate([split.y for split in splits])
+    ws = _workspace(len(y), params, cache=False)
+    weights = _unpack(params)
+    mu, log_var = ws[4][:, 0], ws[5][:, 0]
+    err_sq, sigma2, nll = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
+    n_train, n_test = len(data.train.x), len(data.test.x)
+    train_rows, test_rows = slice(0, n_train), slice(n_train, n_train + n_test)
+    val_rows = slice(n_train + n_test, len(y))
+
+    def evaluate() -> tuple[float, ...]:
+        _forward_into(ws, weights, X, parts=(train_rows, test_rows, val_rows))
+        np.subtract(y, mu, out=err_sq)
+        np.square(err_sq, out=err_sq)
+        np.exp(log_var, out=sigma2)
+        np.divide(err_sq, sigma2, out=nll)
+        np.add(nll, log_var, out=nll)
+        # np.mean without its wrapper
+        tr_mse, tr_s2, tr_nll, te_mse, te_s2, te_nll = (
+            float(np.add.reduce(values[rows]) / (rows.stop - rows.start))
+            for rows in (train_rows, test_rows) for values in (err_sq, sigma2, nll))
+        s, _ = sigma_closed_form(err_sq[val_rows], sigma2[val_rows])
+        return tr_mse, te_mse, tr_s2, te_s2, tr_nll, te_nll, s
+
+    return evaluate
 
 
 def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
@@ -289,34 +365,44 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     minibatch Adam steps (``BATCH_SIZE``, ``STEP_SIZE``, ``WEIGHT_DECAY``;
     beta1=0.9, beta2=0.999, eps=1e-8) on one flat parameter vector, at a
     constant step size. Dropout is active on every training step. After each
-    epoch sigma scaling is fitted on the validation split and recorded (see
-    :class:`TrainingTrace`). The model returned holds the weights after the
-    last epoch. Every training step and the three evaluation passes of every
-    epoch write into one workspace sized to the largest split, the smaller
-    batches using its leading rows; the trace holds Python floats computed
-    from it, never views. Gradients go into one flat vector, and Adam updates
-    its moments and theta in place in the order of the plain expressions
-    ``B1 m + (1 - B1) g``, ``B2 v + ((1 - B2) g) g`` and
-    ``(STEP_SIZE m_hat) / (sqrt(v_hat) + eps)``, so every step is
-    bit-identical to them. Fully deterministic given cfg.seed.
+    epoch one deterministic pass over all three splits gives the trace's
+    entries, sigma scaling fitted on the validation split among them (see
+    :class:`TrainingTrace` and :func:`_evaluator`). The model returned holds
+    the weights after the last epoch.
+
+    Weights and gradients are views of two flat vectors, unpacked once; each
+    batch length has a workspace of its own and the evaluation one for all
+    rows, all made before the first epoch, and the trace holds Python floats
+    computed from them, never views. Adam updates its moments and theta in
+    place in the order of the plain expressions ``B1 m + (1 - B1) g``,
+    ``B2 v + ((1 - B2) g) g`` and ``(STEP_SIZE m_hat) / (sqrt(v_hat) + eps)``,
+    so every step is bit-identical to them. Fully deterministic given
+    cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
+    p = cfg.dropout_p
     rng = np.random.default_rng(cfg.seed)
     theta, params = _flatten(init_params(HIDDEN, rng))
     g, grads = _flatten(params)
+    weights, grad_views = _unpack(params), _unpack(grads)
     adam_m, adam_v, scratch, denom = (np.zeros_like(theta) for _ in range(4))
     step = 0
     trace = TrainingTrace()
-    m_train = len(data.train.x)
-    ws = _workspace(max(len(split.x) for split in (data.train, data.test, data.val)), params)
+    columns = (trace.train_mse, trace.test_mse, trace.train_sigma2, trace.test_sigma2,
+               trace.train_nll, trace.test_nll, trace.s)
+    evaluate = _evaluator(data, params)
+    X, Y = _column(data.train.x), _column(data.train.y)
+    m_train = len(X)
+    starts = range(0, m_train, BATCH_SIZE)
+    workspaces = {n: _workspace(n, params) for n in {min(BATCH_SIZE, m_train - s) for s in starts}}
 
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(m_train)
-        for start in range(0, m_train, BATCH_SIZE):
+        for start in starts:
             idx = perm[start : start + BATCH_SIZE]
-            masks = draw_masks(rng, len(idx), HIDDEN, cfg.dropout_p)
-            loss = _loss_and_grads_into(ws, theta, params, g, grads, data.train.x[idx],
-                                        data.train.y[idx], masks, cfg.dropout_p, WEIGHT_DECAY)
+            masks = draw_masks(rng, len(idx), HIDDEN, p)
+            loss = _loss_and_grads_into(workspaces[len(idx)], theta, weights, g, grad_views,
+                                        X[idx], Y[idx], masks, p, WEIGHT_DECAY)
             if not math.isfinite(loss):
                 raise ValueError(
                     f"non-finite training loss at epoch {epoch}, batch {start // BATCH_SIZE}"
@@ -336,19 +422,10 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
             denom += ADAM_EPS
             theta -= np.divide(scratch, denom, out=scratch)
 
-        _, _, tr_mse, tr_s2, tr_nll = _epoch_eval(ws, params, data.train)
-        _, _, te_mse, te_s2, te_nll = _epoch_eval(ws, params, data.test)
-        va_err, va_s2_arr, _, _, _ = _epoch_eval(ws, params, data.val)
-        s, _ = sigma_closed_form(va_err, va_s2_arr)
-        trace.train_mse.append(tr_mse)
-        trace.test_mse.append(te_mse)
-        trace.train_sigma2.append(tr_s2)
-        trace.test_sigma2.append(te_s2)
-        trace.train_nll.append(tr_nll)
-        trace.test_nll.append(te_nll)
-        trace.s.append(s)
+        for column, value in zip(columns, evaluate()):
+            column.append(value)
 
-    return ToyModel(params=params, dropout_p=cfg.dropout_p), trace
+    return ToyModel(params=params, dropout_p=p), trace
 
 
 def mc_predict(
@@ -371,12 +448,14 @@ def mc_predict(
     m = len(data.x)
     all_mu = np.empty((n_passes, m))
     all_lv = np.empty((n_passes, m))
-    ws = _workspace(m, model.params)
+    X = _column(data.x)
+    ws = _workspace(m, model.params, cache=False)
+    weights = _unpack(model.params)
     for n in range(n_passes):
         masks = draw_masks(rng, m, model.hidden, model.dropout_p)
-        mu, lv, _ = _forward_into(ws, model.params, data.x, masks=masks, p=model.dropout_p)
-        all_mu[n] = mu
-        all_lv[n] = lv
+        _forward_into(ws, weights, X, masks, model.dropout_p)
+        all_mu[n] = ws[4][:, 0]
+        all_lv[n] = ws[5][:, 0]
     return McPredictionSet(
         ids=[f"{id_prefix}-{i:05d}" for i in range(m)],
         y=data.y[:, None],

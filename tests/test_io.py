@@ -75,6 +75,18 @@ class TestDumpRoundTrip:
             save_dump(pset, tmp_path / "d.jsonl")
         assert str(err.value) == "record 'b': non-finite value, which a dump cannot hold"
 
+    @pytest.mark.parametrize("field", ["y", "means", "log_vars"])
+    def test_refused_set_writes_nothing(self, tmp_path, field):
+        pset = make_set([make_record(rid, [0.1], [[0.2]], [1.0]) for rid in "abc"])
+        getattr(pset, field).ravel()[-1] = np.nan
+        fresh, existing = tmp_path / "fresh.jsonl", tmp_path / "existing.jsonl"
+        existing.write_bytes(b"old bytes\n")
+        for path in (fresh, existing):
+            with pytest.raises(ValueError, match=r"^record 'c': non-finite value"):
+                save_dump(pset, path)
+        assert not fresh.exists()
+        assert existing.read_bytes() == b"old bytes\n"
+
 
 class TestLineSeparators:
     """Records end at "\n" only, as JSON Lines specifies."""

@@ -23,9 +23,14 @@ from regcal.toymodel import (
     PARAM_NAMES,
     STEP_SIZE,
     WEIGHT_DECAY,
+    LabeledData,
     ToyModel,
     ToyModelConfig,
     TrainingTrace,
+    _evaluator,
+    _forward_into,
+    _unpack,
+    _workspace,
     draw_masks,
     experiment,
     forward,
@@ -243,16 +248,22 @@ class TestTrainStep:
     """train's step computes into buffers made once per call; weights and
     trace equal the plain-expression reference above, bit for bit."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("p", [0.05, 0.3])
-    def test_train_matches_reference(self, seed, p):
-        cfg = ToyModelConfig(seed=seed, epochs=15, dropout_p=p)
-        model, trace = train(generate(seed), cfg)
-        params, expected = _reference_train(generate(seed), cfg)
+    @staticmethod
+    def _assert_matches_reference(cfg):
+        model, trace = train(generate(cfg.seed), cfg)
+        params, expected = _reference_train(generate(cfg.seed), cfg)
         for name in PARAM_NAMES:
             assert np.array_equal(model.params[name], params[name]), name
         for f in dataclasses.fields(trace):
             assert getattr(trace, f.name) == getattr(expected, f.name), f.name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.0])
+    def test_train_matches_reference(self, seed, p):
+        self._assert_matches_reference(ToyModelConfig(seed=seed, epochs=15, dropout_p=p))
+
+    def test_sixty_epochs_match_reference(self):
+        self._assert_matches_reference(ToyModelConfig(seed=2, epochs=60))
 
     def test_masks_match_one_draw_per_layer(self):
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
@@ -337,8 +348,9 @@ class TestExperiment:
 
 
 class TestWorkspacePath:
-    """train's evaluation passes and mc_predict compute into reused buffers;
-    every number they give equals the reference ``forward``, bit for bit."""
+    """train's per-epoch evaluation and mc_predict compute into reused
+    buffers; every number they give equals the reference ``forward`` on each
+    split alone, bit for bit."""
 
     def test_forward_matches_plain_expressions(self, rng):
         params = init_params((64, 64), rng)
@@ -368,6 +380,50 @@ class TestWorkspacePath:
         expected["s"], _ = sigma_closed_form((data.val.y - mu) ** 2, np.exp(lv))
         for key, value in expected.items():
             assert np.array_equal(getattr(trace, key)[-1], value), key
+
+    @pytest.mark.parametrize("seed, sizes", [(0, (M_TRAIN, M_VAL, M_TEST)),
+                                             (1, (M_TRAIN, M_VAL, M_TEST)), (2, (27, 250, 509))])
+    def test_fused_evaluation_matches_forward_per_split(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        data = generate(seed)
+        for name, size in zip(("train", "val", "test"), sizes):
+            split = getattr(data, name)
+            setattr(data, name, LabeledData(x=split.x[:size], y=split.y[:size]))
+        params = {name: rng.normal(0.0, 0.3, size=value.shape)
+                  for name, value in init_params(HIDDEN, rng).items()}
+        evaluate = _evaluator(data, params)
+        for _ in range(2):  # the weights are read at every call
+            got = dict(zip([f.name for f in dataclasses.fields(TrainingTrace)], evaluate()))
+            expected = {}
+            for name, split in (("train", data.train), ("test", data.test)):
+                mu, lv, _ = forward(params, split.x)
+                err_sq, sigma2 = (split.y - mu) ** 2, np.exp(lv)
+                expected[f"{name}_mse"] = float(err_sq.mean())
+                expected[f"{name}_sigma2"] = float(sigma2.mean())
+                expected[f"{name}_nll"] = float(np.mean(err_sq / sigma2 + lv))
+            mu, lv, _ = forward(params, data.val.x)
+            expected["s"], _ = sigma_closed_form((data.val.y - mu) ** 2, np.exp(lv))
+            assert got == expected
+            assert all(type(value) is float for value in got.values())
+            for value in params.values():
+                value += rng.normal(0.0, 0.05, size=value.shape)
+
+    def test_parts_match_separate_passes(self, rng):
+        # Lengths that are no multiple of 4 leave a BLAS matrix-vector product
+        # remainder rows, which it may round apart from the rows of a longer one.
+        sizes = (27, 250, 509)
+        params = {name: rng.normal(0.0, 0.3, size=value.shape)
+                  for name, value in init_params(HIDDEN, rng).items()}
+        x = rng.uniform(0.0, 1.0, size=sum(sizes))
+        ends = np.cumsum(sizes)
+        parts = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        for masks, p in ((None, 0.0), (draw_masks(rng, len(x), HIDDEN, 0.2), 0.2)):
+            ws = _workspace(len(x), params, cache=False)
+            _forward_into(ws, _unpack(params), x[:, None], masks, p, parts)
+            for rows in parts:
+                part_masks = None if masks is None else (masks[0][rows], masks[1][rows])
+                mu, lv, _ = forward(params, x[rows], part_masks, p)
+                assert np.array_equal(ws[4][rows, 0], mu) and np.array_equal(ws[5][rows, 0], lv)
 
     def test_mc_predict_matches_forward_loop(self):
         data = generate(0)
