@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import random
@@ -271,6 +272,90 @@ class TestImports:
         names = "analysis calibrate core intervals io jsonl likelihood metrics toymodel".split()
         assert {name for name in modules if name.startswith("regcal.")} == {
             f"regcal.{name}" for name in names}
+
+
+# Registered in a fresh interpreter before main() runs, this atexit callback
+# runs after main()'s own hook (atexit runs last-in, first-out) and prints how
+# many objects the collector holds frozen by then.
+EXIT_PROBE = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count()))\n"
+              f"sys.path.insert(0, {str(SRC)!r})\n"
+              "from regcal.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+
+class TestExitFreeze:
+    """A regcal process moves its objects to the collector's permanent
+    generation at exit, whatever way it ends; main() run in-process leaves
+    the collector as it was and adds one atexit callback at most."""
+
+    @pytest.mark.parametrize("argv, rc, err", [
+        ("evaluate --input {toy}/test.jsonl --out {out}/r.json", 0, ""),
+        ("--help", 0, ""),
+        ("evaluate --input {out}/bad.jsonl --out {out}/bad.json", 1,
+         "error: dump-format: line 1: missing field samples\n"),
+    ], ids=["evaluate", "help", "refused-dump"])
+    def test_a_process_exits_frozen(self, toy_dir, tmp_path, argv, rc, err):
+        (tmp_path / "bad.jsonl").write_text('{"id":"a","y":[0.5]}\n')
+        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE,
+                               *argv.format(toy=toy_dir, out=tmp_path).split()],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (rc, err)
+        assert int(proc.stdout.rpartition("frozen at exit: ")[2]) > 0
+        if rc == 0 and argv != "--help":
+            frozen_report = (tmp_path / "r.json").read_bytes()
+            assert main(["evaluate", "--input", str(toy_dir / "test.jsonl"),
+                         "--out", str(tmp_path / "r.json")]) == 0
+            assert (tmp_path / "r.json").read_bytes() == frozen_report
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_in_process_main_keeps_a_normal_collector(self, toy_dir, tmp_path):
+        # The command runs once without main() first, so that the modules it
+        # imports have registered their own atexit callbacks before the count.
+        code = (f"import atexit, gc, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+                "from regcal.cli import build_parser, main\n"
+                "args = build_parser().parse_args(sys.argv[1:])\n"
+                "args.func(args)\n"
+                "before = atexit._ncallbacks()\n"
+                "for argv in (sys.argv[1:], ['--help'], ['evaluate', '--bins'], sys.argv[1:]):\n"
+                "    try:\n"
+                "        main(argv)\n"
+                "    except SystemExit:\n"
+                "        pass\n"
+                "print(gc.get_freeze_count(), atexit._ncallbacks() - before)\n")
+        proc = subprocess.run([sys.executable, "-c", code, "evaluate", "--input",
+                               str(toy_dir / "test.jsonl"), "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 1"
+        assert gc.get_freeze_count() == 0  # after every main() this module has run
+
+    def test_no_output_is_left_to_a_finalizer(self, tmp_path, monkeypatch):
+        """An exit that freezes the collector runs no finalizer of a cyclic
+        object: every command closes what it opens before main() returns, on
+        a cache miss and on a hit, so a collection after it finds no file to
+        close and warns of none."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        toy, out = tmp_path / "toy", tmp_path
+        commands = [
+            f"toy --seed 0 --epochs 2 --mc-passes 2 --out-dir {toy}",
+            f"calibrate --input {toy}/val.jsonl --method sigma --out {out}/sigma.json",
+            f"calibrate --input {toy}/val.jsonl --method aux --h 2 --iters 5 --out {out}/aux.json",
+            f"evaluate --input {toy}/test.jsonl --calib {out}/aux.json --out {out}/r.json "
+            f"--diagram {out}/d.csv --svg {out}/d.svg",
+            f"intervals --input {toy}/test.jsonl --calib {out}/sigma.json --out {out}/cov.csv",
+            f"reject --input {toy}/test.jsonl --calib {out}/sigma.json --out {out}/rej.csv",
+            f"ood --in-dist {toy}/val.jsonl --shifted {toy}/test.jsonl --out {out}/ood.csv",
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for argv in commands + commands[1:]:  # the second time, every dump is cached
+                assert main(argv.split()) == 0, argv
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert unraisable == []
+        assert len(list((tmp_path / "cache" / "regcal").iterdir())) == 2  # val and test
 
 
 class TestPublicApi:

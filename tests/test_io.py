@@ -341,6 +341,25 @@ class TestLoadFootprint:
         # checked parser frees: at most 80 of each. It reads 2.6 kB on [middle-4].
         assert self.column_peak(rejected)[0] <= valid_peak + 32 * 1024
 
+    def test_many_failing_lines_peak_below_a_valid_dump(self, tmp_path):
+        """A dump of nothing but failing lines keeps the messages of the first
+        ``_REPORTED_LINES`` of them and a count, so its one message and its
+        peak stay below what a valid dump of its size needs."""
+        valid, rejected = tmp_path / "valid.jsonl", tmp_path / "rejected.jsonl"
+        save_dump(random_set(np.random.default_rng(0), m=20, n=25), valid)
+        size = valid.stat().st_size
+        rejected.write_text("x" * (size % 2) + "x\n" * (size // 2))
+        assert rejected.stat().st_size == size
+        for path in (valid, rejected):  # the first call of each path allocates for good
+            self.column_peak(path)
+        assert self.column_peak(rejected)[0] < self.column_peak(valid)[0]
+        with pytest.raises(DumpFormatError) as err:
+            load_uncertainties(rejected)
+        reported = regcal_jsonl._REPORTED_LINES
+        assert str(err.value).endswith(f"line {reported}: invalid JSON (Expecting value); "
+                                       f"{size // 2 - reported} more lines failed")
+        assert str(err.value).count("; ") == reported
+
     def test_no_cycle_collection(self, dumps):
         starts = []
 
@@ -447,6 +466,19 @@ class TestDumpMessages:
         with pytest.raises(DumpFormatError) as err:
             load_dump(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("failing, tail", [
+        (2, ""), (3, "; 1 more line failed"), (5, "; 3 more lines failed")])
+    def test_message_counts_the_lines_past_the_reported_ones(self, tmp_path, monkeypatch,
+                                                             failing, tail):
+        monkeypatch.setattr(regcal_jsonl, "_REPORTED_LINES", 2)
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a"}\n' + "not json\n" * (failing - 1))
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        # A line's messages are reported together; the cap counts lines.
+        assert str(err.value) == ("line 1: missing field y; line 1: missing field samples; "
+                                  "line 2: invalid JSON (Expecting value)" + tail)
 
     def test_integers_load_as_their_doubles(self, tmp_path):
         path = tmp_path / "d.jsonl"
