@@ -15,18 +15,35 @@ A dump read from a regular file is parsed once per content:
 in a content-addressed cache (``$XDG_CACHE_HOME/regcal``, or
 ``~/.cache/regcal``) keyed by a SHA-256 of a format tag, the source of the
 parser (``jsonl.py``), the source of the decomposition (``metrics.py``) and
-the dump's bytes, and checks every entry again before it returns it. A hit
-imports no parser. Any cache failure falls back to parsing, silently.
-:func:`regcal.jsonl.load_dump` is never cached.
+the bytes that were parsed, and checks every entry again before it returns
+it. A hit imports no parser. Any cache failure falls back to parsing,
+silently. :func:`regcal.jsonl.load_dump` is never cached.
+
+A stat index in front of the entries spares a warm read the SHA-256. It
+keeps one small JSON record per dump file in ``regcal-index`` beside the
+entries' directory, named by the file's device and inode. A record holds
+the file's size, mtime and ctime, a fingerprint of the program (the CRC-32
+and the lengths of the format tag and both sources) and the key the file
+was hashed to. The record's own mtime is taken before the file is read. A
+record is trusted only when every field matches and the file's mtime and
+ctime are more than ``_RACY_NS`` (2 s, FAT's timestamp granularity) older
+than that mtime: git's "racy git" rule, since a rewrite soon after a stamp
+may keep it. A trusted record leads straight to its entry, so the dump is
+not opened and ``hashlib`` is not imported. Otherwise the file is hashed
+as without the index and its record is rewritten. The key stays the only
+thing that makes a hit. A changed file could still be served only if it
+kept its device, inode, size, mtime and ctime. ctime cannot be set from
+user space, so that needs a clock step, or clock skew between a network
+file system and this machine.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import os
+import zlib  # numpy has loaded it already
 from stat import S_ISREG
 
 import numpy as np
@@ -41,9 +58,20 @@ _CACHE_TAG = b"regcal decomposed dump 1\n"
 # Past this many bytes of entries and temporary files the oldest (by mtime; a hit
 # refreshes an entry) are deleted.
 _CACHE_MAX_BYTES = 1 << 28
+# The same bound for the index, where each file counts as at least one block: about
+# 1000 records, the oldest written deleted first.
+_INDEX_MAX_BYTES = 1 << 22
+_INDEX_FILE_BYTES = 1 << 12
 _ENTRY_SUFFIX = ".dump"
+_RECORD_SUFFIX = ".stat"
 _TMP_SUFFIX = ".tmp"
 _HASH_CHUNK = 1 << 16
+# A record is trusted only when the dump's mtime and ctime are more than this older
+# than the record's mtime. FAT stamps files to 2 s, and Linux from a clock that ticks
+# every few ms, so a rewrite within one tick of a stamp can leave it unchanged.
+_RACY_NS = 2 * 10**9
+# A longer record is not one this module wrote.
+_RECORD_MAX_BYTES = 1 << 10
 # An entry's arrays, in file order after its header line.
 _COLUMNS = ("y", "y_mean", "epistemic", "aleatoric", "pass_err_sq")
 
@@ -63,35 +91,68 @@ def _decomposition_bytes() -> bytes:
     return _source("metrics")
 
 
-def _cache_dir() -> str | None:
-    """``$XDG_CACHE_HOME/regcal`` when that is absolute, else
-    ``$HOME/.cache/regcal``; None when ``HOME`` is not absolute either."""
+def _cache_dirs() -> tuple[str, str] | None:
+    """The entries' directory, ``$XDG_CACHE_HOME/regcal`` when that is
+    absolute, else ``$HOME/.cache/regcal``, and the index's,
+    ``regcal-index`` beside it; None when ``HOME`` is not absolute either."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.environ.get("HOME", ""), ".cache")
-    return os.path.join(base, "regcal") if os.path.isabs(base) else None
-
-
-def _cache_slot(path):
-    """The entry path of the regular file ``path`` and the (size, mtime_ns)
-    it had before it was hashed; None when the cache cannot serve it."""
-    directory = _cache_dir()
-    if directory is None:
+    if not os.path.isabs(base):
         return None
+    return os.path.join(base, "regcal"), os.path.join(base, "regcal-index")
+
+
+def _program() -> list[int]:
+    """The fingerprint of the key's prefix that a record holds, made
+    without hashlib: the CRC-32 of the format tag and both sources, then
+    their lengths."""
+    parts = (_CACHE_TAG, _parser_bytes(), _decomposition_bytes())
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return [crc, *map(len, parts)]
+
+
+def _record(st, program: list[int], key) -> dict:
+    """The index record of a file of stat ``st`` hashed to ``key``."""
+    return {"size": st.st_size, "mtime_ns": st.st_mtime_ns, "ctime_ns": st.st_ctime_ns,
+            "program": program, "key": key}
+
+
+def _trusted_key(record: str, st, program: list[int]) -> str | None:
+    """The key the index record at ``record`` holds for the file of stat
+    ``st``, when the record is trusted: it is one :func:`_record` made for
+    that stat and ``program``, and the file's mtime and ctime are more
+    than ``_RACY_NS`` older than the record's mtime."""
     try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-        st = os.stat(path)
-        if not S_ISREG(st.st_mode):  # a FIFO or a terminal could not be read twice
-            return None
-        key = hashlib.sha256(_CACHE_TAG)
-        key.update(_parser_bytes())
-        key.update(_decomposition_bytes())
-        with open(path, "rb", buffering=0) as fh:
-            while chunk := fh.read(_HASH_CHUNK):
-                key.update(chunk)
-    except OSError:
+        with open(record, "rb") as fh:
+            stamp = os.fstat(fh.fileno()).st_mtime_ns
+            doc = json.loads(fh.read(_RECORD_MAX_BYTES))
+    # ValueError: a truncated, foreign or non-JSON record; RecursionError: deep nesting.
+    except (OSError, ValueError, RecursionError):
         return None
-    return os.path.join(directory, key.hexdigest() + _ENTRY_SUFFIX), (st.st_size, st.st_mtime_ns)
+    key = doc.get("key") if type(doc) is dict else None
+    # A key of 64 hex digits names a file inside the entries' directory.
+    if (type(key) is not str or len(key) != 64 or key.strip("0123456789abcdef")
+            or doc != _record(st, program, key)
+            or max(st.st_mtime_ns, st.st_ctime_ns) >= stamp - _RACY_NS):
+        return None
+    return key
+
+
+def _write_record(tmp: str, record: str, st, program: list[int], key: str, stamp: int) -> None:
+    """Replace the index record ``record`` by the :func:`_record` of ``st``,
+    ``program`` and ``key``, through the temporary file ``tmp``, dated
+    ``stamp``. A new record prunes the index."""
+    with contextlib.suppress(OSError):
+        new = not os.path.exists(record)
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(_record(st, program, key)))
+        os.utime(tmp, ns=(stamp, stamp))
+        os.replace(tmp, record)
+        if new:
+            _prune(os.path.dirname(record), _INDEX_MAX_BYTES, _INDEX_FILE_BYTES)
 
 
 def _read_entry(entry: str) -> tuple[Uncertainties, int] | None:
@@ -108,7 +169,7 @@ def _read_entry(entry: str) -> tuple[Uncertainties, int] | None:
         if type(head) is not dict or head.keys() != {"n_samples", "ids"}:
             return None
         ids, n = head["ids"], head["n_samples"]
-        if (type(ids) is not list or not all(type(rid) is str for rid in ids)
+        if (type(ids) is not list or set(map(type, ids)) != {str}
                 or len(set(ids)) != len(ids) or type(n) is not int or n < 1):
             return None
         if not all(type(c) is np.ndarray and c.dtype == np.float64 and c.flags.c_contiguous
@@ -129,19 +190,14 @@ def _read_entry(entry: str) -> tuple[Uncertainties, int] | None:
     return unc, n
 
 
-def _write_entry(entry: str, signature, path, unc: Uncertainties, n: int) -> None:
-    """Store the columns of ``unc`` and N as ``entry`` when ``path`` still
-    has the (size, mtime_ns) ``signature`` it was hashed with, then prune
-    the cache."""
+def _write_entry(entry: str, unc: Uncertainties, n: int) -> None:
+    """Store the columns of ``unc`` and N as ``entry``, then prune the cache."""
     head = json.dumps({"n_samples": n, "ids": unc.ids}).encode("ascii") + b"\n"
     columns = [getattr(unc, name) for name in _COLUMNS]
     if len(head) + sum(c.nbytes for c in columns) > _CACHE_MAX_BYTES:
         return
     tmp = f"{entry}.{os.getpid()}{_TMP_SUFFIX}"
     try:
-        st = os.stat(path)
-        if (st.st_size, st.st_mtime_ns) != signature:
-            return
         with open(tmp, "wb") as fh:
             fh.write(head)
             for c in columns:
@@ -153,18 +209,63 @@ def _write_entry(entry: str, signature, path, unc: Uncertainties, n: int) -> Non
             os.remove(tmp)
 
 
-def _prune(directory: str) -> None:
-    """Delete the oldest entries and temporary files (left by a writer that
-    died before its rename) until the rest hold at most ``_CACHE_MAX_BYTES``."""
+def _prune(directory: str, max_bytes: int | None = None, file_bytes: int = 0) -> None:
+    """Delete the oldest entries, records and temporary files (left by a
+    writer that died before its rename) until the rest, each counted as at
+    least ``file_bytes``, hold at most ``max_bytes`` (by default
+    ``_CACHE_MAX_BYTES``)."""
+    if max_bytes is None:
+        max_bytes = _CACHE_MAX_BYTES
     with os.scandir(directory) as it:
-        files = sorted((e.stat().st_mtime_ns, e.name, e.stat().st_size)
-                       for e in it if e.name.endswith((_ENTRY_SUFFIX, _TMP_SUFFIX)))
+        files = sorted((e.stat().st_mtime_ns, e.name, max(e.stat().st_size, file_bytes))
+                       for e in it if e.name.endswith((_ENTRY_SUFFIX, _RECORD_SUFFIX, _TMP_SUFFIX)))
     total = sum(size for *_, size in files)
     for _, name, size in files:
-        if total <= _CACHE_MAX_BYTES:
+        if total <= max_bytes:
             break
         os.remove(os.path.join(directory, name))
         total -= size
+
+
+def _entry(entries: str, key: str) -> str:
+    return os.path.join(entries, key + _ENTRY_SUFFIX)
+
+
+def _stamp(index: str, tmp: str) -> int | None:
+    """Create the empty temporary record ``tmp`` in ``index`` and return its
+    mtime, a stamp of the index's file system clock taken before the dump is
+    read; None when the index cannot be written."""
+    try:
+        os.makedirs(index, mode=0o700, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            return os.fstat(fh.fileno()).st_mtime_ns
+    except OSError:
+        return None
+
+
+def _hashed(path, digest) -> str | None:
+    """The hex digest of ``digest`` updated with the bytes of the file at
+    ``path``; None when the file cannot be read."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            while chunk := fh.read(_HASH_CHUNK):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _parse(path, digest=None) -> tuple[Uncertainties, int]:
+    """The columns and N of the dump at ``path``, parsed; every byte read
+    updates ``digest`` when one is given."""
+    from .jsonl import read_dump
+    from .metrics import decompose
+
+    # Each block is reduced to y and its decomposed columns, in _COLUMNS order. y is
+    # copied: it may be a view that would keep all the block's numbers alive.
+    ids, columns, n = read_dump(path, lambda y, *arrays: (y.copy(), *decompose(y, *arrays)),
+                                digest)
+    return Uncertainties(ids, *columns), n
 
 
 def load_uncertainties(path) -> tuple[Uncertainties, int]:
@@ -178,27 +279,55 @@ def load_uncertainties(path) -> tuple[Uncertainties, int]:
     non-finite uncertainty raises its ``ValueError``, as with
     :func:`~regcal.jsonl.load_dump`.
 
-    A regular file is first looked up in the cache by the SHA-256 of its
-    bytes (with the format tag and the parser's and the decomposition's
-    sources). A hit passes the checks of :func:`_read_entry`, returns
-    exactly the miss's ids, columns and N, and imports no parser. A miss
-    stores its result unless the file's size or mtime changed meanwhile.
-    Errors are never cached, and other input, such as a FIFO, is parsed
-    directly.
+    A regular file is first looked up through its index record and, when
+    that is not trusted, by the SHA-256 of its bytes (with the format tag
+    and the parser's and the decomposition's sources), after which the
+    record is rewritten. A hit passes the checks of :func:`_read_entry`,
+    returns exactly the miss's ids, columns and N, and imports no parser. A
+    miss stores its result under the SHA-256 of the bytes it parsed, so a
+    file changed while it is read is stored under its new content. Errors
+    are never cached, and other input, such as a FIFO, is parsed directly.
     """
-    slot = _cache_slot(path)
-    if slot is not None and (hit := _read_entry(slot[0])) is not None:
+    dirs = _cache_dirs()
+    if dirs is None:
+        return _parse(path)
+    entries, index = dirs
+    try:
+        os.makedirs(entries, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return _parse(path)
+    if not S_ISREG(st.st_mode):  # a FIFO or a terminal could not be read twice
+        return _parse(path)
+    program = _program()
+    record = os.path.join(index, f"{st.st_dev}-{st.st_ino}{_RECORD_SUFFIX}")
+    key = _trusted_key(record, st, program)
+    if key is not None and (hit := _read_entry(_entry(entries, key))):
         return hit
-    from .jsonl import read_dump
-    from .metrics import decompose
+    import hashlib
 
-    # Each block is reduced to y and its decomposed columns, in _COLUMNS order. y is
-    # copied: it may be a view that would keep all the block's numbers alive.
-    ids, columns, n = read_dump(path, lambda y, *arrays: (y.copy(), *decompose(y, *arrays)))
-    unc = Uncertainties(ids, *columns)
-    if slot is not None:
-        _write_entry(*slot, path, unc, n)
-    return unc, n
+    prefix = hashlib.sha256(_CACHE_TAG)
+    prefix.update(_parser_bytes())
+    prefix.update(_decomposition_bytes())
+    tmp = f"{record}.{os.getpid()}{_TMP_SUFFIX}"
+    stamp = _stamp(index, tmp)
+    try:
+        key = _hashed(path, prefix.copy())
+        if key is None:
+            return _parse(path)
+        hit = _read_entry(_entry(entries, key))
+        if hit is None:
+            digest = prefix.copy()
+            hit = _parse(path, digest)
+            key = digest.hexdigest()
+            _write_entry(_entry(entries, key), *hit)
+        if stamp is not None:
+            _write_record(tmp, record, st, program, key, stamp)
+        return hit
+    finally:
+        if stamp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 # -- calibration artifacts ---------------------------------------------------

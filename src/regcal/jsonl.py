@@ -30,6 +30,7 @@ cycle is byte-stable.
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import starmap
 from math import isfinite
@@ -114,8 +115,10 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
             raise _BadLine(f"non-finite samples[{j}].mean")
         if len(mean) != d:
             raise _BadLine(f"samples[{j}].mean has length {len(mean)}, expected {d}")
+        if type(log_var) not in _NUMBER_TYPES:
+            raise _BadLine(f"field samples[{j}].log_var must be a number")
         try:
-            finite = type(log_var) in _NUMBER_TYPES and isfinite(log_var)
+            finite = isfinite(log_var)
         except OverflowError:
             finite = False
         if not finite:
@@ -262,20 +265,41 @@ def _blocks(fh, first_line: dict[str, int], shape: dict[str, int], errors: _Prob
             yield arrays
 
 
-def read_dump(path, reduce):
+class _Digested(io.FileIO):
+    """The file at a path, opened for reading, that feeds every byte read
+    from it to ``digest``."""
+
+    def __init__(self, path, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        if n:
+            self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def read_dump(path, reduce, digest=None):
     """The ids, the columns and N of the dump at ``path``.
 
     The file is read a block of lines at a time (:func:`_blocks`).
     ``reduce`` maps each block's y, means and log_vars arrays to a tuple of
     the columns kept, and each column is concatenated over the blocks. Every
     problem of the file is raised as one :class:`DumpFormatError`, only after
-    the last line is read.
+    the last line is read. When ``digest`` is given, every byte read
+    updates it, as a ``hashlib`` digest is updated.
     """
     errors = _Problems()
     first_line: dict[str, int] = {}
     shape: dict[str, int] = {}
+    if digest is None:
+        fh = open(path, "r", encoding="utf-8", newline="\n")
+    else:
+        fh = io.TextIOWrapper(io.BufferedReader(_Digested(path, digest)), encoding="utf-8",
+                              newline="\n")
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        with fh:
             # starmap keeps no reference to a block's arrays once they are reduced.
             blocks = list(starmap(reduce, _blocks(fh, first_line, shape, errors)))
     except UnicodeDecodeError as exc:
@@ -308,7 +332,7 @@ def load_dump(path) -> McPredictionSet:
     its message: an object with mean and log_var; mean a non-empty array
     of numbers (booleans are not numbers); every mean entry finite (an
     integer too large for a float counts as non-finite); mean of length
-    d; log_var a finite number.
+    d; log_var a number; log_var finite.
 
     The dump commands read their dumps through
     :func:`regcal.io.load_uncertainties`, which caches the decomposition

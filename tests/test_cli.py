@@ -2,9 +2,11 @@ import argparse
 import gc
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -261,6 +263,23 @@ class TestImports:
         warm, warm_err = fresh_modules(MAIN, *argv)
         assert cold_err == warm_err == "" and out.read_bytes() == cold_bytes
         assert "regcal.jsonl" in cold and "regcal.jsonl" not in warm
+
+    def test_a_settled_warm_dump_command_hashes_no_dump(self, toy_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        out = tmp_path / "ood.csv"
+        argv = ["ood", "--in-dist", str(toy_dir / "val.jsonl"), "--shifted",
+                str(toy_dir / "test.jsonl"), "--out", str(out)]
+        fresh_modules(MAIN, *argv)
+        cold_bytes = out.read_bytes()
+        out.unlink()
+        # Index records dated long after their dumps last changed are trusted.
+        later = time.time_ns() + 3600 * 10**9
+        records = list((tmp_path / "cache" / "regcal-index").glob("*.stat"))
+        for record in records:
+            os.utime(record, ns=(later, later))
+        modules, stderr = fresh_modules(MAIN, *argv)
+        assert len(records) == 2 and stderr == "" and out.read_bytes() == cold_bytes
+        assert "hashlib" not in modules and "regcal.jsonl" not in modules
 
     def test_import_loads_no_module(self):
         modules, _ = fresh_modules("import regcal")

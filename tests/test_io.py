@@ -1,3 +1,4 @@
+import builtins
 import copy
 import gc
 import inspect
@@ -11,6 +12,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -423,11 +425,11 @@ class TestDumpMessages:
             ([_line(samples='[{"mean":[0.4],"log_var":NaN}]')],
              "line 1: non-finite log_var in sample 0"),
             ([_line(samples='[{"mean":[0.4],"log_var":"-2"}]')],
-             "line 1: non-finite log_var in sample 0"),
+             "line 1: field samples[0].log_var must be a number"),
             ([_line(samples='[{"mean":[0.4],"log_var":true}]')],
-             "line 1: non-finite log_var in sample 0"),
+             "line 1: field samples[0].log_var must be a number"),
             ([_line(samples='[{"mean":[0.4],"log_var":[-2.0]}]')],
-             "line 1: non-finite log_var in sample 0"),
+             "line 1: field samples[0].log_var must be a number"),
             ([_line(samples='[{"mean":[1' + "0" * 400 + '],"log_var":-2.0}]')],
              "line 1: non-finite samples[0].mean"),
             ([_line(samples='[{"mean":[0.4],"log_var":1' + "0" * 400 + '}]')],
@@ -494,7 +496,8 @@ class TestDumpMessages:
 
 
 # The record parser as it stood before its per-sample checks were inlined,
-# copied verbatim (bar the names), as the reference for the equivalence test.
+# copied verbatim (bar the names and the later type message for log_var), as
+# the reference for the equivalence test.
 class _ReferenceBadLine(Exception):
     pass
 
@@ -541,6 +544,8 @@ def _reference_record(line: str, lineno: int, first_line: dict[str, int], shape:
         mean = _reference_numbers(s["mean"], f"samples[{j}].mean")
         if len(mean) != d:
             raise _ReferenceBadLine(f"samples[{j}].mean has length {len(mean)}, expected {d}")
+        if type(s["log_var"]) not in (int, float):
+            raise _ReferenceBadLine(f"field samples[{j}].log_var must be a number")
         try:
             (log_var,) = _reference_numbers([s["log_var"]], "log_var")
         except _ReferenceBadLine:
@@ -974,6 +979,20 @@ class TestErrorPrecedence:
         assert not out.exists()
 
 
+def _reversed_lines(data: bytes) -> bytes:
+    """The lines of a dump in reverse order: the same size, other columns."""
+    return b"".join(reversed(data.splitlines(keepends=True)))
+
+
+def _rewrite_in_place(path, data: bytes) -> None:
+    """Overwrite the file at ``path`` in place with ``data`` of its size,
+    then give it back its atime and mtime, as cp -p, rsync -t and touch -r do."""
+    st = os.stat(path)
+    with open(path, "r+b") as fh:
+        assert fh.write(data) == st.st_size == len(data)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
 def _entry_bytes(ids, n, *columns) -> bytes:
     """A cache entry as load_uncertainties writes one: a JSON line of N and
     the ids, then the columns in npy format."""
@@ -1027,9 +1046,9 @@ class TestDumpCache:
         paths = []
         read = regcal_jsonl.read_dump
 
-        def counting(path, reduce):
+        def counting(path, reduce, *digest):
             paths.append(path)
-            return read(path, reduce)
+            return read(path, reduce, *digest)
 
         monkeypatch.setattr(regcal_jsonl, "read_dump", counting)
         return paths
@@ -1117,19 +1136,25 @@ class TestDumpCache:
                 load_uncertainties(path)
         assert len(parses) == 2 and not list(cache.iterdir())
 
-    def test_a_dump_changed_while_parsed_writes_no_entry(self, tmp_path, cache, rng,
-                                                         monkeypatch):
+    def test_a_dump_rewritten_while_parsed_is_stored_under_the_bytes_parsed(self, tmp_path, cache,
+                                                                            rng, monkeypatch):
+        # A same-size rewrite that keeps the old mtime, as cp -p, rsync -t and
+        # touch -r make, lands between the lookup's hash and the parse.
         path, pset = self.saved(tmp_path, rng)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(path.read_bytes())
         read = regcal_jsonl.read_dump
 
-        def touching(path, reduce):
-            result = read(path, reduce)
-            os.utime(path, ns=(0, 0))
-            return result
+        def rewriting(path, reduce, *digest):
+            _rewrite_in_place(path, _reversed_lines(path.read_bytes()))
+            return read(path, reduce, *digest)
 
-        monkeypatch.setattr(regcal_jsonl, "read_dump", touching)
-        assert _exact(load_uncertainties(path)) == _expected(pset)
-        assert not list(cache.iterdir())
+        with monkeypatch.context() as mp:
+            mp.setattr(regcal_jsonl, "read_dump", rewriting)
+            rewritten = _exact(load_uncertainties(path))
+        assert rewritten == _exact(_uncached(path)) != _expected(pset)
+        assert _exact(load_uncertainties(copy)) == _expected(pset)
+        assert len(list(cache.iterdir())) == 2
 
     @pytest.mark.parametrize("xdg, home, entries", [
         ("{tmp}/a-file/cache", "{tmp}/home", None),
@@ -1215,6 +1240,150 @@ class TestDumpCache:
         monkeypatch.setattr(regcal_io, "_CACHE_MAX_BYTES", 1050)
         regcal_io._prune(str(cache))
         assert not entry.exists() and stale.exists()
+
+
+    # -- the stat index in front of the entries
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        """The paths that open() opens, as strings: the lookup's hash opens
+        the dump with it, a parse with a digest does not."""
+        paths = []
+        real = builtins.open
+
+        def counting(file, *args, **kwargs):
+            paths.append(file if type(file) is int else os.fspath(file))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        return paths
+
+    @staticmethod
+    def record(cache, path) -> pathlib.Path:
+        st = os.stat(path)
+        return cache.parent / "regcal-index" / f"{st.st_dev}-{st.st_ino}.stat"
+
+    @staticmethod
+    def settle(cache):
+        """Date every index record an hour ahead, as if each had been written
+        long after its dump last changed."""
+        later = time.time_ns() + 3600 * 10**9
+        for record in (cache.parent / "regcal-index").glob("*.stat"):
+            os.utime(record, ns=(later, later))
+
+    def test_a_settled_record_reads_no_dump_byte(self, tmp_path, cache, rng, opens, monkeypatch):
+        path, pset = self.saved(tmp_path, rng)
+        assert _exact(load_uncertainties(path)) == _expected(pset)
+        # The dump changed within the margin of the record's date: it is hashed.
+        opens.clear()
+        assert _exact(load_uncertainties(path)) == _expected(pset)
+        assert str(path) in opens
+        self.settle(cache)
+        opens.clear()
+        monkeypatch.setattr(regcal_jsonl, "read_dump", None)  # a parse would fail
+        monkeypatch.setitem(sys.modules, "hashlib", None)  # so would an import of hashlib
+        assert _exact(load_uncertainties(path)) == _expected(pset)
+        assert str(path) not in opens
+
+    @pytest.mark.parametrize("kind", ["utime", "replace", "hard-link"])
+    def test_a_same_size_rewrite_with_the_old_mtime_is_hashed(self, tmp_path, cache, rng, opens,
+                                                              kind):
+        path, pset = self.saved(tmp_path, rng)
+        load_uncertainties(path)
+        self.settle(cache)
+        new = _reversed_lines(path.read_bytes())
+        if kind == "utime":  # the same inode; ctime moves
+            _rewrite_in_place(path, new)
+        elif kind == "replace":  # another inode
+            other = tmp_path / "other.jsonl"
+            other.write_bytes(new)
+            st = path.stat()
+            os.utime(other, ns=(st.st_atime_ns, st.st_mtime_ns))
+            os.replace(other, path)
+        else:  # the same inode under another name; linking moves ctime
+            link = tmp_path / "link.jsonl"
+            os.link(path, link)
+            _rewrite_in_place(link, new)
+        opens.clear()
+        assert _exact(load_uncertainties(path)) == _exact(_uncached(path)) != _expected(pset)
+        assert str(path) in opens
+
+    @pytest.mark.parametrize("past_margin", [0, 1])
+    def test_the_margin_decides_whether_a_matching_record_is_trusted(self, tmp_path, cache, rng,
+                                                                    opens, past_margin):
+        # A rewrite within one clock tick of the dump's stamps keeps them all: the
+        # record left by the old bytes then matches the new bytes' stat.
+        path, pset = self.saved(tmp_path, rng)
+        load_uncertainties(path)
+        record = self.record(cache, path)
+        old_key = json.loads(record.read_text())["key"]
+        _rewrite_in_place(path, _reversed_lines(path.read_bytes()))
+        st = path.stat()
+        record.write_text(json.dumps(regcal_io._record(st, regcal_io._program(), old_key)))
+        date = max(st.st_mtime_ns, st.st_ctime_ns) + regcal_io._RACY_NS + past_margin
+        os.utime(record, ns=(date, date))
+        opens.clear()
+        loaded = _exact(load_uncertainties(path))
+        if past_margin:  # what a clock step could make: the old bytes' entry is served
+            assert loaded == _expected(pset) and str(path) not in opens
+        else:
+            assert loaded == _exact(_uncached(path)) != _expected(pset)
+            assert str(path) in opens
+
+    @pytest.mark.parametrize("kind", ["truncated", "foreign", "non-json", "path-key"])
+    def test_a_bad_record_is_hashed_past_and_rewritten(self, tmp_path, cache, rng, opens, kind):
+        path, pset = self.saved(tmp_path, rng)
+        other, _ = self.saved(tmp_path, rng, "other.jsonl")
+        for dump in (path, other):
+            load_uncertainties(dump)
+        record = self.record(cache, path)
+        good = record.read_bytes()
+        if kind == "truncated":
+            bad = good[:len(good) // 2]
+        elif kind == "foreign":  # the settled record of another dump
+            bad = self.record(cache, other).read_bytes()
+        elif kind == "non-json":
+            bad = bytes(range(256))
+        else:
+            doc = json.loads(good)
+            doc["key"] = "../" + doc["key"][3:]
+            bad = json.dumps(doc).encode()
+        record.write_bytes(bad)
+        self.settle(cache)
+        opens.clear()
+        assert _exact(load_uncertainties(path)) == _expected(pset)
+        assert str(path) in opens and record.read_bytes() == good
+
+    @pytest.mark.parametrize("name, value", [("_CACHE_TAG", b"another format\n"),
+                                             ("_parser_bytes", lambda: b"another parser"),
+                                             ("_decomposition_bytes", lambda: b"another math")])
+    def test_a_record_of_another_program_is_not_trusted(self, tmp_path, cache, parses, rng,
+                                                        monkeypatch, name, value):
+        path, pset = self.saved(tmp_path, rng)
+        load_uncertainties(path)
+        self.settle(cache)
+        monkeypatch.setattr(regcal_io, name, value)
+        # Trusted, the record would serve the entry that the other program made.
+        assert _exact(load_uncertainties(path)) == _expected(pset)
+        assert len(parses) == 2
+
+    def test_the_oldest_records_are_pruned_first(self, tmp_path, cache, rng, monkeypatch):
+        paths = [self.saved(tmp_path, rng, f"d{k}.jsonl")[0] for k in range(3)]
+        index = cache.parent / "regcal-index"
+        monkeypatch.setattr(regcal_io, "_INDEX_MAX_BYTES", 2 * regcal_io._INDEX_FILE_BYTES)
+        for k, path in enumerate(paths[:2]):
+            load_uncertainties(path)
+            os.utime(self.record(cache, path), ns=((k + 1) * 10**9, (k + 1) * 10**9))
+        # Rewriting a record prunes nothing; a new one prunes the oldest.
+        load_uncertainties(paths[0])
+        assert len(list(index.iterdir())) == 2
+        os.utime(self.record(cache, paths[0]), ns=(10**9, 10**9))
+        # A stale temporary record, left empty, counts as a block.
+        stale = index / "0-0.stat.12345.tmp"
+        stale.touch()
+        os.utime(stale, ns=(0, 0))
+        load_uncertainties(paths[2])
+        assert set(index.iterdir()) == {self.record(cache, path) for path in paths[1:]}
 
 
 class TestArtifactPersistence:
