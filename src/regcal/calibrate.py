@@ -9,7 +9,13 @@
   on a set. A ratio sum that is not finite or is 0 fits no s > 0.
 * aux scaling: a small two-layer ReLU network mapping log(uncertainty) to
   log(recalibrated uncertainty), fitted by gradient descent on the Gaussian
-  NLL with the predictions held fixed at the MC mean.
+  NLL with the predictions held fixed at the MC mean. The network maps one
+  number x, so it is piecewise linear in x with a kink per hidden unit: on
+  the records sorted by x each unit is active on a prefix or a suffix, cut
+  exactly where ``x*w1 + b1 > 0`` turns (a record on a kink is inactive).
+  :func:`aux_fit` sorts once, O(m log m), and then costs O(m + h log h) per
+  epoch; :func:`aux_forward` sorts, maps and unsorts. Neither builds an
+  (m, h) array, so the hidden width costs no memory per record.
 
 Both fit on, and apply to, the columnar :class:`Uncertainties` of a set and
 leave predicted means untouched, so accuracy (MSE) is conserved bit-for-bit.
@@ -165,18 +171,71 @@ def fit_sigma(unc: Uncertainties, likelihood: str = "gaussian", target: str = "p
 
 
 # -- auxiliary recalibration network ---------------------------------------
+#
+# R(x) = x + sum_j w2_j relu(w1_j x + b1_j) + b2 is piecewise linear in the one
+# input x, so both the fit and the map work on the records sorted by x: each
+# hidden unit is active on a prefix or a suffix of them, and every quantity of
+# the network is a sum over such ranges.
 
-def _aux_pass(x: np.ndarray, params: dict[str, np.ndarray], z, a, g) -> None:
-    """Hidden pre-activations z (m, h), activations a (m, h) and output R(x)
-    (m,) of the network on the m inputs x, computed into the given buffers in
-    the order of the plain expressions ``np.outer(x, w1) + b1``,
-    ``maximum(z, 0)`` and ``x + a @ w2 + b2[0]``."""
-    np.multiply(x[:, None], params["w1"], out=z)
-    np.add(z, params["b1"], out=z)
-    np.maximum(z, 0.0, out=a)
-    np.matmul(a, params["w2"], out=g)
-    np.add(x, g, out=g)
-    np.add(g, params["b2"][0], out=g)
+_BOTH_SIDES = np.array([[0], [1]])  # the padded sorted records just before and at a cut
+_AT_CUT = np.array([[False], [True]])  # a suffix unit is off before its cut and on at it
+
+
+def _cuts(xs_pad: np.ndarray, w1: np.ndarray, b1: np.ndarray):
+    """Where each hidden unit switches along the m sorted finite inputs.
+
+    ``xs_pad`` holds them between -inf and +inf. Unit j is active, that is
+    ``x*w1_j + b1_j > 0`` in floating point, on the sorted records [c_j, m)
+    when w1_j >= 0 and on [0, c_j) when w1_j < 0 (``prefix``), since that test
+    is monotone in x. c is where ``searchsorted`` puts the kink -b1/w1,
+    checked against the test on the record on each side of it (the padding
+    stands in past the ends). A unit that fails the check, such as one whose
+    kink lies within rounding of a record, is counted exactly, so the active
+    set is the test's, ties included. Returns (c, prefix).
+    """
+    xs = xs_pad[1:-1]
+    prefix = w1 < 0.0
+    c = xs.searchsorted(-b1 / w1)
+    wrong = ((xs_pad.take(c + _BOTH_SIDES) * w1 + b1 > 0.0) != prefix) != _AT_CUT
+    if wrong.any():
+        for j in np.flatnonzero(wrong.any(axis=0)):
+            c[j] = np.count_nonzero((xs * w1[j] + b1[j] > 0.0) == prefix[j])
+    return c, prefix
+
+
+def _segments(c: np.ndarray, prefix: np.ndarray, coefs: np.ndarray, m: int):
+    """The units' cuts split the m sorted records into h + 1 segments, on each
+    of which the same units are active.
+
+    ``coefs`` (2, h) holds each unit's slope w2*w1 and intercept w2*b1. Each
+    segment's sums of them add only active units' terms: a forward running sum
+    over the suffix units and a backward one over the prefix units, in cut
+    order. Returns the per-record (2, m) slope and intercept, and the cut
+    order ``rank``, segment ``starts`` and ``lengths`` and ``prefix`` in cut
+    order, which locate each unit's active range among the segments.
+    """
+    h = len(c)
+    rank = c.argsort(kind="stable")
+    bounds = np.empty(h + 2, dtype=c.dtype)  # segment k is [bounds[k], bounds[k + 1])
+    bounds[0], bounds[-1] = 0, m
+    c.take(rank, out=bounds[1:-1])
+    starts = bounds[:-1]
+    lengths = bounds[1:] - starts
+    prefix = prefix[rank]
+    coefs = coefs.take(rank, axis=1)
+    sums = np.zeros((2, h + 1))
+    np.where(prefix, 0.0, coefs).cumsum(axis=1, out=sums[:, 1:])
+    sums[:, :-1] += np.where(prefix, coefs, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return sums.repeat(lengths, axis=1), rank, starts, lengths, prefix
+
+
+def _outputs(xs: np.ndarray, per_record: np.ndarray, b2: float, out: np.ndarray) -> None:
+    """R on the sorted records from their slope and intercept, in the order of
+    the plain expression ``x + a @ w2 + b2``."""
+    np.multiply(per_record[0], xs, out=out)
+    np.add(out, per_record[1], out=out)
+    np.add(xs, out, out=out)
+    np.add(out, b2, out=out)
 
 
 def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
@@ -184,11 +243,28 @@ def aux_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
 
     R(x) = x + w2 . relu(w1 * x + b1) + b2. The skip connection makes the
     map exactly the identity when w2 and b2 are zero, which is (close to)
-    the initialization.
+    the initialization. The weights are finite, as every loaded artifact's
+    are. The finite inputs are sorted and mapped piecewise (as in
+    :func:`aux_fit`): O(m log m) time and O(m + h) memory. An input that is
+    not finite, such as the log of an aleatoric variance that underflowed to
+    0, gets the plain expression, evaluated once per distinct such value.
     """
-    shape = (len(x), len(params["w1"]))
+    w1, b1, w2, b2 = (params[name] for name in ("w1", "b1", "w2", "b2"))
     g = np.empty(len(x))
-    _aux_pass(x, params, np.empty(shape), np.empty(shape), g)
+    finite = np.isfinite(x)
+    rows = np.flatnonzero(finite)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        order = rows[np.argsort(x[rows], kind="stable")]
+        xs_pad = np.concatenate(([-np.inf], x[order], [np.inf]))
+        c, prefix = _cuts(xs_pad, w1, b1)
+        per_record = _segments(c, prefix, w2 * np.stack([w1, b1]), len(order))[0]
+        gs = np.empty(len(order))
+        _outputs(xs_pad[1:-1], per_record, b2[0], gs)
+        g[order] = gs
+        if len(rows) < len(x):
+            rest = np.flatnonzero(~finite)
+            values, inverse = np.unique(x[rest], return_inverse=True)
+            g[rest] = (values + np.maximum(np.outer(values, w1) + b1, 0.0) @ w2 + b2[0])[inverse]
     return g
 
 
@@ -203,8 +279,20 @@ def aux_fit(
     Gaussian NLL (constants dropped) of the calibration set with predictions
     fixed at the MC mean and the variance replaced by exp(R(log u)). The
     returned weights are the best seen whose variance stays finite on the set, so the
-    training NLL at the artifact is never above the NLL of the near-identity init.
+    training NLL at the artifact is never above the NLL of the near-identity init;
+    ``fit_meta["best_epoch"]`` is the epoch that produced them (0 for the init).
     The network is evaluated once per epoch, plus once for the last update.
+
+    R is piecewise linear in x = log u, with a kink where each hidden unit
+    switches. The records are sorted by x once, O(m log m); a unit is then
+    active on a prefix or suffix of them, cut exactly where ``x*w1 + b1 > 0``
+    turns (a record on a kink is inactive, as that test is strict). Each epoch
+    sorts the h cuts, reads every record's slope and intercept from running
+    sums over them, and takes each gradient from the sums of dg and dg*x over
+    the unit's range (dg the loss's derivative in R): grad_w2 = w1*S1 + b1*S0,
+    grad_w1 = w2*S1, grad_b1 = w2*S0 and grad_b2 the sum of dg. That is
+    O(m + h log h) time per epoch and no (m, h) array. Weights that are not
+    all finite count as a non-finite loss.
     """
     cfg = cfg or AuxConfig()
     err_sq, u = unc.errors_and_scales("gaussian", target)
@@ -213,64 +301,79 @@ def aux_fit(
 
     rng = np.random.default_rng(cfg.seed)
     h = cfg.hidden_width
-    params = {
-        "w1": rng.standard_normal(h),
-        "b1": np.zeros(h),
-        "w2": rng.standard_normal(h) * 0.01,  # small: start near the identity map
-        "b2": np.zeros(1),
-    }
+    # The layers w1, b1, w2 (h each) and b2 (1), in that order, in one vector;
+    # w2 starts small, so the fit starts near the identity map.
+    theta = np.concatenate([rng.standard_normal(h), np.zeros(h),
+                            rng.standard_normal(h) * 0.01, np.zeros(1)])
+    w1, b1, w2 = theta[:h], theta[h:2 * h], theta[2 * h:3 * h]
+    first = theta[:2 * h].reshape(2, h)  # rows w1 and b1
 
-    z, a, dz = np.empty((m, h)), np.empty((m, h)), np.empty((m, h))
-    g, fit, dg = np.empty(m), np.empty(m), np.empty(m)
+    order = np.argsort(x, kind="stable")
+    xs_pad = np.concatenate(([-np.inf], x[order], [np.inf]))
+    xs, es = xs_pad[1:-1], err_sq[order]
+    g, fit = np.empty(m), np.empty(m)
+    # dg*x and dg per sorted record, then a 0 that ends the last segment
+    terms = np.zeros((2, m + 1))
+    grad = np.empty_like(theta)
+    segments = None
 
     def evaluate():
-        """The loss on the set; leaves the network's pass in z, a and g and
-        exp(-g) * err_sq in fit."""
-        _aux_pass(x, params, z, a, g)
+        """The loss on the set; leaves R of the sorted records in g,
+        exp(-g) * err_sq in fit and the segments in ``segments``."""
+        nonlocal segments
+        if not np.isfinite(theta).all():
+            return math.nan
+        c, prefix = _cuts(xs_pad, w1, b1)
+        per_record, *segments = _segments(c, prefix, w2 * first, m)
+        _outputs(xs, per_record, theta[-1], g)
         np.negative(g, out=fit)
         np.exp(fit, out=fit)
-        np.multiply(fit, err_sq, out=fit)
-        return float(np.mean(fit + g))
+        np.multiply(fit, es, out=fit)
+        return float(np.add.reduce(fit + g)) / m
 
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = theta.copy()
+    best_epoch = 0
     lr = cfg.step_size
     # An overflow makes the loss non-finite, which the loop reports.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         loss = evaluate()
         best_loss = init_loss = loss
         for epoch in range(1, cfg.epochs + 1):
             if not math.isfinite(loss):
                 raise CalibrationError(f"non-finite aux training loss at epoch {epoch}")
-            np.subtract(1.0, fit, out=dg)  # dg = (1 - exp(-g) err_sq) / m
-            np.divide(dg, m, out=dg)
-            grad_w2 = a.T @ dg
-            grad_b2 = np.array([dg.sum()])
-            np.multiply(dg[:, None], params["w2"], out=dz)  # np.outer(dg, w2) * (z > 0)
-            np.multiply(dz, z > 0.0, out=dz)
-            grad_w1 = x @ dz
-            grad_b1 = dz.sum(axis=0)
-            params["w1"] -= lr * grad_w1
-            params["b1"] -= lr * grad_b1
-            params["w2"] -= lr * grad_w2
-            params["b2"] -= lr * grad_b2
+            rank, starts, lengths, prefix = segments
+            np.subtract(1.0, fit, out=terms[1, :m])  # dg = (1 - exp(-g) err_sq) / m
+            np.divide(terms[1, :m], m, out=terms[1, :m])
+            np.multiply(terms[1, :m], xs, out=terms[0, :m])
+            by_segment = np.add.reduceat(terms, starts, axis=1)
+            by_segment *= lengths > 0  # reduceat gives an empty segment its first term
+            up_to = by_segment.cumsum(axis=1)
+            onward = by_segment[:, ::-1].cumsum(axis=1)[:, ::-1]
+            sums = np.empty((2, h))  # S1 and S0 of each unit
+            sums[:, rank] = np.where(prefix, up_to[:, :-1], onward[:, 1:])
+            np.multiply(w2, sums, out=grad[:2 * h].reshape(2, h))
+            np.add.reduce(first * sums, axis=0, out=grad[2 * h:3 * h])
+            grad[-1] = up_to[1, -1]
+            theta -= lr * grad
             # The loss of the updated weights is also where the next epoch starts.
             loss = evaluate()
             # Weights whose variance exp(g) overflows on the set itself cannot be applied to it.
             if math.isfinite(loss) and loss < best_loss and g.max() <= _LOG_MAX_FLOAT:
-                best_loss = loss
-                best_params = {k: v.copy() for k, v in params.items()}
+                best_loss, best_epoch = loss, epoch
+                best = theta.copy()
 
     return CalibrationArtifact(
         method="aux",
         likelihood="gaussian",
         target=target,
-        aux=best_params,
+        aux={"w1": best[:h], "b1": best[h:2 * h], "w2": best[2 * h:3 * h], "b2": best[3 * h:]},
         fit_meta={
             "epochs": cfg.epochs,
             "step_size": cfg.step_size,
             "seed": cfg.seed,
             "initial_objective": init_loss,
             "final_objective": best_loss,
+            "best_epoch": best_epoch,
             "m": m,
         },
     )

@@ -18,6 +18,7 @@ from regcal.core import (
     CALIBRATION_TARGETS,
     CalibrationArtifact,
     McPredictionSet,
+    Uncertainties,
     identity_artifact,
 )
 from regcal.analysis import rejection_curve
@@ -488,16 +489,24 @@ class TestAuxFitMatchesReferenceLoop:
 
     @pytest.mark.parametrize("h, epochs, step_size, target, best_is_last", CASES)
     def test_bit_identical(self, rng, h, epochs, step_size, target, best_is_last):
+        # aux_fit sums over the records in sorted order and over each unit's
+        # range where the loop sums over the (m, h) arrays, so the two agree to
+        # rounding: over 10 rng seeds x these cases, weights to 2.6e-13 of each
+        # layer's largest magnitude and objectives to 4.3e-16 relative. In 2 of
+        # those 50 fits (step 0.3) the last epochs' objectives differed only in
+        # their last bit, so the best epoch, and with it the weights, differed.
         unc = uncertainty_records(random_set(rng, m=40, n=4))
         cfg = AuxConfig(hidden_width=h, epochs=epochs, step_size=step_size, seed=2)
         art = aux_fit(unc, cfg, target=target)
         best, init_loss, best_loss, best_epoch = _reference_aux_fit(unc, cfg, target)
         assert (best_epoch == epochs) == best_is_last
+        assert art.fit_meta["best_epoch"] == best_epoch
         assert set(art.aux) == set(best)
         for name, layer in best.items():
-            assert np.array_equal(art.aux[name], layer)
-        assert art.fit_meta["initial_objective"] == init_loss
-        assert art.fit_meta["final_objective"] == best_loss
+            assert art.aux[name].shape == layer.shape
+            assert np.max(np.abs(art.aux[name] - layer)) <= 1e-12 * np.max(np.abs(layer))
+        assert art.fit_meta["initial_objective"] == pytest.approx(init_loss, rel=1e-13, abs=0)
+        assert art.fit_meta["final_objective"] == pytest.approx(best_loss, rel=1e-13, abs=0)
 
     def test_diverging_fit_raises_at_the_same_epoch(self, rng):
         unc = uncertainty_records(_constant_uncertainty_set(rng, 20, 0.1, 0.25))
@@ -514,10 +523,128 @@ class TestAuxFitMatchesReferenceLoop:
         import regcal.calibrate as calibrate
 
         calls = []
-        real = calibrate._aux_pass
-        monkeypatch.setattr(calibrate, "_aux_pass", lambda *a: calls.append(1) or real(*a))
+        real = calibrate._outputs
+        monkeypatch.setattr(calibrate, "_outputs", lambda *a: calls.append(1) or real(*a))
         aux_fit(uncertainty_records(random_set(rng, m=10, n=3)), AuxConfig(epochs=epochs))
         assert len(calls) == epochs + 1
+
+
+def _dense_forward(x, params):
+    """R(x) as the plain (m, h) expression."""
+    return x + np.maximum(np.outer(x, params["w1"]) + params["b1"], 0.0) @ params["w2"] + params["b2"][0]
+
+
+def _units_and_inputs(rng, h, m, kinks=True):
+    """Random units plus units with w1 = +-0, and m inputs with repeated
+    values, plus (``kinks``) every kink and the doubles one ulp to each side."""
+    w1 = np.concatenate([rng.normal(0.0, 2.0, h), [0.0, 0.0, 0.0, -0.0, -0.0, 2.0]])
+    b1 = np.concatenate([rng.normal(0.0, 3.0, h), [0.5, 0.0, -0.5, 0.5, -0.5, -1.0]])
+    x = rng.uniform(-6.0, 6.0, m)
+    x = np.concatenate([x, x[: m // 2]])
+    if kinks:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at = -b1 / w1
+        at = at[np.isfinite(at)]
+        x = np.concatenate([x, at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), at])
+    return w1, b1, x
+
+
+class TestPiecewiseMap:
+    """The sorted, piecewise form of the network against the plain expression."""
+
+    @pytest.mark.parametrize("h, m, kinks", [(40, 300, True), (40, 3, False), (60, 1, False)])
+    def test_active_set_is_the_strict_test_bit_for_bit(self, rng, h, m, kinks):
+        import regcal.calibrate as calibrate
+
+        w1, b1, x = _units_and_inputs(rng, h, m, kinks)
+        xs = np.sort(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c, prefix = calibrate._cuts(np.concatenate(([-np.inf], xs, [np.inf])), w1, b1)
+        rows = np.arange(len(xs))[:, None]
+        active = np.outer(xs, w1) + b1 > 0.0
+        assert np.array_equal(np.where(prefix, rows < c, rows >= c), active)
+        if kinks:
+            # A record on a kink is active for some units and not for others,
+            # so the cut is not just where -b1/w1 falls.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                on_kink = xs[:, None] == -b1 / w1
+            assert active[on_kink].any() and not active[on_kink].all()
+        # w1 = +-0: every record active when b1 > 0, none otherwise.
+        assert active[:, h:h + 5].all(axis=0).tolist() == [True, False, False, True, False]
+        assert not active[:, h + 1:h + 3].any() and not active[:, h + 4].any()
+
+    @pytest.mark.parametrize("h, m, kinks", [(16, 2000, True), (40, 3, False), (60, 1, False)])
+    def test_forward_matches_the_plain_expression(self, rng, h, m, kinks):
+        # The two sum the same terms in another order, so they agree to
+        # rounding of the terms' size (at worst 4.0e-16 of it over 200
+        # random networks on [-50, 50]); relative to R itself they can differ
+        # more where R crosses 0.
+        w1, b1, x = _units_and_inputs(rng, h, m, kinks)
+        x = np.concatenate([x, rng.uniform(-50.0, 50.0, m)])
+        params = {"w1": w1, "b1": b1, "w2": rng.normal(0.0, 1.0, len(w1)), "b2": rng.normal(0.0, 1.0, 1)}
+        size = (np.abs(x) + (np.abs(np.outer(x, w1)) + np.abs(b1)) @ np.abs(params["w2"])
+                + abs(params["b2"][0]))
+        assert np.all(np.abs(aux_forward(x, params) - _dense_forward(x, params)) <= 1e-13 * size)
+        # The input order does not matter.
+        order = rng.permutation(len(x))
+        assert np.array_equal(aux_forward(x[order], params), aux_forward(x, params)[order])
+
+    # R(-inf), the map of an aleatoric variance that underflowed to 0, is -inf
+    # when no unit with w1 < 0 has a w2 != 0, and NaN when one does.
+    @pytest.mark.parametrize("w1, expect", [([0.5, 1.5], -np.inf), ([0.5, -1.5], np.nan)])
+    def test_non_finite_inputs_keep_the_plain_value(self, w1, expect):
+        params = {"w1": np.array(w1), "b1": np.array([0.2, -0.1]), "w2": np.array([0.3, 0.4]),
+                  "b2": np.array([0.05])}
+        x = np.array([-np.inf, -1.0, np.nan, 0.7, -np.inf, np.inf])
+        with np.errstate(invalid="ignore"):
+            dense = _dense_forward(x, params)
+        got = aux_forward(x, params)
+        finite = np.isfinite(x)
+        np.testing.assert_array_equal(got[~finite], dense[~finite])
+        np.testing.assert_allclose(got[finite], dense[finite], rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(got[[0, 4]], [expect, expect])
+        # Through an aleatoric-only artifact: a record whose aleatoric variance
+        # is 0 keeps it (R = -inf), or is refused as non-finite (R = NaN).
+        base = Uncertainties(ids=["a", "b"], y=np.zeros((2, 1)), y_mean=np.full((2, 1), 0.1),
+                             epistemic=np.array([0.2, 0.3]), aleatoric=np.array([0.0, 0.05]),
+                             pass_err_sq=np.array([0.01, 0.01]))
+        art = CalibrationArtifact(method="aux", target="aleatoric_only", aux=params)
+        if np.isnan(expect):
+            with pytest.raises(ValueError, match="record 'a': non-finite uncertainty"):
+                apply_calibration(base, art)
+        else:
+            out = apply_calibration(base, art)
+            assert out.aleatoric[0] == 0.0
+            assert out.aleatoric[1] == pytest.approx(math.exp(_dense_forward(np.log([0.05]), params)[0]),
+                                                     rel=1e-14)
+
+
+def _large_uncertainties(m):
+    gen = np.random.default_rng(5)
+    total = np.exp(gen.normal(-4.0, 1.0, m))
+    y = gen.normal(size=(m, 1))
+    y_mean = y + gen.normal(size=(m, 1)) * np.sqrt(total)[:, None]
+    return Uncertainties(ids=[f"r{i}" for i in range(m)], y=y, y_mean=y_mean,
+                         epistemic=0.3 * total, aleatoric=0.7 * total,
+                         pass_err_sq=np.mean((y - y_mean) ** 2, axis=1))
+
+
+def test_aux_fit_and_apply_hold_no_per_unit_array_per_record():
+    # At m = 100,000 and h = 16 one (m, h) array is 12.8 MB; the fit used to
+    # peak at 44.9 MB and the apply at 28.1 MB.
+    import tracemalloc
+
+    unc = _large_uncertainties(100_000)
+    tracemalloc.start()
+    try:
+        art = aux_fit(unc, AuxConfig(epochs=3))
+        fit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        apply_calibration(unc, art)
+        apply_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit_peak < 16e6 and apply_peak < 16e6
 
 
 class TestApply:
