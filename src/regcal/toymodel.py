@@ -11,14 +11,19 @@ evaluation passes reuse the raw weights with fresh masks.
 The layer math is written once, in ``_forward_into``, which computes into a
 preallocated workspace, and the backprop math once, in
 ``_loss_and_grads_into``, which writes every gradient into a flat vector
-laid out as the parameters. Both take the weights (and gradient views) as a
-tuple in ``PARAM_NAMES`` order, unpacked once by the caller, and inputs as a
-column, so a call is its numpy operations and little else. :func:`forward`
-and :func:`loss_and_grads` give them fresh buffers per call. :func:`train`
-makes its workspaces, gradient and Adam buffers once; each epoch runs its
-minibatch steps and then one deterministic pass over the concatenated
-``[train | test | val]`` inputs, whose per-split means and sigma fit equal
-three separate passes bit for bit. :func:`mc_predict` reuses one workspace,
+laid out as the parameters. Both take the weights as a tuple unpacked once
+by the caller (see :func:`_layers`), so a call is its numpy operations and
+little else. The first layer is one matrix product: the inputs as ``[x, 1]``
+rows of shape (rows, 2) times ``L1 = [W1; b1]`` of shape (2, h1). In the flat
+parameter vector b1 directly follows W1, so there ``L1`` is a view of its
+first ``2 * h1`` entries; a dict of weights is stacked once per call. The
+backward pass reads x as a contiguous column, and the gradients come in
+``PARAM_NAMES`` order. :func:`forward` and :func:`loss_and_grads` give them
+fresh buffers per call. :func:`train` takes the ``L1`` view once, so Adam's
+in-place updates show through it, and makes its workspaces, gradient and
+Adam buffers once; each epoch runs its minibatch steps and then one
+deterministic pass over the concatenated ``[train | test | val]`` inputs,
+whose per-split means and sigma fit equal three separate passes bit for bit. :func:`mc_predict` reuses one workspace,
 so a 512-row pass maps no new pages. Nothing returned is a view of a reused
 buffer.
 
@@ -146,13 +151,14 @@ def draw_masks(rng: np.random.Generator, batch: int, hidden: tuple[int, int], p:
     return keep[: batch * h1].reshape(batch, h1), keep[batch * h1 :].reshape(batch, h2)
 
 
-def _workspace(rows: int, params, cache: bool = True) -> tuple[np.ndarray, ...]:
+def _workspace(rows: int, weights, cache: bool = True) -> tuple[np.ndarray, ...]:
     """Uninitialised buffers for a forward pass over ``rows`` inputs:
-    (z1, d1, z2, d2, mu, log_var), hidden widths read off the weights.
+    (z1, d1, z2, d2, mu, log_var), hidden widths read off ``weights`` as
+    :func:`_layers` gives them.
     Without ``cache`` each activation shares its pre-activation's buffer, so
     the ReLU and the dropout run in place: enough for a pass that no
     backward pass reads, and half the memory."""
-    h1, h2 = len(params["b1"]), len(params["b2"])
+    h1, h2 = weights[0].shape[1], weights[1].shape[1]
     z1, z2 = np.empty((rows, h1)), np.empty((rows, h2))
     d1, d2 = (np.empty((rows, h1)), np.empty((rows, h2))) if cache else (z1, z2)
     return z1, d1, z2, d2, np.empty((rows, 1)), np.empty((rows, 1))
@@ -164,23 +170,51 @@ def _unpack(named) -> tuple[np.ndarray, ...]:
     return tuple(named[name] for name in PARAM_NAMES)
 
 
-def _forward_into(ws, weights, X, masks=None, p: float = 0.0, parts=(slice(None),)) -> None:
-    """The forward pass of the input column ``X`` (rows, 1) into workspace
-    ``ws``, whose buffers have exactly as many rows; ``weights`` as
-    :func:`_unpack` gives them.
+def _layers(named, theta: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The weights of a forward pass: ``L1 = [W1; b1]`` of shape (2, h1), then
+    W2, b2, Wm, bm, Wv and bv. Given the flat vector ``theta`` whose views
+    ``named`` are (:func:`_flatten`), ``L1`` is a view of its first
+    ``2 * h1`` entries, since b1 follows W1 in ``PARAM_NAMES`` order, and
+    in-place updates of theta show through it; otherwise it is stacked, a
+    copy."""
+    W1, b1, *rest = _unpack(named)
+    L1 = np.vstack((W1, b1)) if theta is None else theta[: W1.size + b1.size].reshape(2, -1)
+    return (L1, *rest)
+
+
+def _inputs(x) -> np.ndarray:
+    """The inputs as ``[x, 1]`` rows, shape (rows, 2): ``[x, 1] @ L1`` is
+    ``x W1 + b1``."""
+    x = np.asarray(x, dtype=float).ravel()
+    X1 = np.ones((len(x), 2))
+    X1[:, 0] = x
+    return X1
+
+
+def _forward_into(ws, weights, X1, masks=None, p: float = 0.0, parts=(slice(None),)) -> None:
+    """The forward pass of the ``[x, 1]`` input rows ``X1`` (rows, 2) into
+    workspace ``ws``, whose buffers have exactly as many rows; ``weights`` as
+    :func:`_layers` gives them.
 
     Every step writes into a buffer of ``ws`` in the order of the plain
-    expressions (``X @ W1 + b1``, then ``maximum``, then ``a * mask / (1 - p)``),
-    so results are bit-identical to them. The elementwise steps run once over
-    all rows; each matrix product runs once per row range in ``parts``, on
+    expressions (``x W1 + b1``, then ``maximum``, then ``a * mask / (1 - p)``),
+    so results are bit-identical to them. The elementwise steps and the first
+    layer, which rounds every row as ``x W1 + b1`` does, run once over all
+    rows; each later matrix product runs once per row range in ``parts``, on
     views, since a BLAS product's rounding of a row may depend on how many
     rows it is given. So every row equals a pass over its part alone.
     """
-    W1, b1, W2, b2, Wm, bm, Wv, bv = weights
+    L1, W2, b2, Wm, bm, Wv, bv = weights
     z1, d1, z2, d2, mu, log_var = ws
-    # X is one column, so X @ W1 is one product per entry: multiply is bit-identical
-    np.multiply(X, W1, out=z1)
-    np.add(z1, b1, out=z1)
+    if min(z1.shape) > 1:
+        # K = 2 summed in k order, round(round(x W1) + 1 b1): the rounding of
+        # the plain expression (tested bit for bit against it)
+        np.matmul(X1, L1, out=z1)
+    else:
+        # numpy sends a one-row or one-column product to BLAS's matrix-vector
+        # kernel, which may fuse x W1 + b1 into one rounding
+        np.multiply(X1[:, :1], L1[:1], out=z1)
+        np.add(z1, L1[1], out=z1)
     np.maximum(z1, 0.0, out=d1)  # ReLU
     if masks is not None:  # inverted dropout: d * mask / (1 - p)
         np.multiply(d1, masks[0], out=d1)
@@ -209,22 +243,25 @@ def forward(params, x: np.ndarray, masks=None, p: float = 0.0):
     Returns (mu, log_var, cache) with mu/log_var of shape (batch,), all
     computed into a workspace of their own.
     """
-    X = _column(x)
-    z1, d1, z2, d2, mu, log_var = ws = _workspace(len(X), params)
-    _forward_into(ws, _unpack(params), X, masks, p)
+    X, weights = _column(x), _layers(params)
+    z1, d1, z2, d2, mu, log_var = ws = _workspace(len(X), weights)
+    _forward_into(ws, weights, _inputs(x), masks, p)
     return mu[:, 0], log_var[:, 0], (X, z1, d1, z2, d2)
 
 
-def _loss_and_grads_into(ws, theta, weights, g, grads, X, Y, masks, p: float,
+def _loss_and_grads_into(ws, theta, weights, g, grads, X, X1, Y, masks, p: float,
                          weight_decay: float) -> float:
-    """The loss of :func:`loss_and_grads` for the input and target columns
-    ``X`` and ``Y``; the gradients are written into the flat ``g`` through
-    ``grads``, its views in ``theta``'s layout, unpacked as ``weights``. The
-    forward pass computes into workspace ``ws``, and the backward pass reuses
-    its hidden-layer buffers once they are read."""
-    _forward_into(ws, weights, X, masks, p)
+    """The loss of :func:`loss_and_grads` for the input column ``X``, the
+    same inputs as ``[x, 1]`` rows ``X1`` and the target column ``Y``; the
+    gradients are written into the flat ``g`` through ``grads``, its views in
+    ``theta``'s layout unpacked in ``PARAM_NAMES`` order. ``weights`` are
+    as :func:`_layers` gives them. The forward pass computes into workspace
+    ``ws``, and the backward pass reuses its hidden-layer buffers once they
+    are read; gW1 reads the contiguous ``X``, not a column of ``X1``, whose
+    strided product BLAS may sum in another order."""
+    _forward_into(ws, weights, X1, masks, p)
     z1, d1, z2, d2, mu, lv = ws
-    _, _, W2, _, Wm, _, Wv, _ = weights
+    _, W2, _, Wm, _, Wv, _ = weights
     gW1, gb1, gW2, gb2, gWm, gbm, gWv, gbv = grads
     batch = len(Y)
     inv_var = np.exp(-lv)
@@ -263,12 +300,11 @@ def loss_and_grads(params, x, y, masks, p: float, weight_decay: float):
     stochastic forward pass. The gradients are views of one fresh flat
     vector, sharing no memory with ``params``.
     """
-    theta, _ = _flatten(params)
+    theta, views = _flatten(params)
     g, grads = _flatten(params)
-    X = _column(x)
-    ws = _workspace(len(X), params)
-    loss = _loss_and_grads_into(ws, theta, _unpack(params), g, _unpack(grads), X, _column(y),
-                                masks, p, weight_decay)
+    X, weights = _column(x), _layers(views, theta)
+    loss = _loss_and_grads_into(_workspace(len(X), weights), theta, weights, g, _unpack(grads), X,
+                                _inputs(x), _column(y), masks, p, weight_decay)
     return loss, grads
 
 
@@ -318,12 +354,13 @@ def _flatten(params: dict[str, np.ndarray]):
     return theta, views
 
 
-def _evaluator(data: SyntheticData, params):
+def _evaluator(data: SyntheticData, weights):
     """The deterministic evaluation that ends every epoch of :func:`train`.
 
     Returns a function of no arguments that runs one forward pass of the
-    current ``params`` over the concatenated ``[train | test | val]`` inputs
-    and returns the trace's entries for that epoch, in field order: MSE,
+    current ``weights`` (as :func:`_layers` gives them: views that show the
+    trainer's in-place updates) over the concatenated ``[train | test | val]``
+    inputs and returns the trace's entries for that epoch, in field order: MSE,
     mean sigma^2 and NLL term of the train and test splits, and the
     closed-form sigma scale of the val split. Squared errors, variances and
     NLL terms are computed once for all rows; each split's mean reduces its
@@ -331,10 +368,9 @@ def _evaluator(data: SyntheticData, params):
     for bit. Buffers are made once, here.
     """
     splits = (data.train, data.test, data.val)
-    X = _column(np.concatenate([split.x for split in splits]))
+    X1 = _inputs(np.concatenate([split.x for split in splits]))
     y = np.concatenate([split.y for split in splits])
-    ws = _workspace(len(y), params, cache=False)
-    weights = _unpack(params)
+    ws = _workspace(len(y), weights, cache=False)
     mu, log_var = ws[4][:, 0], ws[5][:, 0]
     err_sq, sigma2, nll = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
     n_train, n_test = len(data.train.x), len(data.test.x)
@@ -342,7 +378,7 @@ def _evaluator(data: SyntheticData, params):
     val_rows = slice(n_train + n_test, len(y))
 
     def evaluate() -> tuple[float, ...]:
-        _forward_into(ws, weights, X, parts=(train_rows, test_rows, val_rows))
+        _forward_into(ws, weights, X1, parts=(train_rows, test_rows, val_rows))
         np.subtract(y, mu, out=err_sq)
         np.square(err_sq, out=err_sq)
         np.exp(log_var, out=sigma2)
@@ -370,31 +406,32 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     :class:`TrainingTrace` and :func:`_evaluator`). The model returned holds
     the weights after the last epoch.
 
-    Weights and gradients are views of two flat vectors, unpacked once; each
-    batch length has a workspace of its own and the evaluation one for all
-    rows, all made before the first epoch, and the trace holds Python floats
-    computed from them, never views. Adam updates its moments and theta in
-    place in the order of the plain expressions ``B1 m + (1 - B1) g``,
-    ``B2 v + ((1 - B2) g) g`` and ``(STEP_SIZE m_hat) / (sqrt(v_hat) + eps)``,
-    so every step is bit-identical to them. Fully deterministic given
-    cfg.seed.
+    Weights and gradients are views of two flat vectors, unpacked once, and
+    the first layer's ``L1 = [W1; b1]`` is a view of theta too (see
+    :func:`_layers`). Each batch length has a workspace of its own and the
+    evaluation one for all rows, all made before the first epoch, and the
+    trace holds Python floats computed from them, never views. Adam updates
+    its moments and theta in place in the order of the plain expressions
+    ``B1 m + (1 - B1) g``, ``B2 v + ((1 - B2) g) g`` and
+    ``(STEP_SIZE m_hat) / (sqrt(v_hat) + eps)``, so every step is
+    bit-identical to them. Fully deterministic given cfg.seed.
     """
     cfg = cfg or ToyModelConfig()
     p = cfg.dropout_p
     rng = np.random.default_rng(cfg.seed)
     theta, params = _flatten(init_params(HIDDEN, rng))
     g, grads = _flatten(params)
-    weights, grad_views = _unpack(params), _unpack(grads)
+    weights, grad_views = _layers(params, theta), _unpack(grads)
     adam_m, adam_v, scratch, denom = (np.zeros_like(theta) for _ in range(4))
     step = 0
     trace = TrainingTrace()
     columns = (trace.train_mse, trace.test_mse, trace.train_sigma2, trace.test_sigma2,
                trace.train_nll, trace.test_nll, trace.s)
-    evaluate = _evaluator(data, params)
-    X, Y = _column(data.train.x), _column(data.train.y)
+    evaluate = _evaluator(data, weights)
+    X, X1, Y = _column(data.train.x), _inputs(data.train.x), _column(data.train.y)
     m_train = len(X)
     starts = range(0, m_train, BATCH_SIZE)
-    workspaces = {n: _workspace(n, params) for n in {min(BATCH_SIZE, m_train - s) for s in starts}}
+    workspaces = {n: _workspace(n, weights) for n in {min(BATCH_SIZE, m_train - s) for s in starts}}
 
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(m_train)
@@ -402,7 +439,7 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
             idx = perm[start : start + BATCH_SIZE]
             masks = draw_masks(rng, len(idx), HIDDEN, p)
             loss = _loss_and_grads_into(workspaces[len(idx)], theta, weights, g, grad_views,
-                                        X[idx], Y[idx], masks, p, WEIGHT_DECAY)
+                                        X[idx], X1[idx], Y[idx], masks, p, WEIGHT_DECAY)
             if not math.isfinite(loss):
                 raise ValueError(
                     f"non-finite training loss at epoch {epoch}, batch {start // BATCH_SIZE}"
@@ -448,12 +485,12 @@ def mc_predict(
     m = len(data.x)
     all_mu = np.empty((n_passes, m))
     all_lv = np.empty((n_passes, m))
-    X = _column(data.x)
-    ws = _workspace(m, model.params, cache=False)
-    weights = _unpack(model.params)
+    X1 = _inputs(data.x)
+    weights = _layers(model.params)
+    ws = _workspace(m, weights, cache=False)
     for n in range(n_passes):
         masks = draw_masks(rng, m, model.hidden, model.dropout_p)
-        _forward_into(ws, weights, X, masks, model.dropout_p)
+        _forward_into(ws, weights, X1, masks, model.dropout_p)
         all_mu[n] = ws[4][:, 0]
         all_lv[n] = ws[5][:, 0]
     return McPredictionSet(

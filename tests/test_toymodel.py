@@ -28,8 +28,10 @@ from regcal.toymodel import (
     ToyModelConfig,
     TrainingTrace,
     _evaluator,
+    _flatten,
     _forward_into,
-    _unpack,
+    _inputs,
+    _layers,
     _workspace,
     draw_masks,
     experiment,
@@ -389,9 +391,9 @@ class TestWorkspacePath:
         for name, size in zip(("train", "val", "test"), sizes):
             split = getattr(data, name)
             setattr(data, name, LabeledData(x=split.x[:size], y=split.y[:size]))
-        params = {name: rng.normal(0.0, 0.3, size=value.shape)
-                  for name, value in init_params(HIDDEN, rng).items()}
-        evaluate = _evaluator(data, params)
+        theta, params = _flatten({name: rng.normal(0.0, 0.3, size=value.shape)
+                                  for name, value in init_params(HIDDEN, rng).items()})
+        evaluate = _evaluator(data, _layers(params, theta))
         for _ in range(2):  # the weights are read at every call
             got = dict(zip([f.name for f in dataclasses.fields(TrainingTrace)], evaluate()))
             expected = {}
@@ -418,8 +420,9 @@ class TestWorkspacePath:
         ends = np.cumsum(sizes)
         parts = [slice(end - size, end) for size, end in zip(sizes, ends)]
         for masks, p in ((None, 0.0), (draw_masks(rng, len(x), HIDDEN, 0.2), 0.2)):
-            ws = _workspace(len(x), params, cache=False)
-            _forward_into(ws, _unpack(params), x[:, None], masks, p, parts)
+            weights = _layers(params)
+            ws = _workspace(len(x), weights, cache=False)
+            _forward_into(ws, weights, _inputs(x), masks, p, parts)
             for rows in parts:
                 part_masks = None if masks is None else (masks[0][rows], masks[1][rows])
                 mu, lv, _ = forward(params, x[rows], part_masks, p)
@@ -435,6 +438,59 @@ class TestWorkspacePath:
             mu, lv, _ = forward(model.params, data.test.x, masks=masks, p=model.dropout_p)
             assert np.array_equal(pset.means[:, n, 0], mu), n
             assert np.array_equal(pset.log_vars[:, n], lv), n
+
+
+def _plain_forward(params, x, masks=None, p=0.0):
+    """forward as plain expressions, the first layer as ``x W1 + b1``."""
+    d1 = np.maximum(x[:, None] * params["W1"] + params["b1"], 0.0)
+    if masks is not None:
+        d1 = d1 * masks[0] / (1.0 - p)
+    d2 = np.maximum(d1 @ params["W2"] + params["b2"], 0.0)
+    if masks is not None:
+        d2 = d2 * masks[1] / (1.0 - p)
+    return (d2 @ params["Wm"] + params["bm"])[:, 0], (d2 @ params["Wv"] + params["bv"])[:, 0]
+
+
+class TestFirstLayer:
+    """The first layer is one ``[x, 1] @ [W1; b1]`` product; its output equals
+    ``x W1 + b1`` byte for byte at every row count, one row included."""
+
+    @pytest.mark.parametrize("hidden", [HIDDEN, (4, 3)])
+    def test_product_matches_plain_expression(self, rng, hidden):
+        for rows in [*range(1, 65), 27, 250, 509, 800]:
+            params = init_params(hidden, rng)
+            params["W1"] = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=params["W1"].shape)
+            params["b1"] = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=params["b1"].shape)
+            x = rng.uniform(-1.0, 1.0, size=rows) * 10.0 ** rng.uniform(-3, 3)
+            want = (x[:, None] * params["W1"] + params["b1"]).tobytes()
+            _, _, (_, z1, _, _, _) = forward(params, x)
+            assert z1.tobytes() == want, rows
+            theta, views = _flatten(params)  # train's L1: a view of theta
+            weights = _layers(views, theta)
+            assert np.shares_memory(weights[0], theta)
+            ws = _workspace(rows, weights)  # z1 kept apart from the ReLU's d1
+            _forward_into(ws, weights, _inputs(x))
+            assert ws[0].tobytes() == want, rows
+
+    def test_one_record_forward_matches_plain_expressions(self, rng):
+        params = init_params(HIDDEN, rng)
+        x = rng.uniform(0.0, 1.0, size=1)
+        masks = draw_masks(rng, 1, HIDDEN, 0.2)
+        for mask, p in ((None, 0.0), (masks, 0.2)):
+            mu, lv, _ = forward(params, x, masks=mask, p=p)
+            want_mu, want_lv = _plain_forward(params, x, mask, p)
+            assert mu.tobytes() == want_mu.tobytes() and lv.tobytes() == want_lv.tobytes()
+
+    def test_one_record_mc_predict_matches_plain_expressions(self, rng):
+        model = ToyModel(params=init_params(HIDDEN, rng), dropout_p=0.2)
+        split = LabeledData(x=rng.uniform(0.0, 1.0, size=1), y=rng.normal(0.0, 1.0, size=1))
+        pset = mc_predict(model, split, n_passes=4, seed=3)
+        mask_rng = np.random.default_rng(3)
+        for n in range(4):
+            masks = draw_masks(mask_rng, 1, HIDDEN, 0.2)
+            mu, lv = _plain_forward(model.params, split.x, masks, 0.2)
+            assert pset.means[:, n, 0].tobytes() == mu.tobytes(), n
+            assert pset.log_vars[:, n].tobytes() == lv.tobytes(), n
 
 
 class TestSimulateUnbiasedness:
