@@ -21,11 +21,19 @@ backward pass reads x as a contiguous column, and the gradients come in
 ``PARAM_NAMES`` order. :func:`forward` and :func:`loss_and_grads` give them
 fresh buffers per call. :func:`train` takes the ``L1`` view once, so Adam's
 in-place updates show through it, and makes its workspaces, gradient and
-Adam buffers once; each epoch runs its minibatch steps and then one
-deterministic pass over the concatenated ``[train | test | val]`` inputs,
-whose per-split means and sigma fit equal three separate passes bit for bit. :func:`mc_predict` reuses one workspace,
-so a 512-row pass maps no new pages. Nothing returned is a view of a reused
-buffer.
+Adam buffers once. Each epoch draws all its minibatches' dropout masks in
+one call, in the stream order of one :func:`draw_masks` call per batch,
+and gathers its permuted training rows once, so each batch is a slice of
+that gather; the backward pass reads each layer's 0/1 mask as ``d > 0``.
+The epoch then ends in one deterministic pass over the concatenated
+``[train | test | val]`` inputs, whose per-split means and sigma fit equal
+three separate passes bit for bit. That pass has no dropout, so it folds
+b2 into its layer-2 product: layer 1 as ``[x, 1] @ [[W1, 0], [b1, 1]]``
+ends in a column of ones, which multiplies ``[W2; b2]``, a view of the
+flat vector (b2 follows W2). The training steps and :func:`mc_predict`,
+whose dropout would make those buffers strided, keep the separate bias
+add. :func:`mc_predict` reuses one workspace, so a 512-row pass maps no new
+pages. Nothing returned is a view of a reused buffer.
 
 Data, architecture and optimiser are module constants; :class:`ToyModelConfig`
 holds the four settings a run varies. :func:`experiment` runs the whole toy
@@ -146,9 +154,36 @@ def init_params(hidden: tuple[int, int], rng: np.random.Generator) -> dict[str, 
 def draw_masks(rng: np.random.Generator, batch: int, hidden: tuple[int, int], p: float):
     """Keep masks for both hidden layers from one draw: the first layer's
     uniforms come first in the stream, as with one draw per layer."""
+    keep = (rng.random(batch * sum(hidden)) < 1.0 - p).astype(float)
+    return _split_masks(keep, batch, hidden)
+
+
+def _split_masks(keep: np.ndarray, batch: int, hidden: tuple[int, int]):
+    """The two layers' masks of a batch, views of its flat keep vector: the
+    first ``batch * h1`` entries, then the rest."""
     h1, h2 = hidden
-    keep = (rng.random(batch * (h1 + h2)) < 1.0 - p).astype(float)
     return keep[: batch * h1].reshape(batch, h1), keep[batch * h1 :].reshape(batch, h2)
+
+
+def _epoch_masks(rows: int, batch: int, hidden: tuple[int, int], p: float):
+    """The keep masks of one epoch's minibatches, drawn at once.
+
+    Returns ``(draw, masks)``. ``masks`` lists each batch's pair of masks, for
+    batches of ``batch`` consecutive rows out of ``rows`` (the last may be
+    shorter), as views of one flat vector of ``rows * (h1 + h2)`` entries.
+    ``draw(rng)`` refills that vector with one ``rng.random`` call, laid out
+    as successive :func:`draw_masks` calls over the batches draw them, so the
+    masks equal theirs and the stream is left where they leave it."""
+    width = sum(hidden)
+    uniforms, keep = np.empty(rows * width), np.empty(rows * width)
+    masks = [_split_masks(keep[start * width : (start + n) * width], n, hidden)
+             for start in range(0, rows, batch) for n in [min(batch, rows - start)]]
+
+    def draw(rng: np.random.Generator) -> None:
+        rng.random(out=uniforms)
+        np.less(uniforms, 1.0 - p, out=keep)
+
+    return draw, masks
 
 
 def _workspace(rows: int, weights, cache: bool = True) -> tuple[np.ndarray, ...]:
@@ -194,7 +229,8 @@ def _inputs(x) -> np.ndarray:
 def _forward_into(ws, weights, X1, masks=None, p: float = 0.0, parts=(slice(None),)) -> None:
     """The forward pass of the ``[x, 1]`` input rows ``X1`` (rows, 2) into
     workspace ``ws``, whose buffers have exactly as many rows; ``weights`` as
-    :func:`_layers` gives them.
+    :func:`_layers` gives them, or as :func:`_folded_layers` does, whose None
+    for b2 skips its add.
 
     Every step writes into a buffer of ``ws`` in the order of the plain
     expressions (``x W1 + b1``, then ``maximum``, then ``a * mask / (1 - p)``),
@@ -221,7 +257,8 @@ def _forward_into(ws, weights, X1, masks=None, p: float = 0.0, parts=(slice(None
         np.divide(d1, 1.0 - p, out=d1)
     for rows in parts:
         np.matmul(d1[rows], W2, out=z2[rows])
-    np.add(z2, b2, out=z2)
+    if b2 is not None:  # None: folded into W2 (see _folded_layers)
+        np.add(z2, b2, out=z2)
     np.maximum(z2, 0.0, out=d2)
     if masks is not None:
         np.multiply(d2, masks[1], out=d2)
@@ -258,7 +295,15 @@ def _loss_and_grads_into(ws, theta, weights, g, grads, X, X1, Y, masks, p: float
     as :func:`_layers` gives them. The forward pass computes into workspace
     ``ws``, and the backward pass reuses its hidden-layer buffers once they
     are read; gW1 reads the contiguous ``X``, not a column of ``X1``, whose
-    strided product BLAS may sum in another order."""
+    strided product BLAS may sum in another order.
+
+    The masks are 0/1 keep masks (:func:`draw_masks`). A hidden unit passes
+    gradient exactly where its dropped-out activation ``d`` is positive: it
+    was kept and its ReLU passed. So the backward pass multiplies by
+    ``d > 0``, read into the pre-activation's buffer before ``d``'s is
+    overwritten, and then divides by ``1 - p``: multiplying by 0 or 1 is
+    exact and keeps a zero's sign, so this equals ``dd * mask / (1 - p) *
+    (z > 0)`` bit for bit."""
     _forward_into(ws, weights, X1, masks, p)
     z1, d1, z2, d2, mu, lv = ws
     _, W2, _, Wm, _, Wv, _ = weights
@@ -275,17 +320,17 @@ def _loss_and_grads_into(ws, theta, weights, g, grads, X, X1, Y, masks, p: float
     np.add.reduce(dmu, axis=0, out=gbm)
     np.matmul(d2.T, dlv, out=gWv)
     np.add.reduce(dlv, axis=0, out=gbv)
+    np.greater(d2, 0.0, out=z2)  # kept and through the ReLU; z2 is read
     dd = np.matmul(dmu, Wm.T, out=d2)  # d2 is read: dd2 takes its place
     dd += dlv @ Wv.T
-    np.multiply(dd, masks[1], out=dd)  # through the dropout, then the ReLU
+    np.multiply(dd, z2, out=dd)  # through the ReLU and the dropout
     np.divide(dd, 1.0 - p, out=dd)
-    np.multiply(dd, z2 > 0.0, out=dd)
     np.matmul(d1.T, dd, out=gW2)
     np.add.reduce(dd, axis=0, out=gb2)
+    np.greater(d1, 0.0, out=z1)
     dd = np.matmul(dd, W2.T, out=d1)  # d1 is read: dd1 takes its place
-    np.multiply(dd, masks[0], out=dd)
+    np.multiply(dd, z1, out=dd)
     np.divide(dd, 1.0 - p, out=dd)
-    np.multiply(dd, z1 > 0.0, out=dd)
     np.matmul(X.T, dd, out=gW1)
     np.add.reduce(dd, axis=0, out=gb1)
     g += 2.0 * weight_decay * theta
@@ -354,19 +399,45 @@ def _flatten(params: dict[str, np.ndarray]):
     return theta, views
 
 
-def _evaluator(data: SyntheticData, weights):
+def _folded_layers(params, theta: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    """The weights of a pass without dropout with b2 folded into layer 2's
+    product, as :func:`_forward_into` takes them: ``[[W1, 0], [b1, 1]]``,
+    ``[W2; b2]``, None in b2's place, then Wm, bm, Wv and bv; ``params`` are
+    views of the flat vector ``theta`` (:func:`_flatten`).
+
+    Layer 1's contiguous (rows, h1 + 1) output then ends in a column of exact
+    ones (``x 0 + 1``), which the ReLU keeps, and which multiplies b2, the
+    last row of ``[W2; b2]``. That matrix and the heads are views of theta,
+    since b2 follows W2 in ``PARAM_NAMES`` order, so theta's in-place updates
+    show through them; the first layer's matrix is a copy."""
+    L1, W2, b2, *heads = _layers(params, theta)
+    h1 = len(W2)
+    L1_one = np.zeros((2, h1 + 1))
+    L1_one[:, :h1] = L1
+    L1_one[1, h1] = 1.0
+    W2_b2 = theta[L1.size : L1.size + W2.size + b2.size].reshape(h1 + 1, -1)
+    return (L1_one, W2_b2, None, *heads)
+
+
+def _evaluator(data: SyntheticData, params, theta: np.ndarray):
     """The deterministic evaluation that ends every epoch of :func:`train`.
 
     Returns a function of no arguments that runs one forward pass of the
-    current ``weights`` (as :func:`_layers` gives them: views that show the
-    trainer's in-place updates) over the concatenated ``[train | test | val]``
-    inputs and returns the trace's entries for that epoch, in field order: MSE,
-    mean sigma^2 and NLL term of the train and test splits, and the
-    closed-form sigma scale of the val split. Squared errors, variances and
-    NLL terms are computed once for all rows; each split's mean reduces its
-    contiguous slice, so every value equals the per-split expressions bit
-    for bit. Buffers are made once, here.
+    current weights, ``params`` as views of the flat vector ``theta``
+    (:func:`_flatten`), whose in-place updates it reads at every call, over
+    the concatenated ``[train | test | val]`` inputs and returns the trace's
+    entries for that epoch, in field order: MSE, mean sigma^2 and NLL term
+    of the train and test splits, and the closed-form sigma scale of the val
+    split. Squared errors, variances and NLL terms are computed once for all
+    rows; each split's mean reduces its contiguous slice, so every value
+    equals the per-split expressions bit for bit. Buffers are made once, here.
+
+    The pass runs on :func:`_folded_layers`, b2 inside the layer-2 product;
+    the extended first layer, a copy, is refreshed from theta at every call.
     """
+    L1 = _layers(params, theta)[0]
+    weights = _folded_layers(params, theta)
+    W1_b1 = weights[0][:, :-1]
     splits = (data.train, data.test, data.val)
     X1 = _inputs(np.concatenate([split.x for split in splits]))
     y = np.concatenate([split.y for split in splits])
@@ -378,6 +449,7 @@ def _evaluator(data: SyntheticData, weights):
     val_rows = slice(n_train + n_test, len(y))
 
     def evaluate() -> tuple[float, ...]:
+        np.copyto(W1_b1, L1)
         _forward_into(ws, weights, X1, parts=(train_rows, test_rows, val_rows))
         np.subtract(y, mu, out=err_sq)
         np.square(err_sq, out=err_sq)
@@ -410,7 +482,9 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     the first layer's ``L1 = [W1; b1]`` is a view of theta too (see
     :func:`_layers`). Each batch length has a workspace of its own and the
     evaluation one for all rows, all made before the first epoch, and the
-    trace holds Python floats computed from them, never views. Adam updates
+    trace holds Python floats computed from them, never views. Each epoch
+    draws all its batches' masks at once (:func:`_epoch_masks`) and gathers
+    its permuted rows once; a batch is a slice of them. Adam updates
     its moments and theta in place in the order of the plain expressions
     ``B1 m + (1 - B1) g``, ``B2 v + ((1 - B2) g) g`` and
     ``(STEP_SIZE m_hat) / (sqrt(v_hat) + eps)``, so every step is
@@ -427,23 +501,23 @@ def train(data: SyntheticData, cfg: ToyModelConfig | None = None):
     trace = TrainingTrace()
     columns = (trace.train_mse, trace.test_mse, trace.train_sigma2, trace.test_sigma2,
                trace.train_nll, trace.test_nll, trace.s)
-    evaluate = _evaluator(data, weights)
-    X, X1, Y = _column(data.train.x), _inputs(data.train.x), _column(data.train.y)
-    m_train = len(X)
-    starts = range(0, m_train, BATCH_SIZE)
-    workspaces = {n: _workspace(n, weights) for n in {min(BATCH_SIZE, m_train - s) for s in starts}}
+    evaluate = _evaluator(data, params, theta)
+    train_rows = (_column(data.train.x), _inputs(data.train.x), _column(data.train.y))
+    m_train = len(data.train.x)
+    draw, masks = _epoch_masks(m_train, BATCH_SIZE, HIDDEN, p)
+    workspaces = {len(mask[0]): _workspace(len(mask[0]), weights) for mask in masks}
+    batches = [(slice(start, start + len(mask[0])), workspaces[len(mask[0])], mask)
+               for start, mask in zip(range(0, m_train, BATCH_SIZE), masks)]
 
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(m_train)
-        for start in starts:
-            idx = perm[start : start + BATCH_SIZE]
-            masks = draw_masks(rng, len(idx), HIDDEN, p)
-            loss = _loss_and_grads_into(workspaces[len(idx)], theta, weights, g, grad_views,
-                                        X[idx], X1[idx], Y[idx], masks, p, WEIGHT_DECAY)
+        draw(rng)  # every batch's masks, in the stream order of one draw per batch
+        X, X1, Y = (values[perm] for values in train_rows)  # a batch is a slice of these
+        for batch, (rows, ws, mask) in enumerate(batches):
+            loss = _loss_and_grads_into(ws, theta, weights, g, grad_views, X[rows], X1[rows],
+                                        Y[rows], mask, p, WEIGHT_DECAY)
             if not math.isfinite(loss):
-                raise ValueError(
-                    f"non-finite training loss at epoch {epoch}, batch {start // BATCH_SIZE}"
-                )
+                raise ValueError(f"non-finite training loss at epoch {epoch}, batch {batch}")
             step += 1
             # m = B1 m + (1 - B1) g;  v = B2 v + ((1 - B2) g) g
             adam_m *= ADAM_BETA1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from regcal import toymodel
 from regcal.calibrate import sigma_closed_form
 from regcal.cli import main
 from regcal.jsonl import dump_lines, load_dump
@@ -27,8 +28,10 @@ from regcal.toymodel import (
     ToyModel,
     ToyModelConfig,
     TrainingTrace,
+    _epoch_masks,
     _evaluator,
     _flatten,
+    _folded_layers,
     _forward_into,
     _inputs,
     _layers,
@@ -274,6 +277,35 @@ class TestTrainStep:
             assert got.shape == want.shape and np.array_equal(got, want)
         assert rng.random() == ref_rng.random()  # the stream is left in the same place
 
+    @pytest.mark.parametrize("rows, batch, hidden", [(20, 16, (4, 3)), (5, 16, (4, 3)),
+                                                     (M_TRAIN, BATCH_SIZE, HIDDEN)])
+    def test_epoch_masks_match_successive_draws(self, rows, batch, hidden):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        draw, masks = _epoch_masks(rows, batch, hidden, 0.3)
+        assert [len(mask[0]) for mask in masks] == [min(batch, rows - s) for s in range(0, rows, batch)]
+        for _ in range(2):  # every draw refills the same views
+            draw(rng)
+            for got in masks:
+                want = draw_masks(ref_rng, len(got[0]), hidden, 0.3)
+                for got_layer, want_layer in zip(got, want):
+                    assert got_layer.shape == want_layer.shape
+                    assert got_layer.tobytes() == want_layer.tobytes()
+            assert rng.random() == ref_rng.random()  # the stream is left in the same place
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
+    def test_gradients_match_reference_byte_for_byte(self, rng, p):
+        # the backward pass reads each layer's mask as d > 0; zeros keep their sign
+        for _ in range(20):
+            params = {name: value * 10.0 ** rng.uniform(-0.5, 0.5)
+                      for name, value in init_params(HIDDEN, rng).items()}
+            x, y = rng.uniform(0, 1, size=BATCH_SIZE), rng.normal(0, 1, size=BATCH_SIZE)
+            masks = draw_masks(rng, BATCH_SIZE, HIDDEN, p)
+            loss, grads = loss_and_grads(params, x, y, masks, p, WEIGHT_DECAY)
+            want_loss, want = _reference_loss_and_grads(params, x, y, masks, p, WEIGHT_DECAY)
+            assert loss == want_loss
+            for name in PARAM_NAMES:
+                assert grads[name].tobytes() == want[name].tobytes(), name
+
     def test_gradients_are_fresh_arrays(self, rng):
         params = init_params((4, 3), rng)
         x, y = rng.uniform(0, 1, size=4), rng.normal(0, 1, size=4)
@@ -349,6 +381,20 @@ class TestExperiment:
                 assert getattr(loaded, name).tobytes() == getattr(pset, name).tobytes(), (split, name)
 
 
+def _trace_entries_by_forward(params, data):
+    """One epoch's trace entries from forward on each split alone."""
+    expected = {}
+    for name, split in (("train", data.train), ("test", data.test)):
+        mu, lv, _ = forward(params, split.x)
+        err_sq, sigma2 = (split.y - mu) ** 2, np.exp(lv)
+        expected[f"{name}_mse"] = float(err_sq.mean())
+        expected[f"{name}_sigma2"] = float(sigma2.mean())
+        expected[f"{name}_nll"] = float(np.mean(err_sq / sigma2 + lv))
+    mu, lv, _ = forward(params, data.val.x)
+    expected["s"], _ = sigma_closed_form((data.val.y - mu) ** 2, np.exp(lv))
+    return expected
+
+
 class TestWorkspacePath:
     """train's per-epoch evaluation and mc_predict compute into reused
     buffers; every number they give equals the reference ``forward`` on each
@@ -393,19 +439,10 @@ class TestWorkspacePath:
             setattr(data, name, LabeledData(x=split.x[:size], y=split.y[:size]))
         theta, params = _flatten({name: rng.normal(0.0, 0.3, size=value.shape)
                                   for name, value in init_params(HIDDEN, rng).items()})
-        evaluate = _evaluator(data, _layers(params, theta))
-        for _ in range(2):  # the weights are read at every call
+        evaluate = _evaluator(data, params, theta)
+        for _ in range(50):  # the weights are read at every call
             got = dict(zip([f.name for f in dataclasses.fields(TrainingTrace)], evaluate()))
-            expected = {}
-            for name, split in (("train", data.train), ("test", data.test)):
-                mu, lv, _ = forward(params, split.x)
-                err_sq, sigma2 = (split.y - mu) ** 2, np.exp(lv)
-                expected[f"{name}_mse"] = float(err_sq.mean())
-                expected[f"{name}_sigma2"] = float(sigma2.mean())
-                expected[f"{name}_nll"] = float(np.mean(err_sq / sigma2 + lv))
-            mu, lv, _ = forward(params, data.val.x)
-            expected["s"], _ = sigma_closed_form((data.val.y - mu) ** 2, np.exp(lv))
-            assert got == expected
+            assert got == _trace_entries_by_forward(params, data)
             assert all(type(value) is float for value in got.values())
             for value in params.values():
                 value += rng.normal(0.0, 0.05, size=value.shape)
@@ -438,6 +475,47 @@ class TestWorkspacePath:
             mu, lv, _ = forward(model.params, data.test.x, masks=masks, p=model.dropout_p)
             assert np.array_equal(pset.means[:, n, 0], mu), n
             assert np.array_equal(pset.log_vars[:, n], lv), n
+
+
+class TestFoldedEvaluation:
+    """The per-epoch evaluation folds b2 into layer 2's product through a
+    ``[W2; b2]`` view of theta; its entries equal forward on each split, bit
+    for bit (on perturbed weights: ``test_fused_evaluation_matches_forward_per_split``)."""
+
+    def test_matches_forward_on_trained_weights(self):
+        data = generate(1)
+        model, trace = train(data, ToyModelConfig(epochs=300, seed=1))
+        theta, params = _flatten(model.params)
+        got = dict(zip([f.name for f in dataclasses.fields(TrainingTrace)],
+                       _evaluator(data, params, theta)()))
+        assert got == _trace_entries_by_forward(model.params, data)
+        assert got == {f.name: getattr(trace, f.name)[-1] for f in dataclasses.fields(trace)}
+
+    def test_folded_layers(self, rng):
+        theta, params = _flatten(init_params((4, 3), rng))
+        L1_one, W2_b2, b2, *heads = _folded_layers(params, theta)
+        assert b2 is None
+        assert np.array_equal(L1_one, [[*params["W1"][0], 0.0], [*params["b1"], 1.0]])
+        assert not np.shares_memory(L1_one, theta)
+        for _ in range(2):  # theta's in-place updates show through
+            assert np.shares_memory(W2_b2, theta)
+            assert np.array_equal(W2_b2, np.vstack((params["W2"], params["b2"])))
+            assert all(head is params[name] for head, name in zip(heads, PARAM_NAMES[4:]))
+            theta -= rng.normal(0.0, 1.0, size=theta.shape)
+
+    def test_train_evaluates_through_a_view_adam_updates(self, monkeypatch):
+        folded = []
+
+        def spy(params, theta):
+            folded.append(_folded_layers(params, theta))
+            return folded[-1]
+
+        monkeypatch.setattr(toymodel, "_folded_layers", spy)
+        model, _ = train(generate(0), ToyModelConfig(epochs=3, seed=0))
+        assert len(folded) == 1
+        W2_b2 = folded[0][1]
+        assert np.shares_memory(W2_b2, model.params["W2"])
+        assert np.array_equal(W2_b2, np.vstack((model.params["W2"], model.params["b2"])))
 
 
 def _plain_forward(params, x, masks=None, p=0.0):
