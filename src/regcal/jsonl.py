@@ -4,8 +4,8 @@ Dumps are JSON Lines, one record per line:
 
     {"id": "...", "y": [d reals], "samples": [{"mean": [d reals], "log_var": r}, ...]}
 
-:func:`read_dump` reports the first problem of every invalid line, up to
-``_REPORTED_LINES`` lines and then a count of the rest, in one
+:func:`read_dump` reports the first problem of every invalid line up to
+the ``_REPORTED_LINES``-th, where it stops reading, in one
 :class:`DumpFormatError`, and only its checked record parser makes those
 messages: it tests each sample inline on JSON's own lists and numbers and
 formats a message only when a test fails. The file is read in blocks of
@@ -192,45 +192,27 @@ def _flat_block(lines: list, first_line: dict[str, int], d: int, n: int):
     return values[:, :d], samples[:, :, :d], samples[:, :, d]
 
 
-# A rejected dump's message holds the messages of at most this many failing lines,
-# then the count of the rest, so that neither it nor the memory behind it grows with
-# the number of failing lines.
+# A rejected dump's message holds the messages of at most this many failing lines:
+# reading stops at the last of them, so that neither the message, nor the memory
+# behind it, nor the time to reject grows with the number of failing lines.
 _REPORTED_LINES = 100
 
 
-class _Problems:
-    """The failing lines of a dump: the messages of the first
-    ``_REPORTED_LINES`` of them and how many there are; true once one fails."""
-
-    def __init__(self):
-        self.messages: list[str] = []
-        self.lines = 0
-
-    def __bool__(self) -> bool:
-        return self.lines > 0
-
-    def add(self, lineno: int, messages) -> None:
-        self.lines += 1
-        if self.lines <= _REPORTED_LINES:
-            self.messages += (f"line {lineno}: {msg}" for msg in messages)
-
-    def __str__(self) -> str:
-        more = self.lines - _REPORTED_LINES
-        tail = [f"{more} more line{'s' * (more > 1)} failed"] if more > 0 else []
-        return "; ".join(self.messages + tail)
-
-
-def _checked(lines: list, first_line: dict[str, int], shape: dict[str, int], errors: _Problems):
-    """Parse ``lines``, pairs of a line number and a non-blank line, one at a
-    time with :func:`_record`, adding each failing line to ``errors``; the
-    arrays of their records, or None when a line of the file has failed or
-    none of these is a record."""
+def _checked(lines, first_line: dict[str, int], shape: dict[str, int], errors: list[str]):
+    """Parse ``lines``, an iterator of pairs of a line number and a non-blank
+    line, one at a time with :func:`_record`, appending the messages of each
+    failing line to ``errors`` as one entry. At the ``_REPORTED_LINES``-th
+    entry it stops, and the lines after it are left in ``lines``. Returns
+    the arrays of their records, or None when a line of the file has failed
+    or none of these is a record."""
     ys, means, log_vars = [], [], []
     for lineno, line in lines:
         try:
             _record(line, lineno, first_line, shape, ys, means, log_vars)
         except _BadLine as exc:
-            errors.add(lineno, exc.args)
+            errors.append("; ".join(f"line {lineno}: {msg}" for msg in exc.args))
+            if len(errors) == _REPORTED_LINES:
+                break
     if errors or not ys:
         return None
     d, n = shape["d"], shape["N"]
@@ -239,15 +221,17 @@ def _checked(lines: list, first_line: dict[str, int], shape: dict[str, int], err
             np.array(log_vars, dtype=float).reshape(-1, n))
 
 
-def _blocks(fh, first_line: dict[str, int], shape: dict[str, int], errors: _Problems):
+def _blocks(fh, first_line: dict[str, int], shape: dict[str, int], errors: list[str]):
     """Yield the (k, d) y, (k, N, d) means and (k, N) log_vars arrays of
     each block of k records of the dump open as ``fh``, in file order.
 
     Until a valid line has fixed d and N, a block is one line. After that a
     block is the whole lines of about ``_BLOCK_BYTES`` characters, read
     first by :func:`_flat_block` and, when that declines, line by line by
-    :func:`_record`. Every failing line is added to ``errors``; from the
-    first one on, nothing more is yielded.
+    :func:`_checked`. Every failing line's messages go to ``errors``; from
+    the first one on, nothing more is yielded. At the ``_REPORTED_LINES``-th
+    failing line reading stops, and when a non-blank line follows it
+    ``errors`` ends in ``the rest of the file was not read``.
     """
     lineno = 0
     while block := fh.readlines(_BLOCK_BYTES if "N" in shape else 1):
@@ -260,7 +244,12 @@ def _blocks(fh, first_line: dict[str, int], shape: dict[str, int], errors: _Prob
             continue
         arrays = _flat_block(lines, first_line, shape["d"], shape["N"]) if "N" in shape else None
         if arrays is None:
-            arrays = _checked(lines, first_line, shape, errors)
+            unread = iter(lines)
+            arrays = _checked(unread, first_line, shape, errors)
+            if len(errors) == _REPORTED_LINES:
+                if next(unread, None) or any(map(str.strip, fh)):
+                    errors.append("the rest of the file was not read")
+                return
         if arrays is not None and not errors:
             yield arrays
 
@@ -285,12 +274,13 @@ def read_dump(path, reduce, digest=None):
 
     The file is read a block of lines at a time (:func:`_blocks`).
     ``reduce`` maps each block's y, means and log_vars arrays to a tuple of
-    the columns kept, and each column is concatenated over the blocks. Every
-    problem of the file is raised as one :class:`DumpFormatError`, only after
-    the last line is read. When ``digest`` is given, every byte read
-    updates it, as a ``hashlib`` digest is updated.
+    the columns kept, and each column is concatenated over the blocks. The
+    problems of the file are raised as one :class:`DumpFormatError` after
+    the last line is read, or as soon as the ``_REPORTED_LINES``-th line
+    has failed. When ``digest`` is given, every byte read updates it, as a
+    ``hashlib`` digest is updated.
     """
-    errors = _Problems()
+    errors: list[str] = []
     first_line: dict[str, int] = {}
     shape: dict[str, int] = {}
     if digest is None:
@@ -307,7 +297,7 @@ def read_dump(path, reduce, digest=None):
         raise DumpFormatError(
             f"not UTF-8 text ({exc.reason}, byte 0x{exc.object[exc.start]:02x})") from None
     if errors:
-        raise DumpFormatError(str(errors))
+        raise DumpFormatError("; ".join(errors))
     if not first_line:
         raise DumpFormatError("empty dump file")
     # With no failed line, first_line holds exactly the records' ids in file order.
@@ -321,12 +311,15 @@ def load_dump(path) -> McPredictionSet:
     y of finite numbers, and samples each with a finite numeric log_var and
     a mean of y's length. d comes from the first valid y and N from the
     first valid record. Every invalid line adds its first problem, as
-    ``line <n>: ...``, to one :class:`DumpFormatError`, which ends in
-    ``<k> more lines failed`` after the first ``_REPORTED_LINES`` invalid
-    lines; blank lines are skipped but counted. Lines end at ``\n`` only,
-    so a U+2028 or U+0085 inside an id is kept; one ``\r`` ending a line is
-    dropped, so a CRLF file loads, and fails, like its LF twin. A file that
-    is not UTF-8 raises one :class:`DumpFormatError` without a line.
+    ``line <n>: ...``, to one :class:`DumpFormatError`; blank lines are
+    skipped but counted. Reading stops at the ``_REPORTED_LINES``-th invalid
+    line, and when a non-blank line follows it the message ends in ``the
+    rest of the file was not read``. Lines end at ``\n`` only, so a U+2028
+    or U+0085 inside an id is kept; one ``\r`` ending a line is dropped, so
+    a CRLF file loads, and fails, like its LF twin. A file that is not UTF-8
+    raises one :class:`DumpFormatError` without a line; once reading has
+    stopped, a byte that is not UTF-8 further on is reported only when it
+    lies in the few KiB of text already decoded.
 
     Each sample is tested in this order, and the first failing test gives
     its message: an object with mean and log_var; mean a non-empty array

@@ -344,9 +344,9 @@ class TestLoadFootprint:
         assert self.column_peak(rejected)[0] <= valid_peak + 32 * 1024
 
     def test_many_failing_lines_peak_below_a_valid_dump(self, tmp_path):
-        """A dump of nothing but failing lines keeps the messages of the first
-        ``_REPORTED_LINES`` of them and a count, so its one message and its
-        peak stay below what a valid dump of its size needs."""
+        """A dump of nothing but failing lines is read only up to the
+        ``_REPORTED_LINES``-th of them, so its one message and its peak stay
+        below what a valid dump of its size needs."""
         valid, rejected = tmp_path / "valid.jsonl", tmp_path / "rejected.jsonl"
         save_dump(random_set(np.random.default_rng(0), m=20, n=25), valid)
         size = valid.stat().st_size
@@ -359,7 +359,7 @@ class TestLoadFootprint:
             load_uncertainties(rejected)
         reported = regcal_jsonl._REPORTED_LINES
         assert str(err.value).endswith(f"line {reported}: invalid JSON (Expecting value); "
-                                       f"{size // 2 - reported} more lines failed")
+                                       "the rest of the file was not read")
         assert str(err.value).count("; ") == reported
 
     def test_no_cycle_collection(self, dumps):
@@ -385,6 +385,8 @@ def _line(rid="a", y="[0.5]", samples='[{"mean":[0.4],"log_var":-2.0}]'):
 
 
 TWO_SAMPLES = '[{"mean":[0.4],"log_var":-2.0},{"mean":[0.5],"log_var":-2.5}]'
+# The end of a message whose last reported line is not the file's last non-blank line.
+NOT_READ = "; the rest of the file was not read"
 
 
 class TestDumpMessages:
@@ -469,18 +471,47 @@ class TestDumpMessages:
             load_dump(path)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("failing, tail", [
-        (2, ""), (3, "; 1 more line failed"), (5, "; 3 more lines failed")])
-    def test_message_counts_the_lines_past_the_reported_ones(self, tmp_path, monkeypatch,
-                                                             failing, tail):
+    @pytest.mark.parametrize("rest, tail", [
+        ("", ""), ("\n  \n", ""), ("not json\n", NOT_READ), ("not json\n" * 3, NOT_READ),
+        (_line(rid="b") + "\n", NOT_READ), ("\n" + _line(rid="b") + "\n", NOT_READ)],
+        ids=["last-line", "blank-lines-after", "one-more-failing", "three-more-failing",
+             "valid-line-after", "blank-then-valid-after"])
+    def test_message_stops_at_the_last_reported_line(self, tmp_path, monkeypatch, rest, tail):
         monkeypatch.setattr(regcal_jsonl, "_REPORTED_LINES", 2)
         path = tmp_path / "d.jsonl"
-        path.write_text('{"id":"a"}\n' + "not json\n" * (failing - 1))
+        path.write_text('{"id":"a"}\n' + "not json\n" + rest)
         with pytest.raises(DumpFormatError) as err:
             load_dump(path)
         # A line's messages are reported together; the cap counts lines.
         assert str(err.value) == ("line 1: missing field y; line 1: missing field samples; "
                                   "line 2: invalid JSON (Expecting value)" + tail)
+
+    @pytest.mark.parametrize("valid_first", [False, True], ids=["bad-lines", "valid-then-bad"])
+    def test_no_line_past_the_last_reported_one_is_parsed(self, tmp_path, monkeypatch,
+                                                          valid_first):
+        """300,000 failing lines, alone or after one valid record, reach the
+        checked parser only up to the last reported one."""
+        calls = {"all": 0, "failed": 0}
+        record = regcal_jsonl._record
+
+        def counting(*args):
+            calls["all"] += 1
+            try:
+                return record(*args)
+            except regcal_jsonl._BadLine:
+                calls["failed"] += 1
+                raise
+
+        monkeypatch.setattr(regcal_jsonl, "_record", counting)
+        path = tmp_path / "d.jsonl"
+        path.write_text((_line() + "\n") * valid_first + "x\n" * 300_000)
+        with pytest.raises(DumpFormatError) as err:
+            load_uncertainties(path)
+        reported = regcal_jsonl._REPORTED_LINES
+        assert calls == {"all": reported + valid_first, "failed": reported}
+        assert str(err.value).endswith(
+            f"line {reported + valid_first}: invalid JSON (Expecting value){NOT_READ}")
+        assert str(err.value).count(NOT_READ) == 1
 
     def test_integers_load_as_their_doubles(self, tmp_path):
         path = tmp_path / "d.jsonl"
