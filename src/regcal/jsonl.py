@@ -9,9 +9,10 @@ the ``_REPORTED_LINES``-th, where it stops reading, in one
 :class:`DumpFormatError`, and only its checked record parser makes those
 messages: it tests each sample inline on JSON's own lists and numbers and
 formats a message only when a test fails. The file is read in blocks of
-whole lines (about ``_BLOCK_BYTES`` characters; one line at a time until a
-valid line has fixed d and N), and each block becomes its y, means and
-log_vars arrays at once, so no per-record list is kept. The caller's
+whole lines (about ``_BLOCK_BYTES`` characters; until a valid line has
+fixed d and N, one line at a time, and a run of blank lines in doubling
+blocks of up to ``_BLANK_RUN_BYTES``), and each block becomes its y,
+means and log_vars arrays at once, so no per-record list is kept. The caller's
 reducer turns each block's arrays into the columns it keeps, and those are
 concatenated column by column: :func:`load_dump` keeps the arrays
 themselves, :func:`regcal.io.load_uncertainties` only their decomposition.
@@ -23,9 +24,12 @@ and one ``json.loads`` of a flat array reads all its numbers without
 building the sample objects. A block with any other line is declined as a
 whole, and each of its lines goes to the checked parser, which loads the
 same values. Records are separated at ``\n`` only, as JSON Lines
-specifies; one ``\r`` ending a line is dropped with it. Reals are
-serialized with full round-trip precision (shortest repr), so a load/save
-cycle is byte-stable.
+specifies; one ``\r`` ending a line is dropped with it.
+
+:func:`save_dump` writes one record at a time: only that record's rows
+become Python lists, so writing holds one record's lists and line besides
+the arrays. Reals are serialized with full round-trip precision (shortest
+repr), so a load/save cycle is byte-stable.
 """
 
 from __future__ import annotations
@@ -135,6 +139,11 @@ def _record(line: str, lineno: int, first_line: dict[str, int], shape: dict[str,
 # read alike, while larger blocks were slower on lines of 12 KB.
 _BLOCK_BYTES = 1 << 16
 
+# Before N is fixed, a run of blank lines is read in blocks of at most this many
+# characters: a block of k blank lines is a list of k references, and blocks of 4 KiB
+# read a run of "\n" as fast as blocks of 64 KiB.
+_BLANK_RUN_BYTES = 1 << 12
+
 # The fixed text of a line in save_dump's shape around its id, y and samples, and
 # between the numbers of its body: y, then each sample's mean and log_var. In the body
 # each fixed text becomes a one-character mark, so that deleting the number
@@ -225,23 +234,29 @@ def _blocks(fh, first_line: dict[str, int], shape: dict[str, int], errors: list[
     """Yield the (k, d) y, (k, N, d) means and (k, N) log_vars arrays of
     each block of k records of the dump open as ``fh``, in file order.
 
-    Until a valid line has fixed d and N, a block is one line. After that a
-    block is the whole lines of about ``_BLOCK_BYTES`` characters, read
-    first by :func:`_flat_block` and, when that declines, line by line by
+    Until a valid line has fixed d and N, a block is one line, except in a
+    run of blank lines: each wholly blank block doubles the size of the
+    next, up to ``_BLANK_RUN_BYTES`` characters, so a run is read in a few
+    blocks, and its last block reads at most about as many characters past
+    it as the run's earlier blocks held. After that a block is the whole
+    lines of about ``_BLOCK_BYTES`` characters, read first by
+    :func:`_flat_block` and, when that declines, line by line by
     :func:`_checked`. Every failing line's messages go to ``errors``; from
     the first one on, nothing more is yielded. At the ``_REPORTED_LINES``-th
     failing line reading stops, and when a non-blank line follows it
     ``errors`` ends in ``the rest of the file was not read``.
     """
-    lineno = 0
-    while block := fh.readlines(_BLOCK_BYTES if "N" in shape else 1):
+    lineno, blank_run = 0, 1
+    while block := fh.readlines(_BLOCK_BYTES if "N" in shape else blank_run):
         # Parsed without its "\n" or "\r\n", which inside an unterminated
         # string would be reported as an invalid control character.
         lines = [(i, line.removesuffix("\n").removesuffix("\r"))
                  for i, line in enumerate(block, start=lineno + 1) if line.strip()]
         lineno += len(block)
         if not lines:
+            blank_run = min(2 * blank_run, _BLANK_RUN_BYTES)
             continue
+        blank_run = 1
         arrays = _flat_block(lines, first_line, shape["d"], shape["N"]) if "N" in shape else None
         if arrays is None:
             unread = iter(lines)
@@ -342,16 +357,17 @@ def _non_finite_record(rid: str) -> ValueError:
 def dump_lines(pset: McPredictionSet):
     """Yield the JSONL lines (without newline) of a set, one per record.
 
-    A record with a NaN or an infinity, which :func:`load_dump` would
-    refuse, raises ``ValueError`` naming its id.
+    Each record's rows become Python lists only as its line is built, so
+    only one record's lists are held at a time. A record with a NaN or an
+    infinity, which :func:`load_dump` would refuse, raises ``ValueError``
+    naming its id.
     """
-    for rid, y, means, log_vars in zip(
-        pset.ids, pset.y.tolist(), pset.means.tolist(), pset.log_vars.tolist()
-    ):
+    for rid, y, means, log_vars in zip(pset.ids, pset.y, pset.means, pset.log_vars):
         obj = {
             "id": rid,
-            "y": y,
-            "samples": [{"mean": mean, "log_var": lv} for mean, lv in zip(means, log_vars)],
+            "y": y.tolist(),
+            "samples": [{"mean": mean, "log_var": lv}
+                        for mean, lv in zip(means.tolist(), log_vars.tolist())],
         }
         try:
             line = json.dumps(obj, separators=(",", ":"), allow_nan=False)
@@ -363,15 +379,19 @@ def dump_lines(pset: McPredictionSet):
 def save_dump(pset: McPredictionSet, path) -> None:
     """Write the set as a JSONL dump, one :func:`dump_lines` line per record.
 
-    A set with a NaN or an infinity raises ``ValueError`` naming the first
-    such record before the file opens, so a refused set leaves no file
-    behind and an existing file unchanged.
+    Besides the arrays, writing holds one record's lists and line and the
+    file's buffers, whatever the set's size. A set with a NaN or an
+    infinity raises ``ValueError`` naming the first such record before the
+    file opens, so a refused set leaves no file behind and an existing file
+    unchanged.
     """
-    finite = (np.isfinite(pset.y).all(axis=1) & np.isfinite(pset.means).all(axis=(1, 2))
-              & np.isfinite(pset.log_vars).all(axis=1))
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise _non_finite_record(pset.ids[bad[0]])
+    # An array's min and max are NaN when it holds a NaN and infinite when it
+    # holds an infinity, and take no memory of its size to find.
+    bounds = [f(a) for a in (pset.y, pset.means, pset.log_vars) for f in (np.min, np.max)]
+    if not np.isfinite(bounds).all():
+        finite = (np.isfinite(pset.y).all(axis=1) & np.isfinite(pset.means).all(axis=(1, 2))
+                  & np.isfinite(pset.log_vars).all(axis=1))
+        raise _non_finite_record(pset.ids[np.flatnonzero(~finite)[0]])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in dump_lines(pset):
             fh.write(line + "\n")

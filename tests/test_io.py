@@ -75,6 +75,15 @@ class TestDumpRoundTrip:
         assert str(err.value) == "record 'b': non-finite value, which a dump cannot hold"
 
     @pytest.mark.parametrize("field", ["y", "means", "log_vars"])
+    def test_the_first_non_finite_record_is_named(self, tmp_path, field):
+        pset = make_set([make_record(rid, [0.1], [[0.2]], [1.0]) for rid in "abcd"])
+        getattr(pset, field)[1] = np.inf
+        getattr(pset, field)[3] = np.nan
+        with pytest.raises(ValueError, match=r"^record 'b': non-finite value"):
+            save_dump(pset, tmp_path / "d.jsonl")
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("field", ["y", "means", "log_vars"])
     def test_refused_set_writes_nothing(self, tmp_path, field):
         pset = make_set([make_record(rid, [0.1], [[0.2]], [1.0]) for rid in "abc"])
         getattr(pset, field).ravel()[-1] = np.nan
@@ -85,6 +94,54 @@ class TestDumpRoundTrip:
                 save_dump(pset, path)
         assert not fresh.exists()
         assert existing.read_bytes() == b"old bytes\n"
+
+
+def _whole_array_dump_lines(pset):
+    """The lines of a set as a writer that converts the whole arrays to
+    lists first writes them: the reference for :func:`dump_lines`."""
+    for rid, y, means, log_vars in zip(pset.ids, pset.y.tolist(), pset.means.tolist(),
+                                       pset.log_vars.tolist()):
+        obj = {"id": rid, "y": y,
+               "samples": [{"mean": mean, "log_var": lv} for mean, lv in zip(means, log_vars)]}
+        yield json.dumps(obj, separators=(",", ":"))
+
+
+class TestDumpLines:
+    """dump_lines converts one record at a time and writes what a
+    whole-array conversion writes."""
+
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             1.0, -3.0, 1e16, 2.0 ** 53, 0.1, 1 / 3]
+
+    def test_lines_match_the_whole_array_writer(self, tmp_path, rng):
+        m, n, d = 6, 4, 2
+        values = rng.permutation(np.resize(self.EDGES, m * n * (2 * d + 1) + m * d))
+        y, rest = values[:m * d].reshape(m, d), values[m * d:].reshape(m, n, 2 * d + 1)
+        ids = ["a", "\u00e9t\u00e9", 'say "hi"', "back\\slash", "\u2028", "r5"]
+        pset = McPredictionSet(ids=ids, y=y, means=rest[:, :, :d].copy(),
+                               log_vars=rest[:, :, d].copy())
+        expected = list(_whole_array_dump_lines(pset))
+        assert list(dump_lines(pset)) == expected
+        text = "".join(expected)
+        for token in ("-0.0", "5e-324", "1.7976931348623157e+308", "1.0", "-3.0", "1e+16",
+                      "9007199254740992.0", '\\"hi\\"', "back\\\\slash", "\\u00e9"):
+            assert token in text, token
+        path = tmp_path / "d.jsonl"
+        save_dump(pset, path)
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in expected)
+
+    def test_random_sets_match_the_whole_array_writer(self, rng):
+        for m, n, d in [(1, 1, 1), (7, 3, 1), (5, 25, 4)]:
+            pset = random_set(rng, m=m, n=n, d=d)
+            assert list(dump_lines(pset)) == list(_whole_array_dump_lines(pset))
+
+    def test_a_non_finite_record_is_refused_when_its_line_is_built(self):
+        pset = make_set([make_record(rid, [0.1], [[0.2]], [1.0]) for rid in "abc"])
+        pset.means[1, 0, 0] = -np.inf
+        lines = dump_lines(pset)
+        assert next(lines) == '{"id":"a","y":[0.1],"samples":[{"mean":[0.2],"log_var":1.0}]}'
+        with pytest.raises(ValueError, match=r"^record 'b': non-finite value"):
+            next(lines)
 
 
 class TestLineSeparators:
@@ -362,6 +419,18 @@ class TestLoadFootprint:
                                        "the rest of the file was not read")
         assert str(err.value).count("; ") == reported
 
+    def test_a_blank_file_peaks_below_a_valid_dump(self, dumps, tmp_path):
+        """Runs of blank lines are read in blocks of at most
+        ``_BLANK_RUN_BYTES``, so a file of only blank lines is rejected in
+        less memory than a valid dump of its size needs."""
+        valid, blank = dumps[1], tmp_path / "blank.jsonl"
+        blank.write_text("\n" * valid.stat().st_size)
+        for path in (valid, blank):  # the first call of each path allocates for good
+            self.column_peak(path)
+        assert self.column_peak(blank)[0] < self.column_peak(valid)[0] / 2
+        with pytest.raises(DumpFormatError, match=r"^empty dump file$"):
+            load_uncertainties(blank)
+
     def test_no_cycle_collection(self, dumps):
         starts = []
 
@@ -378,6 +447,35 @@ class TestLoadFootprint:
         finally:
             gc.callbacks.remove(count)
         assert starts == []
+
+
+class TestSaveFootprint:
+    """save_dump holds one record's lists and line at a time, and its
+    finiteness check no array of the set's size, so its peak does not grow
+    with the number of records."""
+
+    # The peaks of m and 4m records differed by at most 120 bytes; converting
+    # the whole arrays to lists first grew the peak by 2.1 MB (d = 1) and
+    # 3.6 MB (d = 4) from m to 4m.
+    SLACK = 4 * 1024
+    M, N = 200, 25
+
+    @staticmethod
+    def peak(pset, path) -> int:
+        save_dump(pset, path)  # the first call allocates for good
+        tracemalloc.start()
+        try:
+            save_dump(pset, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_peak_does_not_grow_with_m(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        small, large = (random_set(rng, m=m, n=self.N, d=d) for m in (self.M, 4 * self.M))
+        path = tmp_path / "d.jsonl"
+        assert self.peak(large, path) <= self.peak(small, path) + self.SLACK
 
 
 def _line(rid="a", y="[0.5]", samples='[{"mean":[0.4],"log_var":-2.0}]'):
@@ -885,6 +983,77 @@ class TestBlocks:
             monkeypatch.setattr(regcal_jsonl, "_BLOCK_BYTES", block_bytes)
             outcomes.add(_outcome(load_dump, path))
         assert outcomes == {_outcome(_reference_load_dump, path)}
+
+
+class _CountingText(io.TextIOWrapper):
+    """A dump opened as read_dump opens it, that records what each of its
+    readlines calls returns: the size hint and the lines."""
+
+    def __init__(self, path, reads):
+        super().__init__(io.BufferedReader(io.FileIO(path)), encoding="utf-8", newline="\n")
+        self.reads = reads
+
+    def readlines(self, hint=-1):
+        lines = super().readlines(hint)
+        self.reads.append((hint, lines))
+        return lines
+
+
+class TestBlankRuns:
+    """Before N is fixed, a run of blank lines is read in blocks that double
+    up to ``_BLANK_RUN_BYTES`` characters, and a line after a non-blank one
+    on its own; line numbers and outcomes are the reference parser's."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(regcal_jsonl, "open",
+                            lambda path, *args, **kwargs: _CountingText(path, reads),
+                            raising=False)
+        return reads
+
+    @pytest.mark.parametrize("first", ["valid", "invalid"])
+    def test_runs_are_read_in_few_blocks(self, tmp_path, reads, first):
+        head = _line() if first == "valid" else "x"
+        lines = ["\n" * 30_000, " \t\r\n" * 1_000, head + "\n", "\n" * 20_000,
+                 _compact("b") + "\n", "\n" * 5_000, _compact("c") + "\n", _compact("d") + "\n"]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(lines))
+        got = _outcome(load_dump, path)
+        assert got == _outcome(_reference_load_dump, path)
+        if first == "valid":
+            assert got[0] == "ok"
+        else:
+            assert got == ("error", "line 31001: invalid JSON (Expecting value)")
+        # One read per doubling of each run's blocks and a few of full-size
+        # blocks; one read per line would be 56,000.
+        assert len(reads) < 100
+        hints = [hint for hint, _ in reads]
+        n_fixed = hints.index(regcal_jsonl._BLOCK_BYTES)
+        assert max(hints[:n_fixed]) == regcal_jsonl._BLANK_RUN_BYTES
+        assert set(hints[n_fixed:]) == {regcal_jsonl._BLOCK_BYTES}
+
+    def test_lines_after_a_non_blank_one_are_read_one_at_a_time(self, tmp_path, reads):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n" * 100 + ("x" * 99 + "\n") * 3 + "\n" + ("y" * 99 + "\n") * 3)
+        assert _outcome(load_dump, path) == _outcome(_reference_load_dump, path)
+        first = next(k for k, (_, lines) in enumerate(reads) if any(map(str.strip, lines)))
+        # The run's blocks of 1 to 32 characters read 69 of its lines; the block of
+        # 64 reads the rest and the first x line. After that a hint of 1 reads one
+        # line, or a one-character line and the next.
+        assert [(hint, sum(map(bool, map(str.strip, lines)))) for hint, lines in reads[first:]] \
+            == [(64, 1)] + [(1, 1)] * 5 + [(1, 0)]
+
+    def test_a_run_reads_no_more_characters_past_it_than_it_holds(self, tmp_path, reads):
+        path = tmp_path / "d.jsonl"
+        blanks = 500
+        path.write_text("\n" * blanks + "x\n" * 30_000)
+        with pytest.raises(DumpFormatError, match=NOT_READ + "$"):
+            load_dump(path)
+        past = sum(len(line) for _, lines in reads for line in lines if line != "\n")
+        # The lines up to the last reported one, and what the run's last block
+        # read past the run.
+        assert past <= 2 * regcal_jsonl._REPORTED_LINES + blanks
 
 
 # The columns of load_uncertainties, in the order of a cache entry.
