@@ -18,7 +18,7 @@
   (m, h) array, so the hidden width costs no memory per record.
 
 Both fit on, and apply to, the columnar :class:`Uncertainties` of a set and
-leave predicted means untouched, so accuracy (MSE) is conserved bit-for-bit.
+leave the residuals untouched, so accuracy (MSE) is conserved bit-for-bit.
 """
 
 from __future__ import annotations
@@ -389,8 +389,8 @@ def apply_calibration(unc: Uncertainties, calib: CalibrationArtifact) -> Uncerta
     in predictive mode, only the aleatoric part in aleatoric-only mode); aux
     scaling maps the targeted variance through exp(R(log u)), splitting a
     recalibrated total between the parts in their old proportion. Every
-    other field is passed through unchanged, so means are bit-identical to
-    the input; an overflow raises ``ValueError`` as in any :class:`Uncertainties`.
+    other field is passed through unchanged, so residuals are bit-identical
+    to the input; an overflow raises ``ValueError`` as in any :class:`Uncertainties`.
     """
     if calib.method == "identity":
         return unc

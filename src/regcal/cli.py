@@ -119,7 +119,7 @@ def cmd_evaluate(args) -> int:
     rep_pred = uce(unc, k=bins, mode="predictive")
     report = {
         "m": unc.m,
-        "d": unc.y.shape[1],
+        "d": unc.residual.shape[1],
         "n_samples": n_samples,
         "mse": mse(unc),
         "nll": batch_nll(unc, calib.likelihood),
@@ -271,6 +271,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. --bins or --steps past what can be allocated
+        print(f"error: memory: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # DumpFormatError and CalibrationError name their own code
         print(f"error: {getattr(exc, 'code', 'invalid-input')}: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 The universal input is an :class:`McPredictionSet`: dense arrays holding, for
 m test samples, the ground truth and N stochastic forward-pass outputs (a
 mean vector and the log of the predicted aleatoric variance). Decomposing it
-gives one columnar :class:`Uncertainties`, and everything downstream
-(recalibration, calibration error, intervals, rejection) consumes that.
+gives one columnar :class:`Uncertainties`: the error of the MC mean and the
+variance parts, and everything downstream (recalibration, calibration
+error, likelihood, intervals, rejection) consumes that.
 
 All types are treated as immutable after construction. Every constructor
 raises ``ValueError`` on shapes or fields its type cannot hold, so no
@@ -74,26 +75,34 @@ class McPredictionSet:
 
 @dataclass
 class Uncertainties:
-    """Per-record predictive summaries of a set: MC mean and decomposed variance.
+    """Per-record predictive summaries of a set: the MC mean's error and decomposed variance.
 
-    ``y`` and ``y_mean`` are (m, d); ``epistemic``, ``aleatoric`` and
-    ``pass_err_sq`` are (m,). ``pass_err_sq`` is the mean over passes and
-    outputs of the squared deviation of each pass's mean from ``y``, the
-    observed variance of predictive-mode UCE. ``total`` is always derived as
-    epistemic + aleatoric, never stored. Construction refuses m = 0 and any
-    non-finite variance or total, naming the first such record.
+    ``residual`` is (m, d), d >= 1: the ground truth minus the MC mean, the
+    only way any metric reads the prediction. ``epistemic``, ``aleatoric``
+    and ``pass_err_sq`` are (m,). ``pass_err_sq`` is the mean over passes
+    and outputs of the squared deviation of each pass's mean from the
+    ground truth, the observed variance of predictive-mode UCE. ``total`` is
+    always derived as epistemic + aleatoric, never stored. Construction
+    refuses m = 0, shapes that disagree with the m ids, and any non-finite
+    variance or total, naming the first such record.
     """
 
     ids: list[str]
-    y: np.ndarray
-    y_mean: np.ndarray
+    residual: np.ndarray
     epistemic: np.ndarray
     aleatoric: np.ndarray
     pass_err_sq: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1:
+        m = len(self.ids)
+        if m < 1:
             raise ValueError("empty set: m must be >= 1")
+        shapes = [np.shape(c) for c in (self.epistemic, self.aleatoric, self.pass_err_sq)]
+        rows = np.shape(self.residual)
+        if len(rows) != 2 or rows[0] != m or rows[1] < 1 or any(s != (m,) for s in shapes):
+            raise ValueError(
+                f"inconsistent shapes: {m} ids, residual {rows}, epistemic {shapes[0]}, "
+                f"aleatoric {shapes[1]}, pass_err_sq {shapes[2]}")
         with np.errstate(over="ignore", invalid="ignore"):  # a sum of finite parts may overflow
             finite = np.isfinite(self.total) & np.isfinite(self.pass_err_sq)
         if not finite.all():
@@ -113,7 +122,7 @@ class Uncertainties:
     @property
     def err_sq(self) -> np.ndarray:
         """Squared error of the MC mean, averaged across output dimensions."""
-        return np.mean((self.y - self.y_mean) ** 2, axis=1)
+        return np.mean(self.residual**2, axis=1)
 
     def errors_and_scales(self, likelihood: str, target: str):
         """Per-record error of the MC mean and the likelihood family's scale of the

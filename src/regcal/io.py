@@ -11,8 +11,9 @@ is read through :func:`read_json`, which refuses a non-finite constant and
 names the file in its one message for any decoding failure.
 
 A dump read from a regular file is parsed once per content:
-:func:`load_uncertainties` keeps the ids, the five decomposed columns and N
-in a content-addressed cache (``$XDG_CACHE_HOME/regcal``, or
+:func:`load_uncertainties` keeps the ids, the four decomposed columns
+(``residual``, ``epistemic``, ``aleatoric``, ``pass_err_sq``) and N in a
+content-addressed cache (``$XDG_CACHE_HOME/regcal``, or
 ``~/.cache/regcal``) keyed by a SHA-256 of a format tag, the source of the
 parser (``jsonl.py``), the source of the decomposition (``metrics.py``) and
 the bytes that were parsed, and checks every entry again before it returns
@@ -54,7 +55,7 @@ from .core import CalibrationArtifact, Uncertainties
 
 # Hashed into every key with the parser's and the decomposition's sources, so that a
 # new entry layout, like any change to either, leaves every older entry unreachable.
-_CACHE_TAG = b"regcal decomposed dump 1\n"
+_CACHE_TAG = b"regcal decomposed dump 2\n"
 # Past this many bytes of entries and temporary files the oldest (by mtime; a hit
 # refreshes an entry) are deleted.
 _CACHE_MAX_BYTES = 1 << 28
@@ -73,7 +74,7 @@ _RACY_NS = 2 * 10**9
 # A longer record is not one this module wrote.
 _RECORD_MAX_BYTES = 1 << 10
 # An entry's arrays, in file order after its header line.
-_COLUMNS = ("y", "y_mean", "epistemic", "aleatoric", "pass_err_sq")
+_COLUMNS = ("residual", "epistemic", "aleatoric", "pass_err_sq")
 
 
 @functools.cache
@@ -158,8 +159,8 @@ def _write_record(tmp: str, record: str, st, program: list[int], key: str, stamp
 def _read_entry(entry: str) -> tuple[Uncertainties, int] | None:
     """The columns and N a cache entry holds, or None when it is missing or
     is not what the reader makes: unique string ids, an integer N >= 1, then
-    C-contiguous, finite float64 columns of consistent shapes. A hit
-    refreshes the entry's mtime."""
+    C-contiguous, finite float64 columns whose shapes :class:`Uncertainties`
+    accepts. A hit refreshes the entry's mtime."""
     try:
         with open(entry, "rb") as fh:
             head = json.loads(fh.readline())
@@ -175,12 +176,7 @@ def _read_entry(entry: str) -> tuple[Uncertainties, int] | None:
         if not all(type(c) is np.ndarray and c.dtype == np.float64 and c.flags.c_contiguous
                    and np.isfinite(c).all() for c in columns):
             return None
-        y, y_mean, *per_record = columns
-        m = len(ids)
-        if (y.ndim != 2 or y.shape[0] != m or y.shape[1] < 1 or y_mean.shape != y.shape
-                or any(c.shape != (m,) for c in per_record)):
-            return None
-        unc = Uncertainties(ids, *columns)  # refuses m = 0 and a non-finite total
+        unc = Uncertainties(ids, *columns)  # refuses m = 0, bad shapes and a non-finite total
     # ValueError: bad JSON, an npy header or columns; EOFError: a truncated entry;
     # RecursionError: deeply nested JSON; MemoryError: a header claiming a huge shape.
     except (OSError, ValueError, EOFError, RecursionError, MemoryError):
@@ -261,10 +257,7 @@ def _parse(path, digest=None) -> tuple[Uncertainties, int]:
     from .jsonl import read_dump
     from .metrics import decompose
 
-    # Each block is reduced to y and its decomposed columns, in _COLUMNS order. y is
-    # copied: it may be a view that would keep all the block's numbers alive.
-    ids, columns, n = read_dump(path, lambda y, *arrays: (y.copy(), *decompose(y, *arrays)),
-                                digest)
+    ids, columns, n = read_dump(path, decompose, digest)
     return Uncertainties(ids, *columns), n
 
 

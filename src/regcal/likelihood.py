@@ -69,7 +69,7 @@ GAUSSIAN = Family(
 
 LAPLACE = Family(
     "laplace", p=1.0, scale_name="sigmas",
-    error_and_scale=lambda unc, u: (np.mean(np.abs(unc.y - unc.y_mean), axis=1), np.sqrt(u)),
+    error_and_scale=lambda unc, u: (np.mean(np.abs(unc.residual), axis=1), np.sqrt(u)),
     closed_form=lambda m, ratio_sum: ratio_sum / m,
     objective=lambda s, m, ratio_sum: m * math.log(s) + ratio_sum / s,
     nll_terms=lambda errors, scales: np.log(2.0 * scales) + errors / scales,

@@ -51,20 +51,23 @@ class UceReport:
 
 
 def decompose(y: np.ndarray, means: np.ndarray, log_vars: np.ndarray):
-    """The y_mean, epistemic, aleatoric and pass_err_sq columns of k records
-    given as (k, d) y, (k, N, d) means and (k, N) log_vars arrays.
+    """The residual, epistemic, aleatoric and pass_err_sq columns of k
+    records, in the field order of :class:`Uncertainties`, given as (k, d)
+    y, (k, N, d) means and (k, N) log_vars arrays.
 
-    Each record's columns depend on its own values only, so the records of
-    a dump reduced in blocks give, bit for bit, the columns of the whole
-    set. Overflow gives non-finite values, which :class:`Uncertainties`
-    refuses.
+    The residual ``y - y_mean`` is the one place the MC mean's error is
+    formed. Each record's columns depend on its own values only, so the
+    records of a dump reduced in blocks give, bit for bit, the columns of
+    the whole set, and every column is a fresh array that holds no view of
+    its block. Overflow gives non-finite values, which
+    :class:`Uncertainties` refuses.
     """
     # Reduced as C-contiguous arrays, so that a strided block view sums in
     # the order the whole set's contiguous arrays do.
     means, log_vars = np.ascontiguousarray(means), np.ascontiguousarray(log_vars)
     with np.errstate(over="ignore", invalid="ignore"):
         y_mean = means.mean(axis=1)
-        return (y_mean,
+        return (y - y_mean,
                 np.mean((means - y_mean[:, None, :]) ** 2, axis=(1, 2)),
                 np.mean(np.exp(log_vars), axis=1),
                 np.mean((means - y[:, None, :]) ** 2, axis=(1, 2)))
@@ -81,7 +84,7 @@ def uncertainty_records(pset: McPredictionSet) -> Uncertainties:
         ValueError: naming the first record whose epistemic, aleatoric or
             observed variance overflows to a non-finite value.
     """
-    return Uncertainties(pset.ids, pset.y, *decompose(pset.y, pset.means, pset.log_vars))
+    return Uncertainties(pset.ids, *decompose(pset.y, pset.means, pset.log_vars))
 
 
 def mse(unc: Uncertainties) -> float:

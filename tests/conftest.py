@@ -45,13 +45,13 @@ def make_uncertainties(rows):
     y = np.array([np.atleast_1d(v) for v in y], dtype=float)
     y_mean = np.array([np.atleast_1d(v) for v in y_mean], dtype=float)
     total = np.array(total, dtype=float)
+    residual = y - y_mean
     return Uncertainties(
         ids=list(ids),
-        y=y,
-        y_mean=y_mean,
+        residual=residual,
         epistemic=np.zeros(len(total)),
         aleatoric=total,
-        pass_err_sq=np.mean((y - y_mean) ** 2, axis=1),
+        pass_err_sq=np.mean(residual**2, axis=1),
     )
 
 

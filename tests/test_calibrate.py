@@ -23,7 +23,7 @@ from regcal.core import (
 )
 from regcal.analysis import rejection_curve
 from regcal.intervals import coverage
-from regcal.likelihood import FAMILIES, GAUSSIAN, batch_nll, family
+from regcal.likelihood import FAMILIES, GAUSSIAN, LAPLACE, batch_nll, family
 from regcal.metrics import mse, uce, uncertainty_records
 
 from conftest import calibrated, make_record, make_set, random_set
@@ -223,6 +223,32 @@ def small_sets(draw):
     return McPredictionSet([f"r{i}" for i in range(m)], y, means, log_vars)
 
 
+class TestResidual:
+    """The residual column, and the errors and coverage read through it, are
+    bit for bit the y - y_mean expressions the metrics used to form themselves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pset=small_sets())
+    def test_the_residual_is_y_minus_the_mc_mean(self, pset):
+        unc = uncertainty_records(pset)
+        y_mean = pset.means.mean(axis=1)
+
+        def same(a, b):
+            return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        assert same(unc.residual, pset.y - y_mean)
+        assert same(unc.err_sq, np.mean((pset.y - y_mean) ** 2, axis=1))
+        errors, scales = LAPLACE.error_and_scale(unc, unc.total)
+        assert same(errors, np.mean(np.abs(pset.y - y_mean), axis=1))
+        assert same(scales, np.sqrt(unc.total))
+        abs_resid, sigma = np.abs(pset.y - y_mean), np.sqrt(unc.total)
+        for kind in FAMILIES:
+            table = coverage(unc, kind=kind)
+            assert table.observed == [
+                float(np.mean(np.all(abs_resid <= (z * sigma)[:, None], axis=1)))
+                for z in table.z_values]
+
+
 # (likelihood, target, use_gd) of every sigma fit
 SIGMA_FITS = [(lik, target, gd) for lik in FAMILIES
               for target in CALIBRATION_TARGETS for gd in (False, True)]
@@ -305,13 +331,13 @@ class TestSigmaProperties:
         doubled = McPredictionSet(pset.ids, pset.y, np.concatenate([pset.means] * 2, axis=1),
                                   np.concatenate([pset.log_vars] * 2, axis=1))
         unc, unc_doubled = uncertainty_records(pset), uncertainty_records(doubled)
-        # s is fitted to y - y_mean. Summing 2N passes moves y_mean by rounding,
-        # which that difference magnifies by cond = |y_mean| / |y - y_mean|: up
-        # to 1e5 at the smallest scales, where s moved by up to 1.9e-11 over
-        # 12,500 sets. Over 5,000 of them it never moved by more than
-        # 4e-14 + 0.94 eps cond.
-        cond = np.max(np.max(np.abs(unc.y_mean), axis=1)
-                      / np.mean(np.abs(unc.y - unc.y_mean), axis=1))
+        # s is fitted to the residual y - y_mean. Summing 2N passes moves y_mean
+        # by rounding, which that difference magnifies by cond = |y_mean| /
+        # |y - y_mean|: up to 1e5 at the smallest scales, where s moved by up to
+        # 1.9e-11 over 12,500 sets. Over 5,000 of them it never moved by more
+        # than 4e-14 + 0.94 eps cond.
+        y_mean = pset.means.mean(axis=1)
+        cond = np.max(np.max(np.abs(y_mean), axis=1) / np.mean(np.abs(unc.residual), axis=1))
         rel = 4e-14 + 4 * np.finfo(float).eps * cond
         for lik, target, gd in SIGMA_FITS:
             s = fit_sigma(unc, lik, target, use_gd=gd).s
@@ -605,7 +631,7 @@ class TestPiecewiseMap:
         np.testing.assert_array_equal(got[[0, 4]], [expect, expect])
         # Through an aleatoric-only artifact: a record whose aleatoric variance
         # is 0 keeps it (R = -inf), or is refused as non-finite (R = NaN).
-        base = Uncertainties(ids=["a", "b"], y=np.zeros((2, 1)), y_mean=np.full((2, 1), 0.1),
+        base = Uncertainties(ids=["a", "b"], residual=np.full((2, 1), -0.1),
                              epistemic=np.array([0.2, 0.3]), aleatoric=np.array([0.0, 0.05]),
                              pass_err_sq=np.array([0.01, 0.01]))
         art = CalibrationArtifact(method="aux", target="aleatoric_only", aux=params)
@@ -622,11 +648,10 @@ class TestPiecewiseMap:
 def _large_uncertainties(m):
     gen = np.random.default_rng(5)
     total = np.exp(gen.normal(-4.0, 1.0, m))
-    y = gen.normal(size=(m, 1))
-    y_mean = y + gen.normal(size=(m, 1)) * np.sqrt(total)[:, None]
-    return Uncertainties(ids=[f"r{i}" for i in range(m)], y=y, y_mean=y_mean,
+    residual = gen.normal(size=(m, 1)) * np.sqrt(total)[:, None]
+    return Uncertainties(ids=[f"r{i}" for i in range(m)], residual=residual,
                          epistemic=0.3 * total, aleatoric=0.7 * total,
-                         pass_err_sq=np.mean((y - y_mean) ** 2, axis=1))
+                         pass_err_sq=np.mean(residual**2, axis=1))
 
 
 def test_aux_fit_and_apply_hold_no_per_unit_array_per_record():
@@ -676,12 +701,13 @@ class TestApply:
             assert out.aleatoric[i] == pytest.approx(9.0 * base.aleatoric[i], rel=1e-12)
 
     def test_means_bit_identical(self, rng):
+        # The MC means are read only through the residuals y - y_mean.
         base = uncertainty_records(random_set(rng, m=15, n=4))
         art = CalibrationArtifact(method="sigma", s=1.7)
         out = apply_calibration(base, art)
         for i in range(base.m):
-            assert np.array_equal(base.y_mean[i], out.y_mean[i])
-            assert np.array_equal(base.y[i], out.y[i])
+            assert np.array_equal(base.residual[i], out.residual[i])
+        assert mse(out) == mse(base)
 
     def test_sigma_preserves_uncertainty_ordering(self, rng):
         pset = random_set(rng, m=50, n=4)
@@ -704,7 +730,7 @@ class TestApply:
         art = aux_fit(base, AuxConfig(seed=3, epochs=50), target="aleatoric_only")
         out = apply_calibration(base, art)
         assert np.array_equal(out.epistemic, base.epistemic)
-        assert np.array_equal(out.y_mean, base.y_mean)
+        assert np.array_equal(out.residual, base.residual)
         expect = np.exp(aux_forward(np.log(base.aleatoric), art.aux))
         assert np.array_equal(out.aleatoric, expect)
         assert not np.array_equal(out.aleatoric, base.aleatoric)

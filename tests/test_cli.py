@@ -17,9 +17,11 @@ import regcal
 from regcal.calibrate import apply_calibration
 from regcal.cli import build_parser, main
 from regcal.io import load_artifact
-from regcal.jsonl import load_dump
+from regcal.jsonl import load_dump, save_dump
 from regcal.likelihood import FAMILIES, batch_nll
 from regcal.metrics import uncertainty_records
+
+from conftest import random_set
 
 QUICK_TOY = ["--epochs", "40", "--mc-passes", "5"]
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -400,6 +402,18 @@ class TestPublicApi:
         likelihood = next(a for a in commands["calibrate"]._actions if a.dest == "likelihood")
         assert tuple(likelihood.choices) == tuple(FAMILIES)
 
+    def test_the_readme_quick_tour_runs(self, tmp_path, rng, monkeypatch, capsys):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        after = readme.split("Library use mirrors the demos:\n", 1)[1].lstrip("\n")
+        assert after.startswith("```python\n")
+        block = after.removeprefix("```python\n").split("```\n", 1)[0]
+        for name in ("val", "test"):
+            save_dump(random_set(rng, m=40, n=4), tmp_path / f"{name}.jsonl")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        uce_line, coverage_line = capsys.readouterr().out.splitlines()
+        assert float(uce_line) >= 0.0 and len(json.loads(coverage_line)) == 4
+
 
 class TestOtherCommands:
     def test_intervals_csv(self, toy_dir, tmp_path):
@@ -489,6 +503,23 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: dump-format:")
         assert "line 1" in err
+
+    # 10^15 counts: more than the x86-64 address space holds, so the
+    # allocation fails at once under any overcommit policy.
+    @pytest.mark.parametrize("command, flag", [("evaluate", "bins"), ("ood", "bins"),
+                                               ("reject", "steps")])
+    def test_a_count_too_large_to_allocate(self, capsys, tmp_path, command, flag):
+        path, out = tmp_path / "d.jsonl", tmp_path / "out"
+        path.write_text(dump_text(GOOD_RECORDS))
+        if command == "ood":
+            inputs = ["--in-dist", str(path), "--shifted", str(path)]
+        else:
+            inputs = ["--input", str(path)]
+        rc = main([command, *inputs, f"--{flag}", str(10**15), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: memory: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_flags_single_line(self, capsys, tmp_path):
         for argv in (["calibrate", "--method", "sigma"],

@@ -60,7 +60,7 @@ class TestValidate:
     def test_uncertainties_refuse_empty_and_non_finite(self):
         def unc(epistemic, aleatoric, observed):
             m = len(epistemic)
-            return Uncertainties([f"r{i}" for i in range(m)], np.zeros((m, 1)), np.zeros((m, 1)),
+            return Uncertainties([f"r{i}" for i in range(m)], np.zeros((m, 1)),
                                  np.array(epistemic), np.array(aleatoric), np.array(observed))
 
         with pytest.raises(ValueError, match="empty set: m must be >= 1"):
@@ -72,6 +72,27 @@ class TestValidate:
             with pytest.raises(ValueError, match=re.escape(message.format(*parts))):
                 unc([0.1, parts[0], np.nan], [0.1, parts[1], 0.1], [0.1, parts[2], 0.1])
         assert unc([0.1], [0.2], [0.3]).m == 1
+
+    def test_uncertainties_refuse_inconsistent_shapes(self):
+        ids, residual, col = ["a", "b", "c"], np.zeros((3, 1)), np.ones(3)
+        assert Uncertainties(ids, residual, col, col, col).m == 3
+        bad = [
+            (["a", "b"], residual, col, np.ones(1), col),  # two ids for three rows
+            (ids, np.zeros((2, 1)), col, col, col),
+            (ids, np.zeros(3), col, col, col),  # a residual with no d axis
+            (ids, np.zeros((3, 1, 1)), col, col, col),
+            (ids, np.zeros((3, 0)), col, col, col),  # d = 0
+            (ids, residual, np.ones(2), col, col),
+            (ids, residual, col, np.ones((3, 1)), col),
+            (ids, residual, col, col, np.ones(4)),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match=r"inconsistent shapes: \d+ ids, residual \("):
+                Uncertainties(*args)
+        with pytest.raises(ValueError, match=re.escape(
+                "inconsistent shapes: 2 ids, residual (3, 1), epistemic (3,), aleatoric (1,), "
+                "pass_err_sq (3,)")):
+            Uncertainties(*bad[0])
 
     def test_empty_set_is_reported(self):
         with pytest.raises(ValueError, match="m, N and d must be >= 1"):

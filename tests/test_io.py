@@ -1057,7 +1057,7 @@ class TestBlankRuns:
 
 
 # The columns of load_uncertainties, in the order of a cache entry.
-COLUMNS = ("y", "y_mean", "epistemic", "aleatoric", "pass_err_sq")
+COLUMNS = ("residual", "epistemic", "aleatoric", "pass_err_sq")
 
 
 def _exact(loaded):
@@ -1206,7 +1206,7 @@ def _entry_bytes(ids, n, *columns) -> bytes:
 def _bad_entry(kind: str, good: bytes, pset) -> bytes:
     unc = uncertainty_records(pset)
     ids, n = unc.ids, pset.n_samples
-    y, y_mean, *rest = (getattr(unc, name) for name in COLUMNS)
+    residual, epistemic, *rest = (getattr(unc, name) for name in COLUMNS)
     if kind == "truncated":
         return good[:len(good) // 2]
     if kind == "trailing-byte":
@@ -1214,19 +1214,23 @@ def _bad_entry(kind: str, good: bytes, pset) -> bytes:
     if kind == "garbage":
         return bytes(range(256)) * 4
     if kind == "wrong-shape":
-        return _entry_bytes(ids, n, y, y_mean[:, :1], *rest)
+        return _entry_bytes(ids, n, residual, epistemic[:-1], *rest)
+    if kind == "short-residual":
+        return _entry_bytes(ids, n, residual[:-1], epistemic, *rest)
+    if kind == "flat-residual":
+        return _entry_bytes(ids, n, residual.ravel(), epistemic, *rest)
     if kind == "nan":
-        return _entry_bytes(ids, n, np.full_like(y, np.nan), y_mean, *rest)
+        return _entry_bytes(ids, n, np.full_like(residual, np.nan), epistemic, *rest)
     if kind == "duplicate-id":
-        return _entry_bytes([ids[0]] * len(ids), n, y, y_mean, *rest)
+        return _entry_bytes([ids[0]] * len(ids), n, residual, epistemic, *rest)
     if kind == "float32":
-        return _entry_bytes(ids, n, y.astype(np.float32), y_mean, *rest)
+        return _entry_bytes(ids, n, residual.astype(np.float32), epistemic, *rest)
     if kind == "fortran-order":
-        return _entry_bytes(ids, n, np.asfortranarray(y), y_mean, *rest)
+        return _entry_bytes(ids, n, np.asfortranarray(residual), epistemic, *rest)
     if kind == "zero-n":
-        return _entry_bytes(ids, 0, y, y_mean, *rest)
+        return _entry_bytes(ids, 0, residual, epistemic, *rest)
     assert kind == "pickled"
-    return _entry_bytes(ids, n, np.array([0.5, None], dtype=object), y_mean, *rest)
+    return _entry_bytes(ids, n, np.array([0.5, None], dtype=object), epistemic, *rest)
 
 
 class TestDumpCache:
@@ -1308,8 +1312,8 @@ class TestDumpCache:
         assert regcal_io._decomposition_bytes() == source(decompose)
 
     @pytest.mark.parametrize("kind", ["truncated", "trailing-byte", "garbage", "wrong-shape",
-                                      "nan", "duplicate-id", "float32", "pickled",
-                                      "fortran-order", "zero-n"])
+                                      "short-residual", "flat-residual", "nan", "duplicate-id",
+                                      "float32", "pickled", "fortran-order", "zero-n"])
     def test_a_bad_entry_is_parsed_past_and_rewritten(self, tmp_path, cache, parses, rng, kind):
         path, pset = self.saved(tmp_path, rng)
         expected = _exact(load_uncertainties(path))

@@ -103,7 +103,7 @@ class TestPredictiveVariance:
         assert u.epistemic[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert u.aleatoric[0] == pytest.approx(0.2, rel=1e-12)
         assert u.total[0] == pytest.approx(0.8666666666666667, rel=1e-12)
-        assert np.array_equal(u.y_mean[0], np.array([2.0]))
+        assert np.array_equal(u.residual[0], np.array([0.0]))  # y 2 minus the MC mean 2
 
     def test_multi_output_averages_across_d(self):
         rec = make_record("a", [0.0, 0.0], [[1.0, 3.0], [-1.0, -3.0]], [-800.0, -800.0])
