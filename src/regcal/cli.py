@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import functools
 import gc
 import math
+import os
 import sys
 from pathlib import Path
+from stat import S_ISREG
 
 # Each command imports the modules it runs, after the refusals it makes
 # itself: building the parser, --help and a flag error load no numpy, and
@@ -132,12 +135,21 @@ def cmd_evaluate(args) -> int:
             "bin_range": "equal-width bins over [min, max] of evaluated uncertainties",
         },
     }
-    rio.write_json(report, args.out)
     points = calibration_diagram(rep_pred)
-    if args.diagram:
-        rio.diagram_to_csv(points, args.diagram)
-    if args.svg:
-        rio.diagram_to_svg(points, args.svg)
+    outputs = [(rio.write_json, report, args.out), (rio.diagram_to_csv, points, args.diagram),
+               (rio.diagram_to_svg, points, args.svg)]
+    written = []
+    try:
+        for write, doc, path in outputs:
+            if path:
+                write(doc, path)
+                written.append(path)
+    except BaseException:  # all outputs or none: remove the files already written
+        for path in written:
+            with contextlib.suppress(OSError):
+                if S_ISREG(os.lstat(path).st_mode):  # not a FIFO, nor a link like /dev/stdout
+                    os.remove(path)
+        raise
     return 0
 
 

@@ -14,24 +14,29 @@ A dump read from a regular file is parsed once per content:
 :func:`load_uncertainties` keeps the ids, the four decomposed columns
 (``residual``, ``epistemic``, ``aleatoric``, ``pass_err_sq``) and N in a
 content-addressed cache (``$XDG_CACHE_HOME/regcal``, or
-``~/.cache/regcal``) keyed by a SHA-256 of a format tag, the source of the
-parser (``jsonl.py``), the source of the decomposition (``metrics.py``) and
-the bytes that were parsed, and checks every entry again before it returns
-it. A hit imports no parser. Any cache failure falls back to parsing,
-silently. :func:`regcal.jsonl.load_dump` is never cached.
+``~/.cache/regcal``) keyed by a SHA-256 of what makes an entry and of the
+bytes that were parsed, and checks every entry again before it returns it.
+What makes an entry (:func:`_key_parts`) is the sources of ``jsonl.py``
+(the parser), ``metrics.py`` (the decomposition), ``core.py`` (the
+columns' type) and this module (the entry's writer and checks), numpy's
+version, and the bits of ``np.exp`` on a fixed probe, which differ between
+numpy's SIMD dispatches. An edit to any of those modules, another numpy or
+another dispatch misses once. A hit imports no parser. Any cache failure
+falls back to parsing, silently. :func:`regcal.jsonl.load_dump` is never
+cached.
 
 A stat index in front of the entries spares a warm read the SHA-256. It
 keeps one small JSON record per dump file in ``regcal-index`` beside the
 entries' directory, named by the file's device and inode. A record holds
 the file's size, mtime and ctime, a fingerprint of the program (the CRC-32
-and the lengths of the format tag and both sources) and the key the file
-was hashed to. The record's own mtime is taken before the file is read. A
-record is trusted only when every field matches and the file's mtime and
-ctime are more than ``_RACY_NS`` (2 s, FAT's timestamp granularity) older
-than that mtime: git's "racy git" rule, since a rewrite soon after a stamp
-may keep it. A trusted record leads straight to its entry, so the dump is
-not opened and ``hashlib`` is not imported. Otherwise the file is hashed
-as without the index and its record is rewritten. The key stays the only
+and the lengths of what makes an entry) and the key the file was hashed
+to. The record's own mtime is taken before the file is read. A record is
+trusted only when every field matches and the file's mtime and ctime are
+more than ``_RACY_NS`` (2 s, FAT's timestamp granularity) older than that
+mtime: git's "racy git" rule, since a rewrite soon after a stamp may keep
+it. A trusted record leads straight to its entry, so the dump is not
+opened and ``hashlib`` is not imported. Otherwise the file is hashed as
+without the index and its record is rewritten. The key stays the only
 thing that makes a hit. A changed file could still be served only if it
 kept its device, inode, size, mtime and ctime. ctime cannot be set from
 user space, so that needs a clock step, or clock skew between a network
@@ -45,6 +50,7 @@ import functools
 import json
 import os
 import zlib  # numpy has loaded it already
+from dataclasses import fields
 from stat import S_ISREG
 
 import numpy as np
@@ -53,9 +59,9 @@ from .core import CalibrationArtifact, Uncertainties
 
 # -- the dump commands' reader and its cache -----------------------------------
 
-# Hashed into every key with the parser's and the decomposition's sources, so that a
-# new entry layout, like any change to either, leaves every older entry unreachable.
-_CACHE_TAG = b"regcal decomposed dump 2\n"
+# The modules whose code makes a cache entry: jsonl parses it, metrics decomposes it,
+# core types its columns and io writes and checks it.
+_ENTRY_MODULES = ("jsonl", "metrics", "core", "io")
 # Past this many bytes of entries and temporary files the oldest (by mtime; a hit
 # refreshes an entry) are deleted.
 _CACHE_MAX_BYTES = 1 << 28
@@ -73,23 +79,24 @@ _HASH_CHUNK = 1 << 16
 _RACY_NS = 2 * 10**9
 # A longer record is not one this module wrote.
 _RECORD_MAX_BYTES = 1 << 10
-# An entry's arrays, in file order after its header line.
-_COLUMNS = ("residual", "epistemic", "aleatoric", "pass_err_sq")
+# An entry's arrays, in file order after its header line: the fields of Uncertainties
+# after ids.
+_COLUMNS = tuple(f.name for f in fields(Uncertainties))[1:]
 
 
 @functools.cache
-def _source(name: str) -> bytes:
-    """The bytes of this package's module ``name``, read without importing it."""
-    with open(os.path.join(os.path.dirname(__file__), f"{name}.py"), "rb") as fh:
-        return fh.read()
-
-
-def _parser_bytes() -> bytes:
-    return _source("jsonl")
-
-
-def _decomposition_bytes() -> bytes:
-    return _source("metrics")
+def _key_parts() -> tuple[bytes, ...]:
+    """What a cache entry depends on: the sources of ``_ENTRY_MODULES``, read
+    without importing them, numpy's version, and the bits ``np.exp`` gives on
+    a fixed probe, which differ between numpy's SIMD dispatches as the
+    decomposed aleatoric column does. Hashed into every key and
+    fingerprinted in every index record."""
+    sources = []
+    for name in _ENTRY_MODULES:
+        with open(os.path.join(os.path.dirname(__file__), f"{name}.py"), "rb") as fh:
+            sources.append(fh.read())
+    probe = np.exp(np.linspace(-700.0, 700.0, 1024))
+    return (*sources, np.__version__.encode("ascii"), probe.tobytes())
 
 
 def _cache_dirs() -> tuple[str, str] | None:
@@ -106,9 +113,9 @@ def _cache_dirs() -> tuple[str, str] | None:
 
 def _program() -> list[int]:
     """The fingerprint of the key's prefix that a record holds, made
-    without hashlib: the CRC-32 of the format tag and both sources, then
-    their lengths."""
-    parts = (_CACHE_TAG, _parser_bytes(), _decomposition_bytes())
+    without hashlib: the CRC-32 of :func:`_key_parts` (the four modules'
+    sources, numpy's version and the ``np.exp`` probe), then their lengths."""
+    parts = _key_parts()
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -273,13 +280,13 @@ def load_uncertainties(path) -> tuple[Uncertainties, int]:
     :func:`~regcal.jsonl.load_dump`.
 
     A regular file is first looked up through its index record and, when
-    that is not trusted, by the SHA-256 of its bytes (with the format tag
-    and the parser's and the decomposition's sources), after which the
-    record is rewritten. A hit passes the checks of :func:`_read_entry`,
-    returns exactly the miss's ids, columns and N, and imports no parser. A
-    miss stores its result under the SHA-256 of the bytes it parsed, so a
-    file changed while it is read is stored under its new content. Errors
-    are never cached, and other input, such as a FIFO, is parsed directly.
+    that is not trusted, by the SHA-256 of its bytes (after
+    :func:`_key_parts`), after which the record is rewritten. A hit passes
+    the checks of :func:`_read_entry`, returns exactly the miss's ids,
+    columns and N, and imports no parser. A miss stores its result under
+    the SHA-256 of the bytes it parsed, so a file changed while it is read
+    is stored under its new content. Errors are never cached, and other
+    input, such as a FIFO, is parsed directly.
     """
     dirs = _cache_dirs()
     if dirs is None:
@@ -299,9 +306,9 @@ def load_uncertainties(path) -> tuple[Uncertainties, int]:
         return hit
     import hashlib
 
-    prefix = hashlib.sha256(_CACHE_TAG)
-    prefix.update(_parser_bytes())
-    prefix.update(_decomposition_bytes())
+    prefix = hashlib.sha256()
+    for part in _key_parts():
+        prefix.update(part)
     tmp = f"{record}.{os.getpid()}{_TMP_SUFFIX}"
     stamp = _stamp(index, tmp)
     try:

@@ -521,6 +521,29 @@ class TestErrorReporting:
         assert err.startswith("error: memory: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", ["diagram", "svg"])
+    def test_an_output_that_cannot_be_written_leaves_no_output(self, capsys, tmp_path, missing):
+        path = tmp_path / "d.jsonl"
+        path.write_text(dump_text(GOOD_RECORDS))
+        outputs = {"out": "r.json", "diagram": "d.csv", "svg": "d.svg"}
+        outputs[missing] = f"missing/{outputs[missing]}"
+        flags = [arg for flag, name in outputs.items() for arg in (f"--{flag}", tmp_path / name)]
+        rc = main(["evaluate", "--input", str(path), *map(str, flags)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_failed_evaluate_keeps_a_link_it_wrote_through(self, capsys, tmp_path):
+        # As with --out /dev/stdout: the link is not an output to remove.
+        path, report, link = tmp_path / "d.jsonl", tmp_path / "r.json", tmp_path / "link.json"
+        path.write_text(dump_text(GOOD_RECORDS))
+        link.symlink_to(report)
+        rc = main(["evaluate", "--input", str(path), "--out", str(link),
+                   "--svg", str(tmp_path / "missing" / "d.svg")])
+        assert rc == 1 and capsys.readouterr().err.startswith("error: io: ")
+        assert link.is_symlink() and json.loads(report.read_text())["m"] == len(GOOD_RECORDS)
+
     def test_bad_flags_single_line(self, capsys, tmp_path):
         for argv in (["calibrate", "--method", "sigma"],
                      ["calibrate", "--input", "d.jsonl", "--method", "sigma",

@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from regcal import io as regcal_io, jsonl as regcal_jsonl
 from regcal.calibrate import AuxConfig, aux_fit, fit_sigma
 from regcal.cli import main
-from regcal.core import McPredictionSet, identity_artifact
+from regcal.core import McPredictionSet, Uncertainties, identity_artifact
 from regcal.io import artifact_to_json, load_artifact, load_uncertainties, save_artifact
 from regcal.jsonl import DumpFormatError, dump_lines, load_dump, save_dump
 from regcal.metrics import decompose, uncertainty_records
@@ -1068,6 +1069,19 @@ def _exact(loaded):
                                 for c in (getattr(unc, name) for name in COLUMNS))
 
 
+# The parts of the cache key, in the order of regcal.io._key_parts.
+KEY_PARTS = [*(f"{name}.py" for name in regcal_io._ENTRY_MODULES), "numpy-version", "exp-probe"]
+
+
+def _another_program(monkeypatch, part):
+    """Have regcal.io see a program that differs from this one in the key
+    part ``part`` alone: its last byte changes, its length stays."""
+    parts = list(regcal_io._key_parts())
+    k = KEY_PARTS.index(part)
+    parts[k] = parts[k][:-1] + bytes([parts[k][-1] ^ 1])
+    monkeypatch.setattr(regcal_io, "_key_parts", lambda: tuple(parts))
+
+
 def _expected(pset):
     """What load_uncertainties must give for a dump of ``pset``."""
     return _exact((uncertainty_records(pset), pset.n_samples))
@@ -1292,14 +1306,11 @@ class TestDumpCache:
         assert _exact(load_uncertainties(path)) == _expected(pset)
         assert len(parses) == 2 and len(list(cache.iterdir())) == 2
 
-    @pytest.mark.parametrize("name, value", [("_CACHE_TAG", b"another format\n"),
-                                             ("_parser_bytes", lambda: b"another parser"),
-                                             ("_decomposition_bytes", lambda: b"another math")])
-    def test_a_changed_key_prefix_misses(self, tmp_path, cache, parses, rng, monkeypatch,
-                                         name, value):
+    @pytest.mark.parametrize("part", KEY_PARTS)
+    def test_a_changed_key_prefix_misses(self, tmp_path, cache, parses, rng, monkeypatch, part):
         path, pset = self.saved(tmp_path, rng)
         load_uncertainties(path)
-        monkeypatch.setattr(regcal_io, name, value)
+        _another_program(monkeypatch, part)
         for _ in range(2):
             assert _exact(load_uncertainties(path)) == _expected(pset)
         assert len(parses) == 2 and len(list(cache.iterdir())) == 2
@@ -1308,8 +1319,39 @@ class TestDumpCache:
         def source(fn):
             return pathlib.Path(inspect.getsourcefile(fn)).read_bytes()
 
-        assert regcal_io._parser_bytes() == source(regcal_jsonl.read_dump)
-        assert regcal_io._decomposition_bytes() == source(decompose)
+        parts = regcal_io._key_parts()
+        assert len(parts) == len(KEY_PARTS)
+        # The code that parses, decomposes, types, writes and checks an entry.
+        for fn in (regcal_jsonl.read_dump, decompose, Uncertainties, regcal_io._write_entry,
+                   regcal_io._read_entry):
+            assert source(fn) in parts
+        assert np.__version__.encode() in parts
+
+    def test_a_hit_under_another_simd_dispatch_is_its_miss(self, tmp_path, cache, rng):
+        # np.exp, and so the aleatoric column, rounds differently without AVX-512
+        # on a CPU that has it; elsewhere both dispatches are one and this holds
+        # trivially. numpy skips the names this CPU or numpy does not have.
+        path = tmp_path / "d.jsonl"
+        save_dump(random_set(rng, m=500, n=25), path)
+        load_uncertainties(path)
+        child = """
+import sys
+from regcal.io import load_uncertainties
+from regcal.jsonl import load_dump
+from regcal.metrics import uncertainty_records
+(hit, n), pset = load_uncertainties(sys.argv[1]), load_dump(sys.argv[1])
+miss = uncertainty_records(pset)
+assert hit.ids == miss.ids and n == pset.n_samples
+for name in sys.argv[2:]:
+    a, b = getattr(hit, name), getattr(miss, name)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+"""
+        env = {**os.environ, "XDG_CACHE_HOME": str(cache.parent),
+               "PYTHONPATH": str(pathlib.Path(regcal_io.__file__).parent.parent),
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512F AVX512_SKX AVX512_ICL AVX512_SPR"}
+        proc = subprocess.run([sys.executable, "-c", child, str(path), *COLUMNS], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("kind", ["truncated", "trailing-byte", "garbage", "wrong-shape",
                                       "short-residual", "flat-residual", "nan", "duplicate-id",
@@ -1558,15 +1600,13 @@ class TestDumpCache:
         assert _exact(load_uncertainties(path)) == _expected(pset)
         assert str(path) in opens and record.read_bytes() == good
 
-    @pytest.mark.parametrize("name, value", [("_CACHE_TAG", b"another format\n"),
-                                             ("_parser_bytes", lambda: b"another parser"),
-                                             ("_decomposition_bytes", lambda: b"another math")])
+    @pytest.mark.parametrize("part", KEY_PARTS)
     def test_a_record_of_another_program_is_not_trusted(self, tmp_path, cache, parses, rng,
-                                                        monkeypatch, name, value):
+                                                        monkeypatch, part):
         path, pset = self.saved(tmp_path, rng)
         load_uncertainties(path)
         self.settle(cache)
-        monkeypatch.setattr(regcal_io, name, value)
+        _another_program(monkeypatch, part)
         # Trusted, the record would serve the entry that the other program made.
         assert _exact(load_uncertainties(path)) == _expected(pset)
         assert len(parses) == 2
