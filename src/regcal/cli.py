@@ -1,9 +1,14 @@
 """Command-line surface: fit/apply calibration, evaluate, export curves.
 
-Every subcommand is a pure function of its inputs, flags and seed: repeated
-invocations write byte-identical outputs. On failure a single
-machine-parsable line ``error: <code>: <message>`` goes to stderr and the
-exit code is nonzero.
+Every subcommand is a pure function of its inputs, flags and seed: it
+writes nothing, and returns its outputs as ``(writer, document, path)``
+triples. ``main()`` writes them, in order, all or none: when one write
+fails, the files already written are removed before the error is reported.
+Only a path that ``lstat`` shows as a regular file is removed, so a link
+such as ``--out /dev/stdout``, or a FIFO, never is. Repeated invocations
+write byte-identical outputs. On failure a single machine-parsable line
+``error: <code>: <message>`` goes to stderr, the exit code is nonzero and
+no output file is left.
 
 A regcal process freezes the cycle collector as it exits: ``main()``
 registers :func:`gc.freeze` with :mod:`atexit`, so the interpreter's final
@@ -85,7 +90,7 @@ def _uncertainties(path, calib):
 _ROUTE_FLAGS = {"sigma": (), "sigma --gd": ("gd", "iters"), "aux": ("h", "seed", "lr", "iters")}
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> list:
     route = "sigma --gd" if args.method == "sigma" and args.gd else args.method
     given = _given(h=args.h, seed=args.seed, lr=args.lr, iters=args.iters, gd=args.gd or None)
     unread = [flag for flag in given if flag not in _ROUTE_FLAGS[route]]
@@ -105,11 +110,10 @@ def cmd_calibrate(args) -> int:
         cfg = AuxConfig(**_given(hidden_width=args.h, seed=args.seed,
                                  epochs=args.iters, step_size=args.lr))
         calib = aux_fit(unc, cfg, target=target)
-    rio.save_artifact(calib, args.out)
-    return 0
+    return [(rio.save_artifact, calib, args.out)]
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> list:
     from . import io as rio
     from .calibrate import apply_calibration
     from .likelihood import batch_nll
@@ -136,56 +140,41 @@ def cmd_evaluate(args) -> int:
         },
     }
     points = calibration_diagram(rep_pred)
-    outputs = [(rio.write_json, report, args.out), (rio.diagram_to_csv, points, args.diagram),
-               (rio.diagram_to_svg, points, args.svg)]
-    written = []
-    try:
-        for write, doc, path in outputs:
-            if path:
-                write(doc, path)
-                written.append(path)
-    except BaseException:  # all outputs or none: remove the files already written
-        for path in written:
-            with contextlib.suppress(OSError):
-                if S_ISREG(os.lstat(path).st_mode):  # not a FIFO, nor a link like /dev/stdout
-                    os.remove(path)
-        raise
-    return 0
+    return [(rio.write_json, report, args.out), (rio.diagram_to_csv, points, args.diagram),
+            (rio.diagram_to_svg, points, args.svg)]
 
 
-def cmd_intervals(args) -> int:
+def cmd_intervals(args) -> list:
     levels = None if args.levels is None else _floats(args.levels, "levels")
     from . import io as rio
     from .intervals import coverage
 
     calib = _load_calib(args.calib)
     unc = _uncertainties(args.input, calib)
-    rio.coverage_to_csv(coverage(unc, kind=calib.likelihood, **_given(levels=levels)), args.out)
-    return 0
+    return [(rio.coverage_to_csv, coverage(unc, kind=calib.likelihood, **_given(levels=levels)),
+             args.out)]
 
 
-def cmd_reject(args) -> int:
+def cmd_reject(args) -> list:
     thresholds = None if args.thresholds is None else _floats(args.thresholds, "thresholds")
     from . import io as rio
     from .analysis import rejection_curve
 
     unc = _uncertainties(args.input, _load_calib(args.calib))
     curve = rejection_curve(unc, thresholds=thresholds, **_given(steps=args.steps))
-    rio.rejection_to_csv(curve, args.out)
-    return 0
+    return [(rio.rejection_to_csv, curve, args.out)]
 
 
-def cmd_ood(args) -> int:
+def cmd_ood(args) -> list:
     from . import io as rio
     from .analysis import ood_compare
 
     calib = _load_calib(args.calib)
     in_dist, shifted = _uncertainties(args.in_dist, calib), _uncertainties(args.shifted, calib)
-    rio.ood_to_csv(ood_compare(in_dist, shifted, **_given(k=args.bins)), args.out)
-    return 0
+    return [(rio.ood_to_csv, ood_compare(in_dist, shifted, **_given(k=args.bins)), args.out)]
 
 
-def cmd_toy(args) -> int:
+def cmd_toy(args) -> list:
     from . import io as rio
     from .jsonl import save_dump
     from .toymodel import ToyModelConfig, experiment
@@ -194,13 +183,11 @@ def cmd_toy(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad --out-dir fails fast
     result = experiment(cfg)
-    for name, pset in result.dumps.items():
-        save_dump(pset, out_dir / f"{name}.jsonl")
-    rio.trace_to_csv(result.trace, out_dir / "trace.csv")
-    rio.save_artifact(result.sigma, out_dir / "calib_sigma.json")
-    rio.save_artifact(result.aux, out_dir / "calib_aux.json")
-    rio.write_json(result.summary, out_dir / "summary.json")
-    return 0
+    return [*((save_dump, pset, out_dir / f"{name}.jsonl") for name, pset in result.dumps.items()),
+            (rio.trace_to_csv, result.trace, out_dir / "trace.csv"),
+            (rio.save_artifact, result.sigma, out_dir / "calib_sigma.json"),
+            (rio.save_artifact, result.aux, out_dir / "calib_aux.json"),
+            (rio.write_json, result.summary, out_dir / "summary.json")]
 
 
 def build_parser() -> _Parser:
@@ -272,12 +259,30 @@ def _freeze_at_exit() -> None:
     atexit.register(gc.freeze)
 
 
+def _write(outputs) -> None:
+    """Write each ``(writer, document, path)`` whose path is set, in order, or none: a failed
+    write removes the ones already written that ``lstat`` shows as regular files, and re-raises."""
+    written = []
+    try:
+        for write, doc, path in outputs:
+            if path is not None:
+                write(doc, path)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                if S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+        raise
+
+
 def main(argv=None) -> int:
     _freeze_at_exit()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _write(args.func(args))
+        return 0
     except CliError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2

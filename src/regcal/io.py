@@ -6,9 +6,10 @@ The JSONL dump format, its checked parser and its writer live in
 each block as it is parsed. Calibration artifacts are JSON documents in
 which every real is a decimal string of full precision. Every JSON file
 (artifacts, the ``evaluate`` report, the toy summary) goes through
-:func:`write_json`, which refuses a non-finite number, and every artifact
-is read through :func:`read_json`, which refuses a non-finite constant and
-names the file in its one message for any decoding failure.
+:func:`write_json`, which refuses a non-finite number and names its key
+path, and every artifact is read through :func:`read_json`, which refuses a
+non-finite constant and names the file in its one message for any decoding
+failure.
 
 A dump read from a regular file is parsed once per content:
 :func:`load_uncertainties` keeps the ids, the four decomposed columns
@@ -48,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 import zlib  # numpy has loaded it already
 from dataclasses import fields
@@ -419,9 +421,27 @@ def artifact_from_json(doc) -> CalibrationArtifact:
     return CalibrationArtifact(**kwargs)
 
 
+def _non_finite_at(value, where: str = "") -> str | None:
+    """The key path of the first non-finite float in ``value``, in the order
+    :func:`json.dumps` writes it, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else key, v) for key, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_at(v, at) for at, v in items)), None)
+
+
 def write_json(doc: dict, path) -> None:
-    """Write strict JSON; a non-finite value raises ``ValueError`` before the file opens."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    """Write strict JSON; a non-finite value raises ``ValueError`` naming its key path
+    (``nll``, ``uce_predictive.bins[2].var_obs``) before the file opens."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at {_non_finite_at(doc)}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 

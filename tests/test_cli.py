@@ -543,6 +543,70 @@ class TestErrorReporting:
                    "--svg", str(tmp_path / "missing" / "d.svg")])
         assert rc == 1 and capsys.readouterr().err.startswith("error: io: ")
         assert link.is_symlink() and json.loads(report.read_text())["m"] == len(GOOD_RECORDS)
+        # The same for a toy run whose trace.csv is a link and whose summary fails.
+        out, trace = tmp_path / "toy", tmp_path / "trace.csv"
+        (out / "summary.json").mkdir(parents=True)
+        (out / "trace.csv").symlink_to(trace)
+        rc = main(["toy", "--seed", "0", "--epochs", "1", "--mc-passes", "1",
+                   "--out-dir", str(out)])
+        assert rc == 1 and capsys.readouterr().err.startswith("error: io: ")
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
+        assert (out / "trace.csv").is_symlink() and trace.read_text().startswith("epoch,")
+
+    def test_a_failed_toy_leaves_no_partial_run(self, capsys, tmp_path):
+        (tmp_path / "summary.json").mkdir()
+        rc = main(["toy", "--seed", "0", "--epochs", "1", "--mc-passes", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+    # Each command, the module attribute that writes its last output, and that output.
+    LAST_WRITES = {
+        "calibrate": (["calibrate", "--input", "{dump}", "--method", "sigma",
+                       "--out", "{out}/c.json"], "save_artifact", "c.json"),
+        "evaluate": (["evaluate", "--input", "{dump}", "--out", "{out}/r.json", "--diagram",
+                      "{out}/d.csv", "--svg", "{out}/d.svg"], "diagram_to_svg", "d.svg"),
+        "intervals": (["intervals", "--input", "{dump}", "--out", "{out}/i.csv"],
+                      "coverage_to_csv", "i.csv"),
+        "reject": (["reject", "--input", "{dump}", "--out", "{out}/r.csv"],
+                   "rejection_to_csv", "r.csv"),
+        "ood": (["ood", "--in-dist", "{dump}", "--shifted", "{dump}", "--out", "{out}/o.csv"],
+                "ood_to_csv", "o.csv"),
+        "toy": (["toy", "--seed", "0", "--epochs", "1", "--mc-passes", "1", "--out-dir", "{out}"],
+                "write_json", "summary.json"),
+    }
+
+    @pytest.mark.parametrize("command", LAST_WRITES)
+    def test_a_failed_last_write_leaves_no_output(self, capsys, toy_dir, tmp_path, monkeypatch,
+                                                  command):
+        argv, writer, last = self.LAST_WRITES[command]
+        real = getattr(regcal.io, writer)
+
+        def fail_last(doc, path):  # every other output is written, then removed
+            if Path(path).name == last:
+                raise OSError(f"cannot write {path}")
+            real(doc, path)
+
+        monkeypatch.setattr(regcal.io, writer, fail_last)
+        dump, out = toy_dir / "val.jsonl", tmp_path / "out"
+        out.mkdir()
+        assert main([a.format(dump=dump, out=out) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: io: cannot write {out / last}\n"
+        assert list(out.iterdir()) == []
+
+    # A subnormal total variance: batch_nll's error term overflows to inf.
+    NLL_OVERFLOW_RECORD = {"id": "r9", "y": [1.0], "samples": [
+        {"mean": [0.3], "log_var": -740.0}, {"mean": [0.3], "log_var": -740.0}]}
+
+    def test_a_non_finite_report_value_is_named(self, capsys, tmp_path):
+        path, report = tmp_path / "d.jsonl", tmp_path / "r.json"
+        path.write_text(dump_text(GOOD_RECORDS + [self.NLL_OVERFLOW_RECORD]))
+        assert main(["evaluate", "--input", str(path), "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-input: Out of range float values are not JSON compliant: inf at nll\n")
+        assert not report.exists()
 
     def test_bad_flags_single_line(self, capsys, tmp_path):
         for argv in (["calibrate", "--method", "sigma"],
@@ -933,6 +997,7 @@ class TestCliFuzz:
             TestErrorReporting.BAD_SECOND_LINE_IDS, TestErrorReporting.BAD_SECOND_LINES)},
         **{name: dump_text(GOOD_RECORDS + [TestErrorReporting.non_finite_record(name)])
            for name in TestErrorReporting.NON_FINITE_DUMPS},
+        "nll-overflow": dump_text(GOOD_RECORDS + [TestErrorReporting.NLL_OVERFLOW_RECORD]),
         "no-y": '{"id":"a","samples":[]}\n',
         "nan-y": '{"id":"a","y":[NaN],"samples":[{"mean":[0.1],"log_var":-2.0}]}\n',
         "deep-nesting": '{"id":"a","y":[0.5],"samples":[{"mean":%s,"log_var":-2.0}]}\n' % (
